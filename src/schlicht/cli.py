@@ -5,8 +5,9 @@ go through the fixed-width formatter, JSON field order is fixed, and
 every randomized command requires an explicit seed.  Diagnostics go to
 stderr, never to the data stream.
 
-Exit codes: 0 success, 1 parameter-domain error, 2 numerical/internal
-error in an otherwise well-formed invocation.
+Exit codes: 0 success, 1 parameter-domain or usage error, 2
+numerical/internal error in an otherwise well-formed invocation,
+including a result that is not finite.
 """
 
 import argparse
@@ -226,6 +227,9 @@ def _cmd_jack(args) -> int:
     elif args.check == "spiral":
         _require(args.alpha is not None, "--alpha is required for spiral")
         _require(args.seed is not None, "--seed is required for spiral")
+        _require(args.samples >= 1, f"--samples must be >= 1, got {args.samples}")
+        # order 1 leaves only f = z, which passes without testing anything
+        _require(args.order >= 2, f"--order must be >= 2, got {args.order}")
         margins = []
         for i in range(args.samples):
             sample = sample_schwarz((args.seed, i), args.degree)
@@ -323,8 +327,16 @@ def _load_series(path: str | None) -> ComplexSeries:
         return ComplexSeries.from_json_dict(json.load(handle))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the parameter-error code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schlicht",
         description="Coefficient bounds, extremal series, and randomized "
         "verification for subordination-defined function classes.",

@@ -43,3 +43,7 @@ class EvaluationSingularity(SchlichtError, ArithmeticError):
 
 class PreconditionNotVerified(SchlichtError, ValueError):
     """A numerical precondition check failed before the main computation."""
+
+
+class NonFiniteOutput(SchlichtError, ArithmeticError):
+    """A value to be written out is inf or nan, which JSON and CSV cannot carry."""

@@ -3,14 +3,20 @@
 Floats are always printed with a fixed 15-significant-digit scientific
 format instead of shortest-round-trip repr, so identical computations
 produce byte-identical JSON/CSV across runs; golden-file tests rely on
-that.  Negative zero is normalized away.
+that.  Negative zero is normalized away, and inf/nan are refused, since
+JSON has no token for them.
 """
 
 import io
+import math
+
+from .errors import NonFiniteOutput
 
 
 def format_float(x: float) -> str:
     x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteOutput(f"refusing to write the non-finite value {x}")
     if x == 0.0:
         x = 0.0  # drops the sign of -0.0
     return f"{x:.14e}"

@@ -22,6 +22,7 @@ from .errors import (
     DivisionByNonUnit,
     NonvanishingInnerConstant,
     NormalizationError,
+    ParameterDomainError,
     RadiusOutOfRange,
 )
 
@@ -254,6 +255,8 @@ class ComplexSeries:
         coeffs = [complex(re, im) for re, im in doc["coeffs"]]
         if len(coeffs) != int(doc["order"]) + 1:
             raise ValueError("coefficient count does not match declared order")
+        if not all(cmath.isfinite(c) for c in coeffs):
+            raise ParameterDomainError("series coefficients must be finite")
         return cls(coeffs)
 
 

@@ -10,19 +10,18 @@ target pointwise on series: omega = (P-1)/(A - B*P).
 The fuzzer drives many random Schwarz samples through this construction
 and compares each |a_n| against the bound formulas.  Everything is keyed
 off a single integer seed; sample i owns the RNG stream seeded by
-(seed, i), so reports do not depend on evaluation order and identical
-seeds give byte-identical reports.
+(seed, i), so identical seeds give byte-identical reports.  The samples
+of one run are built together: the recurrences step over the coefficient
+index k with every sample in one row of a 2-D array.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import series as srs
 from .bounds import coefficient_bound
-from .errors import InversionSingular, ParameterDomainError
+from .errors import InversionSingular, NormalizationError, ParameterDomainError
 from .params import ClassParams
 from .series import ComplexSeries
 
@@ -80,6 +79,43 @@ def _grid_sup(omega: ComplexSeries) -> float:
     return float(np.max(np.abs(vals)))
 
 
+def _draw_omega(
+    seed,
+    degree: int,
+    construction: str,
+    rho: float | None = None,
+    theta: float | None = None,
+) -> np.ndarray:
+    """Coefficients c_0..c_m of a Schwarz polynomial drawn from seed's stream."""
+    if degree < 1:
+        raise ParameterDomainError(f"degree must be >= 1, got {degree}")
+    if construction not in CONSTRUCTIONS:
+        raise ParameterDomainError(
+            f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}"
+        )
+    rng = np.random.default_rng(seed)
+
+    if construction == "rotation":
+        if theta is None:
+            theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        return np.array([0.0, srs.exp_i(theta)], dtype=np.complex128)
+    if rho is None:
+        rho = 1.0 - float(rng.random())
+    if not 0.0 < rho <= 1.0:
+        raise ParameterDomainError(f"rho must be in (0, 1], got {rho}")
+    coeffs = np.zeros(degree + 1, dtype=np.complex128)
+    if construction == "monomial":
+        coeffs[degree] = rho
+        return coeffs
+    c = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    total = float(np.sum(np.abs(c)))
+    if total == 0.0:
+        c = np.ones(degree, dtype=np.complex128)
+        total = float(degree)
+    coeffs[1:] = c * (rho / total)
+    return coeffs
+
+
 def sample_schwarz(
     seed,
     degree: int,
@@ -93,40 +129,8 @@ def sample_schwarz(
     rescaled so sum|c_j| = rho for a random rho in (0, 1].
     rotation: omega = exp(i*theta) * z.  monomial: omega = rho * z^d.
     """
-    if degree < 1:
-        raise ParameterDomainError(f"degree must be >= 1, got {degree}")
-    if construction not in CONSTRUCTIONS:
-        raise ParameterDomainError(
-            f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}"
-        )
-    rng = np.random.default_rng(seed)
+    omega = ComplexSeries(_draw_omega(seed, degree, construction, rho, theta))
     seed_tuple = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-
-    if construction == "rotation":
-        if theta is None:
-            theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        omega = srs.monomial(srs.exp_i(theta), 1, 1)
-    elif construction == "monomial":
-        if rho is None:
-            rho = 1.0 - float(rng.random())
-        if not 0.0 < rho <= 1.0:
-            raise ParameterDomainError(f"rho must be in (0, 1], got {rho}")
-        omega = srs.monomial(rho, degree, degree)
-    else:
-        if rho is None:
-            rho = 1.0 - float(rng.random())
-        if not 0.0 < rho <= 1.0:
-            raise ParameterDomainError(f"rho must be in (0, 1], got {rho}")
-        c = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
-        total = float(np.sum(np.abs(c)))
-        if total == 0.0:
-            c = np.ones(degree, dtype=np.complex128)
-            total = float(degree)
-        c = c * (rho / total)
-        coeffs = np.zeros(degree + 1, dtype=np.complex128)
-        coeffs[1:] = c
-        omega = ComplexSeries(coeffs)
-
     return SchwarzSample(omega, _grid_sup(omega), construction, seed_tuple)
 
 
@@ -143,13 +147,58 @@ def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:
         raise ParameterDomainError("omega must vanish at the origin")
     target = max(order - 1, 0)
     om = om.extend(target) if om.order < target else om.truncate(target)
-    denom = srs.constant(1.0, target) + om.scale(p.b)
-    q = srs.constant(1.0, target) + om.scale(p.product_base()).div(denom)
-    big_f = srs.solve_log_derivative(q)
-    coeffs = np.asarray(big_f.coeffs, dtype=np.complex128)
-    ks = np.arange(len(coeffs))
-    coeffs[1:] = coeffs[1:] / (1.0 + p.lam * (ks[1:] - 1))
-    return ComplexSeries(coeffs)
+    rows = np.asarray(om.coeffs, dtype=np.complex128)[None, :]
+    return ComplexSeries(_member_rows(rows, p)[0])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise unconjugated dot products of two (rows, k) arrays.
+
+    A stack of vector-times-vector matmuls reaches the same BLAS dot that
+    np.dot uses on one pair of contiguous vectors, so each row rounds
+    exactly as the one-row recurrences in series do.  Both operands need
+    positive unit strides along k.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
+    """Members a_0..a_N generated by each row of Schwarz coefficients c_0..c_{N-1}.
+
+    Row for row this is Q = 1 + base*omega/(1 + B*omega), then
+    series.solve_log_derivative(Q), then the 1 + lambda*(k-1) weights
+    divided out, with the same floating-point operations in the same
+    order as the series methods; the recurrences step over k with all
+    rows at once.
+    """
+    rows, width = omegas.shape
+    one = np.zeros(width, dtype=np.complex128)
+    one[0] = 1.0
+    denom = one + omegas * complex(p.b)
+    num = omegas * complex(p.product_base())
+
+    # Q = 1 + num/denom, by the recurrence of ComplexSeries.div
+    denom_rev = np.ascontiguousarray(denom[:, ::-1])
+    quotient = np.zeros_like(num)
+    quotient[:, 0] = num[:, 0] / denom[:, 0]
+    for k in range(1, width):
+        dots = _row_dots(quotient[:, :k], denom_rev[:, width - 1 - k : width - 1])
+        quotient[:, k] = (num[:, k] - dots) / denom[:, 0]
+    q = one + quotient
+    if np.any(np.abs(q[:, 0] - 1.0) > srs.UNIT_TOLERANCE):
+        raise NormalizationError("source constant term must be 1")
+
+    # (k-1)*F_k = sum_{j=1}^{k-1} F_j q_{k-j}, as in series.solve_log_derivative
+    q_rev = np.ascontiguousarray(q[:, ::-1])
+    big_f = np.zeros((rows, width + 1), dtype=np.complex128)
+    big_f[:, 1] = 1.0
+    for k in range(2, width + 1):
+        dots = _row_dots(big_f[:, 1:k], q_rev[:, width - k : width - 1])
+        big_f[:, k] = dots / (k - 1)
+
+    ks = np.arange(width + 1)
+    big_f[:, 1:] = big_f[:, 1:] / (1.0 + p.lam * (ks[1:] - 1))
+    return big_f
 
 
 def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> SchwarzSample:
@@ -208,13 +257,36 @@ def quadratic_sum_slack(f: ComplexSeries, p: ClassParams, n: int) -> float:
     """
     if n < 2 or n > f.order:
         raise ParameterDomainError(f"need 2 <= n <= {f.order}, got {n}")
+    coeffs = np.asarray(f.coeffs[2 : n + 1], dtype=np.complex128)
+    return float(_quadratic_slacks(_moduli(coeffs[None, :]), p)[0, -1])
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, rounded as Python's abs(complex) rounds (np.abs is not)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _quadratic_slacks(moduli: np.ndarray, p: ClassParams) -> np.ndarray:
+    """quadratic_sum_slack at n = 2..m+1 for rows of moduli |a_2|..|a_{m+1}|.
+
+    The right-hand side is a running sum over n.  The per-index factors
+    are Python floats and squares go through pow (np.float_power), so each
+    entry rounds as the scalar formula in quadratic_sum_slack's docstring
+    does when evaluated left to right.
+    """
+    rows, m = moduli.shape
     base = p.product_base()
-    lhs = ((n - 1) * (1.0 + p.lam * (n - 1)) * abs(f.coefficient(n))) ** 2
-    rhs = abs(base) ** 2
-    for k in range(2, n):
-        weight = (1.0 + p.lam * (k - 1)) ** 2 * abs(f.coefficient(k)) ** 2
-        rhs += (abs(base - p.b * (k - 1)) ** 2 - (k - 1) ** 2) * weight
-    return (rhs - lhs) / max(1.0, lhs, abs(rhs))
+    ks = range(2, m + 2)
+    lhs_scale = np.array([(k - 1) * (1.0 + p.lam * (k - 1)) for k in ks])
+    weight_scale = np.array([(1.0 + p.lam * (k - 1)) ** 2 for k in ks])
+    margins = np.array([abs(base - p.b * (k - 1)) ** 2 - (k - 1) ** 2 for k in ks])
+    lhs = np.float_power(lhs_scale * moduli, 2.0)
+    terms = margins * (weight_scale * np.float_power(moduli, 2.0))
+    rhs = np.empty((rows, m))
+    rhs[:, 0] = abs(base) ** 2
+    rhs[:, 1:] = terms[:, :-1]
+    np.cumsum(rhs, axis=1, out=rhs)
+    return (rhs - lhs) / np.maximum(np.maximum(1.0, lhs), np.abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -273,14 +345,6 @@ class FuzzReport:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SCHLICHT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _pick_construction(rng) -> str:
     u = rng.random()
     if u < 0.8:
@@ -303,7 +367,8 @@ def fuzz_bounds(
     For each sample, builds the member, records |a_n| for 2 <= n <= n_max
     against the bound (violation when |a_n| > bound*(1+violation_rtol)),
     and checks the quadratic coefficient inequality for n up to 10.
-    Deterministic for a given seed regardless of worker count.
+    Sample i draws from the streams (seed, i) and (seed, i, 1) only, and
+    all samples are then built and checked together as rows of one array.
     """
     if n_max < 2:
         raise ParameterDomainError(f"n_max must be >= 2, got {n_max}")
@@ -311,63 +376,43 @@ def fuzz_bounds(
         raise ParameterDomainError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
-    bounds = {n: coefficient_bound(p, n) for n in range(2, n_max + 1)}
+    indices = range(2, n_max + 1)
+    bounds = [coefficient_bound(p, n) for n in indices]
     check_to = min(n_max, QUADRATIC_CHECK_LIMIT)
 
-    def run_sample(index: int):
-        sample_seed = (seed, index)
-        # the construction pick owns its own stream so it does not bias the
-        # draws sample_schwarz makes from (seed, index)
-        pick_rng = np.random.default_rng((seed, index, 1))
-        construction = _pick_construction(pick_rng)
-        sample = sample_schwarz(sample_seed, degree, construction)
-        f = member_from_schwarz(sample, p, n_max)
-        magnitudes = [abs(f.coefficient(n)) for n in range(2, n_max + 1)]
-        min_slack = min(
-            (quadratic_sum_slack(f, p, n) for n in range(2, check_to + 1)),
-            default=0.0,
-        )
-        return construction, sample_seed, magnitudes, min_slack
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_sample, range(samples)))
-    else:
-        results = [run_sample(i) for i in range(samples)]
-
+    # omega's coefficients c_0..c_{n_max-1} fix the member through a_{n_max}
+    omegas = np.zeros((samples, n_max), dtype=np.complex128)
     construction_counts = {name: 0 for name in CONSTRUCTIONS}
-    max_observed = {n: 0.0 for n in range(2, n_max + 1)}
-    argmax = {n: None for n in range(2, n_max + 1)}
-    violations = {n: 0 for n in range(2, n_max + 1)}
-    quad_min = float("inf")
-    quad_violations = 0
-    for index, (construction, sample_seed, magnitudes, min_slack) in enumerate(
-        results
-    ):
+    for index in range(samples):
+        # the construction pick owns its own stream so it does not bias the
+        # draws from (seed, index)
+        construction = _pick_construction(np.random.default_rng((seed, index, 1)))
         construction_counts[construction] += 1
-        for n, value in zip(range(2, n_max + 1), magnitudes):
-            if value > max_observed[n]:
-                max_observed[n] = value
-                argmax[n] = (index, sample_seed)
-            if value > bounds[n].value * (1.0 + violation_rtol):
-                violations[n] += 1
-        if min_slack < quad_min:
-            quad_min = min_slack
-        if min_slack < -violation_rtol:
-            quad_violations += 1
+        coeffs = _draw_omega((seed, index), degree, construction)[:n_max]
+        omegas[index, : coeffs.size] = coeffs
+
+    moduli = _moduli(_member_rows(omegas, p)[:, 2:])
+    limits = np.array([b.value for b in bounds]) * (1.0 + violation_rtol)
+    violations = np.count_nonzero(moduli > limits, axis=0)
+    max_observed = moduli.max(axis=0)
+    # the first sample to reach the column maximum; none when every |a_n| is 0
+    argmax = [
+        int(i) if top > 0.0 else None
+        for i, top in zip(moduli.argmax(axis=0), max_observed)
+    ]
+    min_slacks = _quadratic_slacks(moduli[:, : check_to - 1], p).min(axis=1)
 
     per_index = tuple(
         FuzzIndexStats(
             n,
-            bounds[n].value,
-            bounds[n].case_tag,
-            max_observed[n],
-            argmax[n][0] if argmax[n] else None,
-            argmax[n][1] if argmax[n] else None,
-            violations[n],
+            bound.value,
+            bound.case_tag,
+            float(max_observed[j]),
+            argmax[j],
+            None if argmax[j] is None else (seed, argmax[j]),
+            int(violations[j]),
         )
-        for n in range(2, n_max + 1)
+        for j, (n, bound) in enumerate(zip(indices, bounds))
     )
     return FuzzReport(
         params=p,
@@ -378,6 +423,6 @@ def fuzz_bounds(
         constructions=construction_counts,
         per_index=per_index,
         quadratic_checked_to=check_to,
-        quadratic_violations=quad_violations,
-        quadratic_min_slack=float(quad_min),
+        quadratic_violations=int(np.count_nonzero(min_slacks < -violation_rtol)),
+        quadratic_min_slack=float(min_slacks.min()),
     )

@@ -1,11 +1,12 @@
 """CLI behavior: formats, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
 from schlicht.cli import main, parse_index_range
-from schlicht.errors import ParameterDomainError
+from schlicht.errors import NonFiniteOutput, ParameterDomainError
 from schlicht.output import (
     fixed_json_dumps,
     format_complex_pair,
@@ -55,6 +56,18 @@ class TestBoundCommand:
         assert code == 1
         assert out == ""
         assert "parameter error" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_bound_is_refused(self, fmt, capsys):
+        # the case-II product overflows a double long before n = 300
+        code, out, err = run_cli(
+            ["bound", "--gamma", "1000,0", "--A", "1", "--B", "-1", "--n", "300",
+             "--format", fmt],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
     def test_subclass_via_name(self, capsys):
         code, out, _ = run_cli(
@@ -153,8 +166,27 @@ class TestVerifyCommand:
         assert doc["seed"] == 7
 
     def test_seed_required(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", *STARLIKE_ARGS, "--samples", "10"])
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--degree", "0"], ["--samples", "0"], ["--n-max", "1"], ["--seed", "-1"]],
+    )
+    def test_out_of_domain_arguments_exit_one(self, extra, capsys):
+        args = ["verify", *STARLIKE_ARGS, "--samples", "10", "--seed", "3", *extra]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
 
 
 class TestJackCommand:
@@ -183,6 +215,31 @@ class TestJackCommand:
         doc = json.loads(out)
         assert doc["passed"] == 5
         assert doc["min_margin"] > 0.0
+
+    @pytest.mark.parametrize(
+        "extra", [["--samples", "0"], ["--order", "0"], ["--order", "1"]]
+    )
+    def test_spiral_degenerate_inputs_refused(self, extra, capsys):
+        code, out, err = run_cli(
+            ["jack", "--check", "spiral", "--alpha", "0.4", "--samples", "3",
+             "--seed", "2", "--order", "64", *extra],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
+
+    def test_non_finite_series_file_refused(self, tmp_path, capsys):
+        path = tmp_path / "series.json"
+        path.write_text('{"order": 2, "coeffs": [[0, 0], [1, 0], [NaN, 0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["jack", "--check", "gb", "--b", "0.5", "--input", str(path)], capsys
+            )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
 
     def test_growth_from_file(self, tmp_path, capsys):
         from schlicht import ClassParams, identity, member_from_schwarz
@@ -245,6 +302,11 @@ class TestOutputHelpers:
     def test_fixed_float_format(self):
         assert format_float(1.0) == "1.00000000000000e+00"
         assert format_float(-0.0) == "0.00000000000000e+00"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_refused(self, value):
+        with pytest.raises(NonFiniteOutput):
+            format_float(value)
 
     def test_complex_pair_round_trip(self):
         value = complex(0.1, -2.5)

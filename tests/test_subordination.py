@@ -191,14 +191,6 @@ class TestFuzzer:
         b = fuzz_bounds(STARLIKE, n_max=6, samples=200, seed=21)
         assert fixed_json_dumps(a.to_json_dict()) == fixed_json_dumps(b.to_json_dict())
 
-    def test_thread_cap_does_not_change_report(self, monkeypatch):
-        base = fuzz_bounds(STARLIKE, n_max=6, samples=100, seed=3)
-        monkeypatch.setenv("SCHLICHT_THREADS", "4")
-        threaded = fuzz_bounds(STARLIKE, n_max=6, samples=100, seed=3)
-        assert fixed_json_dumps(base.to_json_dict()) == fixed_json_dumps(
-            threaded.to_json_dict()
-        )
-
     def test_seed_validation(self):
         with pytest.raises(ParameterDomainError):
             fuzz_bounds(STARLIKE, n_max=6, samples=10, seed=-1)
