@@ -32,7 +32,7 @@ from .params import (
     reduce_subclass,
 )
 from .series import ComplexSeries
-from .subordination import fuzz_bounds, is_member, sample_schwarz
+from .subordination import fuzz_bounds, is_member
 
 DEFAULT_ORDER = 64
 
@@ -227,15 +227,13 @@ def _cmd_jack(args) -> int:
     elif args.check == "spiral":
         _require(args.alpha is not None, "--alpha is required for spiral")
         _require(args.seed is not None, "--seed is required for spiral")
+        _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
         _require(args.samples >= 1, f"--samples must be >= 1, got {args.samples}")
         # order 1 leaves only f = z, which passes without testing anything
         _require(args.order >= 2, f"--order must be >= 2, got {args.order}")
-        margins = []
-        for i in range(args.samples):
-            sample = sample_schwarz((args.seed, i), args.degree)
-            f = jackmod.build_spiral_instance(sample, args.alpha, args.order)
-            rep = jackmod.spiral_membership(f, args.alpha, args.radius, args.angles)
-            margins.append(rep.min_re)
+        reports = jackmod.spiral_check(args.alpha, args.seed, args.samples, args.degree,
+                                       args.order, args.radius, args.angles)
+        margins = [rep.min_re for rep in reports]
         doc = {
             "check": "spiral",
             "alpha": args.alpha,
@@ -243,7 +241,7 @@ def _cmd_jack(args) -> int:
             "samples": args.samples,
             "order": args.order,
             "radius": args.radius,
-            "passed": sum(1 for m in margins if m > 0.0),
+            "passed": sum(1 for rep in reports if rep.member),
             "min_margin": min(margins),
             "margins": margins,
         }

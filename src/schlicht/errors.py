@@ -21,7 +21,7 @@ class BranchPointAtOrigin(SchlichtError, ValueError):
     """log/exp/power of a series whose constant term sits on a branch point."""
 
 
-class RadiusOutOfRange(SchlichtError, ValueError):
+class RadiusOutOfRange(ParameterDomainError):
     """Circle evaluation needs a radius strictly between 0 and 1."""
 
 

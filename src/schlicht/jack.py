@@ -16,7 +16,7 @@ actually used.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,15 +27,17 @@ from .errors import (
     PreconditionNotVerified,
 )
 from .series import ComplexSeries
-from .subordination import SchwarzSample
+from .subordination import _draw_omega, _padded_row
 
 SINGULARITY_FLOOR = 1e-12
 
-DEFAULT_RADII = (0.5, 0.9, 0.95)
 DEFAULT_ANGLES = 2048
 
 GROWTH_RADII = (0.3, 0.5, 0.6)
 GROWTH_TOLERANCE = 1e-9
+
+# samples built and checked together by spiral_check
+SPIRAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -67,44 +69,31 @@ class SpiralParams:
         return 1.0 / (2.0 * (1.0 - self.alpha))
 
 
+class _Report:
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class SpiralReport:
+class SpiralReport(_Report):
     member: bool
     min_re: float
     radius: float
     angles: int
     winding: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "min_re": self.min_re,
-            "radius": self.radius,
-            "angles": self.angles,
-            "winding": self.winding,
-        }
-
 
 @dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(_Report):
     member: bool
     max_dev: float
     radius: float
     angles: int
     winding: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "max_dev": self.max_dev,
-            "radius": self.radius,
-            "angles": self.angles,
-            "winding": self.winding,
-        }
-
 
 @dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(_Report):
     ok: bool
     worst_slack: float
     alpha: float
@@ -112,25 +101,12 @@ class GrowthReport:
     radii: tuple
     narrow_hypothesis: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "worst_slack": self.worst_slack,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "radii": list(self.radii),
-            "narrow_hypothesis": self.narrow_hypothesis,
-        }
-
 
 @dataclass(frozen=True)
-class SecondCoeffReport:
+class SecondCoeffReport(_Report):
     ok: bool
     value: float
     limit: float
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "value": self.value, "limit": self.limit}
 
 
 def winding_number(values: np.ndarray) -> int:
@@ -139,42 +115,50 @@ def winding_number(values: np.ndarray) -> int:
     return int(round(float(np.sum(np.angle(shifted / values))) / (2.0 * math.pi)))
 
 
-def _circle_values(f: ComplexSeries, radius: float, angles: int) -> np.ndarray:
-    pts = srs.circle_points(radius, angles)
-    f_vals = f.eval_at(pts)
-    if float(np.min(np.abs(f_vals))) < SINGULARITY_FLOOR:
+def _grid_values(rows: np.ndarray, radius: float, angles: int, second: bool = False):
+    """f, z*f' and, with second, z^2*f'' of each coefficient row on |z| = radius,
+    shaped (2 or 3, rows, angles), from one circle_values call, and the
+    winding of each f.  The criteria divide by f, and with second by f'."""
+    ks = np.arange(rows.shape[1])
+    parts = [rows, rows * ks] + ([rows * (ks * (ks - 1))] if second else [])
+    vals = srs.circle_values(np.concatenate(parts), radius, angles)
+    vals = vals.reshape(len(parts), len(rows), angles)
+    floor = float(np.min(np.abs(vals[0])))
+    if second:  # |f'| = |z*f'|/r on the circle
+        floor = min(floor, float(np.min(np.abs(vals[1]))) / radius)
+    if floor < SINGULARITY_FLOOR:
         raise EvaluationSingularity(
-            f"|f| < {SINGULARITY_FLOOR} on the radius-{radius} grid"
+            f"|f| or |f'| < {SINGULARITY_FLOOR} on the radius-{radius} grid"
         )
-    return f_vals
+    return vals, [winding_number(row) for row in vals[0]]
+
+
+def _ratio_reports(rows, rotation: complex, shift: float, radius, angles) -> list:
+    """Per row, the grid test of Re(rotation * z*f'/f) > shift.
+
+    The circle criterion certifies f only when f has no zero in the
+    punctured disk, so membership also needs winding(f) = 1.
+    """
+    (f_vals, zfp_vals), windings = _grid_values(rows, radius, angles)
+    margins = np.min((rotation * (zfp_vals / f_vals)).real, axis=1) - shift
+    return [
+        SpiralReport(bool(m > 0.0) and w == 1, float(m), radius, angles, w)
+        for m, w in zip(margins, windings)
+    ]
 
 
 def ratio_values(f: ComplexSeries, radius: float, angles: int) -> np.ndarray:
     """Values of z*f'/f on the circle |z| = radius."""
-    f_vals = _circle_values(f, radius, angles)
-    pts = srs.circle_points(radius, angles)
-    return f.z_derivative().eval_at(pts) / f_vals
+    (f_vals, zfp_vals), _ = _grid_values(np.array([f.coeffs]), radius, angles)
+    return zfp_vals[0] / f_vals[0]
 
 
 def spiral_membership(
-    f: ComplexSeries,
-    alpha: float,
-    radius: float = 0.95,
-    angles: int = DEFAULT_ANGLES,
+    f: ComplexSeries, alpha: float, radius: float = 0.95, angles: int = DEFAULT_ANGLES
 ) -> SpiralReport:
-    """Grid test of Re(exp(i*alpha) * z*f'/f) > 0.
-
-    The circle criterion certifies a function only when f has no zero in
-    the punctured disk; the winding of f around the circle must therefore
-    be exactly 1 (the normalization zero at the origin) for membership.
-    """
-    sp = SpiralParams(alpha)
-    f_vals = _circle_values(f, radius, angles)
-    pts = srs.circle_points(radius, angles)
-    vals = f.z_derivative().eval_at(pts) / f_vals
-    winding = winding_number(f_vals)
-    min_re = float(np.min((cmath.exp(1j * sp.alpha) * vals).real))
-    return SpiralReport(min_re > 0.0 and winding == 1, min_re, radius, angles, winding)
+    """Grid test of Re(exp(i*alpha) * z*f'/f) > 0, with winding(f) = 1."""
+    rotation = cmath.exp(1j * SpiralParams(alpha).alpha)
+    return _ratio_reports(np.array([f.coeffs]), rotation, 0.0, radius, angles)[0]
 
 
 def starlike_membership(
@@ -186,43 +170,24 @@ def starlike_membership(
     """Grid test of Re(z*f'/f) > order_alpha; min_re reports the margin."""
     if not 0.0 <= order_alpha < 1.0:
         raise ParameterDomainError(f"order must be in [0, 1), got {order_alpha}")
-    f_vals = _circle_values(f, radius, angles)
-    pts = srs.circle_points(radius, angles)
-    vals = f.z_derivative().eval_at(pts) / f_vals
-    winding = winding_number(f_vals)
-    margin = float(np.min(vals.real)) - order_alpha
-    return SpiralReport(margin > 0.0 and winding == 1, margin, radius, angles, winding)
+    return _ratio_reports(np.array([f.coeffs]), 1.0, order_alpha, radius, angles)[0]
 
 
 def gb_membership(
-    f: ComplexSeries,
-    b: float,
-    radius: float = 0.95,
-    angles: int = DEFAULT_ANGLES,
+    f: ComplexSeries, b: float, radius: float = 0.95, angles: int = DEFAULT_ANGLES
 ) -> DeviationReport:
     """Grid test of |(1 + z*f''/f')/(z*f'/f) - 1| <= b.
 
     Membership additionally requires winding(f) = 1 on the circle (no
     stray zeros of f inside, same guard as the spiral test) and a
-    zero-free f' there.
+    zero-free f' there, i.e. winding(z*f') = 1.
     """
     if not 0.0 < b <= 1.0:
         raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
-    pts = srs.circle_points(radius, angles)
-    f_vals = f.eval_at(pts)
-    fp = f.derivative()
-    fp_vals = fp.eval_at(pts)
-    floor = min(float(np.min(np.abs(f_vals))), float(np.min(np.abs(fp_vals))))
-    if floor < SINGULARITY_FLOOR:
-        raise EvaluationSingularity(
-            f"|f| or |f'| < {SINGULARITY_FLOOR} on the radius-{radius} grid"
-        )
-    winding = winding_number(f_vals)
-    fpp_vals = fp.derivative().eval_at(pts)
-    numer = 1.0 + pts * fpp_vals / fp_vals
-    denom = pts * fp_vals / f_vals
-    max_dev = float(np.max(np.abs(numer / denom - 1.0)))
-    member = max_dev <= b and winding == 1 and winding_number(fp_vals) == 0
+    vals, (winding,) = _grid_values(np.array([f.coeffs]), radius, angles, True)
+    f_vals, zfp, zzfpp = vals[:, 0]
+    max_dev = float(np.max(np.abs((1.0 + zzfpp / zfp) / (zfp / f_vals) - 1.0)))
+    member = max_dev <= b and winding == 1 and winding_number(zfp) == 1
     return DeviationReport(member, max_dev, radius, angles, winding)
 
 
@@ -268,26 +233,27 @@ def gb_threshold_closed_form(alpha: float) -> float:
     return abs(1.0 + SpiralParams(alpha).a_spiral) / 4.0
 
 
+def _ratio_rows(sources: np.ndarray) -> np.ndarray:
+    """Rows p with z*p' = s*p^2 and p(0) = 1 for source rows s with s(0) = 0.
+
+    k*p_k = [z^k](s * p^2) for all rows at once; p and the running p^2 are
+    also kept reversed, so every dot reads both operands with unit stride.
+    """
+    if np.any(np.abs(sources[:, 0]) > srs.UNIT_TOLERANCE):
+        raise ParameterDomainError("quotient source must vanish at the origin")
+    p, p_rev, sq_rev = (np.zeros(sources.shape, dtype=np.complex128) for _ in range(3))
+    p[:, 0] = p_rev[:, -1] = sq_rev[:, -1] = 1.0
+    for k in range(1, sources.shape[1]):
+        # sq is final through k-1 here since it only involves p_0..p_{k-1}
+        p[:, k] = srs._row_dots(sources[:, 1 : k + 1], sq_rev[:, -k:]) / k
+        p_rev[:, -1 - k] = p[:, k]
+        sq_rev[:, -1 - k] = srs._row_dots(p[:, : k + 1], p_rev[:, -1 - k :])
+    return p
+
+
 def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
     """Solve z*p' = source * p^2 with p(0) = 1 (source(0) must vanish)."""
-    if abs(source.coefficient(0)) > srs.UNIT_TOLERANCE:
-        raise ParameterDomainError("quotient source must vanish at the origin")
-    s = np.zeros(order + 1, dtype=np.complex128)
-    upto = min(source.order, order)
-    s[: upto + 1] = np.asarray(source.coeffs[: upto + 1], dtype=np.complex128)
-    p = np.zeros(order + 1, dtype=np.complex128)
-    sq = np.zeros(order + 1, dtype=np.complex128)  # running p^2
-    p[0] = 1.0
-    sq[0] = 1.0
-    for k in range(1, order + 1):
-        # sq[:k] is final here since it only involves p_0..p_{k-1}
-        p[k] = np.dot(s[1 : k + 1], sq[k - 1 :: -1]) / k
-        sq[k] = np.dot(p[: k + 1], p[k :: -1])
-    return ComplexSeries(p)
-
-
-def _as_series(omega) -> ComplexSeries:
-    return omega.omega if isinstance(omega, SchwarzSample) else omega
+    return ComplexSeries(_ratio_rows(_padded_row(source, order + 1))[0])
 
 
 def function_from_ratio(p: ComplexSeries) -> ComplexSeries:
@@ -295,32 +261,54 @@ def function_from_ratio(p: ComplexSeries) -> ComplexSeries:
     return srs.solve_log_derivative(p)
 
 
-def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
-    """Member built to satisfy the spiral quotient criterion exactly.
+def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
+    """Members a_0..a_N for rows of Schwarz coefficients c_0..c_{N-1}.
 
-    Pushes a Schwarz polynomial through the criterion's target
-    h(w) = (A+1)*w/(1+A*w)^2 and solves the two recurrences; the result
-    is spiral-like with angle alpha by the criterion.
+    Pushes each row through the spiral criterion's target
+    h(w) = (A+1)*w/(1+A*w)^2 and solves the two recurrences.
     """
-    sp = SpiralParams(alpha)
-    om = _as_series(omega)
-    target = max(order - 1, 0)
-    om = om.extend(target) if om.order < target else om.truncate(target)
-    v = srs.constant(1.0, target) + om.scale(sp.a_spiral)
-    source = om.scale(sp.a_spiral + 1.0).div(v).div(v)
-    p = quotient_source_ratio(source, target)
-    return function_from_ratio(p)
+    a = SpiralParams(alpha).a_spiral
+    one = np.zeros(omegas.shape[1], dtype=np.complex128)
+    one[0] = 1.0
+    v = one + omegas * a
+    source = srs._row_div(srs._row_div(omegas * (a + 1.0), v), v)
+    return srs._row_log_derivative(_ratio_rows(source))
+
+
+def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
+    """Member built to satisfy the spiral quotient criterion exactly; it is
+    spiral-like with angle alpha by the criterion."""
+    return ComplexSeries(_spiral_rows(_padded_row(omega, max(order, 1)), alpha)[0])
 
 
 def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:
     """Member of the quotient-deviation class with deviation b*omega."""
     if not 0.0 < b <= 1.0:
         raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
-    om = _as_series(omega)
-    target = max(order - 1, 0)
-    om = om.extend(target) if om.order < target else om.truncate(target)
-    p = quotient_source_ratio(om.scale(b), target)
-    return function_from_ratio(p)
+    sources = _padded_row(omega, max(order, 1)) * complex(b)
+    return ComplexSeries(srs._row_log_derivative(_ratio_rows(sources))[0])
+
+
+def spiral_check(
+    alpha: float, seed: int, samples: int, degree: int, order: int,
+    radius: float = 0.95, angles: int = DEFAULT_ANGLES,
+) -> list:
+    """spiral_membership of build_spiral_instance for Schwarz samples 0..samples-1.
+
+    Sample i is sample_schwarz((seed, i), degree) without its unused sup
+    grid.  Blocks of samples are built and checked together as rows, which
+    bounds the memory of the (2*block, angles) grid of values.
+    """
+    rotation = cmath.exp(1j * SpiralParams(alpha).alpha)
+    reports = []
+    for lo in range(0, samples, SPIRAL_BLOCK):
+        omegas = np.zeros((min(samples - lo, SPIRAL_BLOCK), order), dtype=np.complex128)
+        for i, row in enumerate(omegas):
+            coeffs = _draw_omega((seed, lo + i), degree, "polynomial_normalized")
+            row[: min(coeffs.size, order)] = coeffs[:order]
+        members = _spiral_rows(omegas, alpha)
+        reports += _ratio_reports(members, rotation, 0.0, radius, angles)
+    return reports
 
 
 def growth_check(
@@ -338,22 +326,14 @@ def growth_check(
     growth violation.  worst_slack is min over the grid of
     bound(|z|) - |f(z)|; ok means it stays above -tolerance.
     """
-    sp = SpiralParams(alpha)
-    beta = sp.beta_for_growth
+    beta = SpiralParams(alpha).beta_for_growth
     membership = starlike_membership(f, alpha, membership_radius, angles)
     if not membership.member:
         raise PreconditionNotVerified(
             f"grid margin {membership.min_re} <= 0 at radius {membership_radius}"
         )
-    worst = float("inf")
-    for r in radii:
-        if not 0.0 < r < 1.0:
-            raise ParameterDomainError(f"radius {r} not in (0, 1)")
-        vals = np.abs(f.eval_on_circle(r, angles))
-        bound = r / (1.0 - r) ** (1.0 / beta)
-        slack = bound - float(np.max(vals))
-        if slack < worst:
-            worst = slack
+    peaks = [float(np.max(np.abs(f.eval_on_circle(r, angles)))) for r in radii]
+    worst = min(r / (1.0 - r) ** (1.0 / beta) - peak for r, peak in zip(radii, peaks))
     return GrowthReport(
         ok=worst >= -tolerance,
         worst_slack=worst,
@@ -378,8 +358,11 @@ def growth_extremal(beta: float, order: int) -> ComplexSeries:
     """The function z*(1+z)^{-1/beta} as a series."""
     if beta <= 0.0:
         raise ParameterDomainError(f"beta must be positive, got {beta}")
+    if order < 2:
+        raise ParameterDomainError(f"order must be >= 2, got {order}")
     base = srs.constant(1.0, order - 1) + srs.monomial(1.0, 1, order - 1)
-    return base.powc(-1.0 / beta).times_z()
+    with np.errstate(over="raise", invalid="raise"):  # tiny beta overflows
+        return base.powc(-1.0 / beta).times_z()
 
 
 def growth_extremal_starlike_order(beta: float) -> float:

@@ -13,7 +13,6 @@ concurrent tasks.
 """
 
 import cmath
-import math
 
 import numpy as np
 
@@ -236,11 +235,7 @@ class ComplexSeries:
 
     def eval_on_circle(self, radius: float, num_angles: int) -> np.ndarray:
         """Values on the circle of given radius at equispaced angles."""
-        if not 0.0 < radius < 1.0:
-            raise RadiusOutOfRange(f"radius {radius} not in (0, 1)")
-        if num_angles < 1:
-            raise ValueError("num_angles must be positive")
-        return self.eval_at(circle_points(radius, num_angles))
+        return circle_values(self._c[None, :], radius, num_angles)[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -279,9 +274,57 @@ def identity(order: int) -> ComplexSeries:
     return monomial(1.0, 1, order)
 
 
-def circle_points(radius: float, num_angles: int) -> np.ndarray:
-    theta = 2.0 * math.pi * np.arange(num_angles) / num_angles
-    return radius * np.exp(1j * theta)
+def circle_values(rows: np.ndarray, radius: float, angles: int) -> np.ndarray:
+    """Values of each coefficient row at radius*exp(2*pi*i*j/angles), j < angles.
+
+    sum_k c_k r^k w^(jk) with w = exp(2*pi*i/angles) depends on k only mod
+    angles, so one inverse FFT of the scaled rows folded mod angles gives
+    every value (Trefethen & Weideman, SIAM Review 56, 2014).  This is the
+    one place that checks the circle's domain.
+    """
+    if not 0.0 < radius < 1.0:
+        raise RadiusOutOfRange(f"radius {radius} not in (0, 1)")
+    if angles < 1:
+        raise ParameterDomainError(f"angles must be >= 1, got {angles}")
+    count, width = rows.shape
+    scaled = np.zeros((count, -(-width // angles) * angles), dtype=np.complex128)
+    scaled[:, :width] = rows * radius ** np.arange(width)
+    folded = scaled.reshape(count, -1, angles).sum(axis=1)
+    return np.fft.ifft(folded, axis=1, norm="forward")
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise unconjugated dot products of two (rows, k) arrays with unit
+    strides along k; each row rounds exactly as np.dot does on one pair of
+    contiguous vectors, since a stack of matmuls reaches the same BLAS dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """ComplexSeries.div for each row pair, stepping over k with all rows at once."""
+    if np.any(np.abs(denom[:, 0]) <= UNIT_TOLERANCE):
+        raise DivisionByNonUnit(f"a divisor constant has modulus <= {UNIT_TOLERANCE}")
+    width = num.shape[1]
+    denom_rev = np.ascontiguousarray(denom[:, ::-1])
+    out = np.zeros_like(num)
+    out[:, 0] = num[:, 0] / denom[:, 0]
+    for k in range(1, width):
+        dots = _row_dots(out[:, :k], denom_rev[:, width - 1 - k : width - 1])
+        out[:, k] = (num[:, k] - dots) / denom[:, 0]
+    return out
+
+
+def _row_log_derivative(q: np.ndarray) -> np.ndarray:
+    """solve_log_derivative for each row of q, stepping over k with all rows at once."""
+    if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
+        raise NormalizationError("source constant term must be 1")
+    rows, width = q.shape
+    q_rev = np.ascontiguousarray(q[:, ::-1])
+    out = np.zeros((rows, width + 1), dtype=np.complex128)
+    out[:, 1] = 1.0
+    for k in range(2, width + 1):
+        out[:, k] = _row_dots(out[:, 1:k], q_rev[:, width - k : width - 1]) / (k - 1)
+    return out
 
 
 def solve_log_derivative(q: ComplexSeries) -> ComplexSeries:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import series as srs
 from .bounds import coefficient_bound
-from .errors import InversionSingular, NormalizationError, ParameterDomainError
+from .errors import InversionSingular, ParameterDomainError
 from .params import ClassParams
 from .series import ComplexSeries
 
@@ -140,26 +140,21 @@ def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:
     omega may be a SchwarzSample or a plain series with zero constant
     term; it is treated as an exact polynomial and zero-padded as needed.
     """
-    om = omega.omega if isinstance(omega, SchwarzSample) else omega
     if order < 1:
         raise ParameterDomainError("order must be at least 1")
-    if abs(om.coefficient(0)) > srs.UNIT_TOLERANCE:
+    rows = _padded_row(omega, order)
+    if abs(rows[0, 0]) > srs.UNIT_TOLERANCE:
         raise ParameterDomainError("omega must vanish at the origin")
-    target = max(order - 1, 0)
-    om = om.extend(target) if om.order < target else om.truncate(target)
-    rows = np.asarray(om.coeffs, dtype=np.complex128)[None, :]
     return ComplexSeries(_member_rows(rows, p)[0])
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise unconjugated dot products of two (rows, k) arrays.
-
-    A stack of vector-times-vector matmuls reaches the same BLAS dot that
-    np.dot uses on one pair of contiguous vectors, so each row rounds
-    exactly as the one-row recurrences in series do.  Both operands need
-    positive unit strides along k.
-    """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+def _padded_row(series, width: int) -> np.ndarray:
+    """The first width coefficients of a series (or of a SchwarzSample's
+    omega), zero-padded, as one row."""
+    coeffs = (series.omega if isinstance(series, SchwarzSample) else series).coeffs
+    row = np.zeros((1, width), dtype=np.complex128)
+    row[0, : min(width, len(coeffs))] = coeffs[:width]
+    return row
 
 
 def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
@@ -171,32 +166,12 @@ def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
     order as the series methods; the recurrences step over k with all
     rows at once.
     """
-    rows, width = omegas.shape
-    one = np.zeros(width, dtype=np.complex128)
+    one = np.zeros(omegas.shape[1], dtype=np.complex128)
     one[0] = 1.0
     denom = one + omegas * complex(p.b)
     num = omegas * complex(p.product_base())
-
-    # Q = 1 + num/denom, by the recurrence of ComplexSeries.div
-    denom_rev = np.ascontiguousarray(denom[:, ::-1])
-    quotient = np.zeros_like(num)
-    quotient[:, 0] = num[:, 0] / denom[:, 0]
-    for k in range(1, width):
-        dots = _row_dots(quotient[:, :k], denom_rev[:, width - 1 - k : width - 1])
-        quotient[:, k] = (num[:, k] - dots) / denom[:, 0]
-    q = one + quotient
-    if np.any(np.abs(q[:, 0] - 1.0) > srs.UNIT_TOLERANCE):
-        raise NormalizationError("source constant term must be 1")
-
-    # (k-1)*F_k = sum_{j=1}^{k-1} F_j q_{k-j}, as in series.solve_log_derivative
-    q_rev = np.ascontiguousarray(q[:, ::-1])
-    big_f = np.zeros((rows, width + 1), dtype=np.complex128)
-    big_f[:, 1] = 1.0
-    for k in range(2, width + 1):
-        dots = _row_dots(big_f[:, 1:k], q_rev[:, width - k : width - 1])
-        big_f[:, k] = dots / (k - 1)
-
-    ks = np.arange(width + 1)
+    big_f = srs._row_log_derivative(one + srs._row_div(num, denom))
+    ks = np.arange(big_f.shape[1])
     big_f[:, 1:] = big_f[:, 1:] / (1.0 + p.lam * (ks[1:] - 1))
     return big_f
 

@@ -1,9 +1,14 @@
 """CLI behavior: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schlicht.cli import main, parse_index_range
 from schlicht.errors import NonFiniteOutput, ParameterDomainError
@@ -15,6 +20,17 @@ from schlicht.output import (
 )
 
 STARLIKE_ARGS = ["--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1"]
+
+
+@pytest.fixture(scope="module")
+def series_file(tmp_path_factory):
+    """z/(1-z) at order 24, a starlike function of order 1/2."""
+    from schlicht import ClassParams, identity, member_from_schwarz
+
+    f = member_from_schwarz(identity(1), ClassParams(0.5, 0, 1, -1), 24)
+    path = tmp_path_factory.mktemp("jack") / "series.json"
+    path.write_text(fixed_json_dumps(f.to_json_dict()))
+    return str(path)
 
 
 def run_cli(args, capsys):
@@ -256,6 +272,52 @@ class TestJackCommand:
         assert doc["growth"]["ok"] is True
         assert doc["second_coefficient"]["value"] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--radius", r] for r in ("0", "1", "1.5", "-0.5")]
+        + [["--angles", m] for m in ("0", "-1")],
+    )
+    @pytest.mark.parametrize("check", ["spiral", "gb"])
+    def test_circle_domain_refused(self, check, extra, series_file, capsys):
+        if check == "spiral":
+            args = ["--alpha", "0.4", "--samples", "2", "--seed", "2", "--order", "64"]
+        else:
+            args = ["--b", "0.5", "--input", series_file]
+        code, out, err = run_cli(["jack", "--check", check, *args, *extra], capsys)
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
+
+    def test_spiral_negative_seed_refused(self, capsys):
+        code, out, err = run_cli(
+            ["jack", "--check", "spiral", "--alpha", "0.4", "--seed", "-1",
+             "--order", "64"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
+
+    @pytest.mark.parametrize("order", ["-1", "0", "1"])
+    def test_growth_extremal_low_order_refused(self, order, capsys):
+        code, out, err = run_cli(
+            ["jack", "--check", "growth-extremal", "--beta", "1", "--order", order],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
+
+    def test_growth_extremal_overflow_exits_two(self, capsys):
+        # (1+z)^(-1/beta) overflows for tiny beta; no inf reaches stdout
+        code, out, err = run_cli(
+            ["jack", "--check", "growth-extremal", "--beta", "1e-300", "--order", "24"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err
+
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(["jack", "--check", "threshold"], capsys)
         assert code == 1
@@ -268,6 +330,52 @@ class TestJackCommand:
         )
         assert code == 2
         assert err != ""
+
+
+def _finite_numbers(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(_finite_numbers(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(_finite_numbers(v) for v in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # escaped main as an IndexError
+    check="growth-extremal", order=0, samples=1, angles=8, radius=0.5, value=1.0,
+    seed=0, with_input=False,
+)
+@example(  # overflowing coefficients leaked RuntimeWarnings
+    check="growth-extremal", order=24, samples=1, angles=8, radius=0.5,
+    value=1e-300, seed=0, with_input=False,
+)
+@given(
+    check=st.sampled_from(["spiral", "gb", "threshold", "growth", "growth-extremal"]),
+    order=st.integers(-1, 24),
+    samples=st.integers(-1, 3),
+    angles=st.integers(-2, 64),
+    radius=st.floats(-2.0, 2.0),
+    value=st.floats(-2.0, 2.0),
+    seed=st.integers(-1, 3),
+    with_input=st.booleans(),
+)
+def test_jack_cli_contract(
+    series_file, check, order, samples, angles, radius, value, seed, with_input
+):
+    """Any jack argv exits 0, 1 or 2, and exit 0 prints JSON with finite numbers."""
+    argv = ["jack", "--check", check, f"--alpha={value!r}", f"--beta={value!r}",
+            f"--b={value!r}", f"--order={order}", f"--samples={samples}",
+            f"--seed={seed}", f"--angles={angles}", f"--radius={radius!r}"]
+    if with_input:
+        argv.append(f"--input={series_file}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert _finite_numbers(json.loads(out.getvalue()))
+    else:
+        assert out.getvalue() == ""
 
 
 class TestReportCommand:

@@ -10,8 +10,10 @@ from schlicht.errors import (
     BranchPointAtOrigin,
     DivisionByNonUnit,
     NonvanishingInnerConstant,
+    ParameterDomainError,
     RadiusOutOfRange,
 )
+from schlicht.series import circle_values
 
 
 def binomial_series(alpha: complex, scale: complex, order: int) -> ComplexSeries:
@@ -176,6 +178,50 @@ class TestCalculusAndEval:
             identity(4).eval_on_circle(1.0, 8)
         with pytest.raises(RadiusOutOfRange):
             identity(4).eval_on_circle(0.0, 8)
+
+
+class TestCircleValues:
+    """The FFT circle grid against Horner evaluation at the same nodes."""
+
+    @staticmethod
+    def rows(order: int) -> np.ndarray:
+        # f, z*f' and z^2*f'' of a series with geometric decay and random phases
+        rng = np.random.default_rng(order)
+        ks = np.arange(order + 1)
+        c = (rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1))
+        c *= 0.99**ks
+        return np.array([c, c * ks, c * ks * (ks - 1)])
+
+    @pytest.mark.parametrize("order", [4, 64, 512])
+    @pytest.mark.parametrize("angles", [8, 256, 2048])
+    def test_matches_horner(self, order, angles):
+        # angles < order + 1 folds aliased coefficients together
+        rows = self.rows(order)
+        radius = 0.95
+        nodes = radius * np.exp(2j * np.pi * np.arange(angles) / angles)
+        fft = circle_values(rows, radius, angles)
+        assert fft.shape == (3, angles)
+        for got, row in zip(fft, rows):
+            horner = ComplexSeries(row).eval_at(nodes)
+            assert np.max(np.abs(got - horner)) <= 1e-13 * np.max(np.abs(horner))
+
+    def test_eval_on_circle_is_one_row(self):
+        row = self.rows(64)[0]
+        vals = ComplexSeries(row).eval_on_circle(0.9, 100)
+        assert np.array_equal(vals, circle_values(row[None, :], 0.9, 100)[0])
+
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_radius_domain(self, radius):
+        with pytest.raises(RadiusOutOfRange):
+            circle_values(self.rows(4), radius, 8)
+
+    @pytest.mark.parametrize("angles", [0, -1])
+    def test_angles_domain(self, angles):
+        with pytest.raises(ParameterDomainError):
+            circle_values(self.rows(4), 0.5, angles)
+
+    def test_radius_error_is_a_parameter_error(self):
+        assert issubclass(RadiusOutOfRange, ParameterDomainError)
 
 
 class TestInvariants:
