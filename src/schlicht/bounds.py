@@ -17,6 +17,7 @@ from .errors import HypothesisViolated, ParameterDomainError
 from .params import (
     CauchyEulerParams,
     ClassParams,
+    Reduction,
     classify_case,
     reduce_subclass,
     spiral_gamma,
@@ -171,9 +172,13 @@ def spiral_bound_cross_check(beta: float, a: float, b: float, n: int) -> float:
     return abs(spiral_product_bound(beta, a, b, n) - result.value)
 
 
-def subclass_bound(name: str, n: int, **kw) -> BoundResult:
-    """Bound for a named subclass, via its parameter reduction."""
-    red = reduce_subclass(name, **kw)
+def reduction_bound(red: Reduction, n: int) -> BoundResult:
+    """Bound for a reduced class, with its Cauchy-Euler transfer if it has one."""
     if red.cauchy_euler is not None:
         return coefficient_bound_cauchy_euler(red.params, red.cauchy_euler, n)
     return coefficient_bound(red.params, n)
+
+
+def subclass_bound(name: str, n: int, **kw) -> BoundResult:
+    """Bound for a named subclass, via its parameter reduction."""
+    return reduction_bound(reduce_subclass(name, **kw), n)

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import jack as jackmod
-from .bounds import coefficient_bound, coefficient_bound_cauchy_euler
+from .bounds import coefficient_bound, reduction_bound
 from .errors import ParameterDomainError, SchlichtError
 from .jack import gb_threshold_closed_form
 from .extremals import EXTREMAL_KINDS, ExtremalSpec, build_extremal, certify_sharpness
@@ -89,16 +89,10 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _bound_for(red: Reduction, n: int):
-    if red.cauchy_euler is not None:
-        return coefficient_bound_cauchy_euler(red.params, red.cauchy_euler, n)
-    return coefficient_bound(red.params, n)
-
-
 def _cmd_bound(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
-    results = [_bound_for(red, n) for n in range(lo, hi + 1)]
+    results = [reduction_bound(red, n) for n in range(lo, hi + 1)]
     if args.format == "csv":
         rows = [
             [
@@ -171,9 +165,9 @@ def _cmd_extremal(args) -> int:
     )
     f = build_extremal(spec)
     if args.kind in ("case-i", "starlike-n"):
-        certs = [certify_sharpness(spec, hi)]
+        certs = [certify_sharpness(spec, f, hi)]
     else:
-        certs = [certify_sharpness(spec, n) for n in range(max(lo, 2), hi + 1)]
+        certs = [certify_sharpness(spec, f, n) for n in range(max(lo, 2), hi + 1)]
     if args.format == "csv":
         rows = [
             [str(k), format_float(c.real), format_float(c.imag)]
@@ -213,6 +207,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_jack(args) -> int:
+    grid = args.check in ("spiral", "gb")
+    _require(grid or (args.radius is None and args.angles is None),
+             "--radius and --angles apply only to --check spiral and gb")
+    radius = 0.95 if args.radius is None else args.radius
+    angles = jackmod.DEFAULT_ANGLES if args.angles is None else args.angles
     if args.check == "threshold":
         _require(args.alpha is not None, "--alpha is required for threshold")
         value = jackmod.gb_spiral_threshold(args.alpha)
@@ -232,7 +231,7 @@ def _cmd_jack(args) -> int:
         # order 1 leaves only f = z, which passes without testing anything
         _require(args.order >= 2, f"--order must be >= 2, got {args.order}")
         reports = jackmod.spiral_check(args.alpha, args.seed, args.samples, args.degree,
-                                       args.order, args.radius, args.angles)
+                                       args.order, radius, angles)
         margins = [rep.min_re for rep in reports]
         doc = {
             "check": "spiral",
@@ -240,7 +239,7 @@ def _cmd_jack(args) -> int:
             "seed": args.seed,
             "samples": args.samples,
             "order": args.order,
-            "radius": args.radius,
+            "radius": radius,
             "passed": sum(1 for rep in reports if rep.member),
             "min_margin": min(margins),
             "margins": margins,
@@ -248,7 +247,7 @@ def _cmd_jack(args) -> int:
     elif args.check == "gb":
         _require(args.b is not None, "--b is required for gb")
         f = _load_series(args.input)
-        rep = jackmod.gb_membership(f, args.b, args.radius, args.angles)
+        rep = jackmod.gb_membership(f, args.b, radius, angles)
         doc = {"check": "gb", "b": args.b, **rep.to_json_dict()}
     elif args.check == "growth":
         _require(args.alpha is not None, "--alpha is required for growth")
@@ -283,19 +282,21 @@ def _cmd_report(args) -> int:
     bounds = [coefficient_bound(p, n) for n in range(lo, hi + 1)]
 
     case_ii_spec = ExtremalSpec("case-ii", p, order)
+    case_ii = build_extremal(case_ii_spec)
     sharpness = []
     memberships = []
     for result in bounds:
         n = result.n
         if result.case_tag == "I":
             spec = ExtremalSpec("case-i", p, order, n=n)
+            f = build_extremal(spec)
         else:
-            spec = case_ii_spec
-        record = certify_sharpness(spec, n)
+            spec, f = case_ii_spec, case_ii
+        record = certify_sharpness(spec, f, n)
         sharpness.append(
             {"extremal_kind": spec.kind, **record.to_json_dict()}
         )
-    membership = is_member(build_extremal(case_ii_spec), p)
+    membership = is_member(case_ii, p)
     memberships.append({"extremal_kind": "case-ii", **membership.to_json_dict()})
 
     fuzz = fuzz_bounds(
@@ -386,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     jack.add_argument("--degree", type=int, default=4)
     jack.add_argument("--seed", type=int, default=None)
     jack.add_argument("--order", type=int, default=512)
-    jack.add_argument("--radius", type=float, default=0.95)
-    jack.add_argument("--angles", type=int, default=2048)
+    jack.add_argument("--radius", type=float, default=None, help="spiral and gb only")
+    jack.add_argument("--angles", type=int, default=None, help="spiral and gb only")
     jack.add_argument("--input", default=None, help="series JSON file")
     jack.add_argument("--output", default=None)
     jack.set_defaults(func=_cmd_jack)

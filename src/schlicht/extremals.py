@@ -14,9 +14,9 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import series as srs
-from .bounds import coefficient_bound, coefficient_bound_cauchy_euler
+from .bounds import cauchy_euler_factor, reduction_bound
 from .errors import ParameterDomainError
-from .params import CauchyEulerParams, ClassParams
+from .params import CauchyEulerParams, ClassParams, Reduction
 from .series import ComplexSeries
 
 EXTREMAL_KINDS = ("case-i", "case-ii", "koebe-gamma", "convex-gamma", "starlike-n")
@@ -121,13 +121,9 @@ def transfer_cauchy_euler(g: ComplexSeries, ce: CauchyEulerParams) -> ComplexSer
     identically 1 at n = 1, so normalization survives the transfer.
     """
     srs.require_normalized(g)
-    coeffs = np.asarray(g.coeffs, dtype=np.complex128)
-    out = np.array(coeffs)
-    for n in range(2, len(coeffs)):
-        factor = 1.0
-        for j in range(ce.m):
-            factor *= (ce.mu + j + 1.0) / (ce.mu + j + n)
-        out[n] = coeffs[n] * factor
+    out = np.array(g.coeffs, dtype=np.complex128)
+    for n in range(2, len(out)):
+        out[n] *= cauchy_euler_factor(ce, n)
     return ComplexSeries(out)
 
 
@@ -158,27 +154,23 @@ def _bound_params_for(spec: ExtremalSpec) -> ClassParams:
     return p
 
 
-def certify_sharpness(spec: ExtremalSpec, n: int | None = None) -> SharpnessRecord:
-    """Compare |a_n| of the spec's extremal against the matching bound.
+def certify_sharpness(
+    spec: ExtremalSpec, series: ComplexSeries, n: int
+) -> SharpnessRecord:
+    """Compare |a_n| of series, the spec's extremal as build_extremal(spec)
+    returns it, against the matching bound.
 
     For case III parameters the gap is expected to stay positive; the
     record reports it without claiming anything about true sharpness.
     """
-    if n is None:
-        n = spec.n
-    if n is None or n < 2:
+    if n < 2:
         raise ParameterDomainError("certification needs a target index n >= 2")
     if n > spec.order:
         raise ParameterDomainError(
             f"extremal order {spec.order} does not reach index {n}"
         )
-    p = _bound_params_for(spec)
-    if spec.cauchy_euler is not None:
-        bound = coefficient_bound_cauchy_euler(p, spec.cauchy_euler, n)
-    else:
-        bound = coefficient_bound(p, n)
-    f = build_extremal(spec)
-    observed = abs(f.coefficient(n))
+    bound = reduction_bound(Reduction(_bound_params_for(spec), spec.cauchy_euler), n)
+    observed = abs(series.coefficient(n))
     gap = bound.value - observed
     attained = abs(gap) <= ATTAINMENT_RTOL * max(1.0, bound.value)
     return SharpnessRecord(n, bound.value, observed, gap, attained)

@@ -7,11 +7,11 @@ relevant real-part minimum or deviation maximum is reported.  By the
 maximum principle the largest test radius is the binding one.
 
 Instances that satisfy the quotient criteria are constructed forward:
-given a source s with s(0) = 0, the recurrence k*p_k = [z^k](s * p^2)
-solves z*p' = s*p^2 with p(0) = 1, and z*f'/f = p then determines the
-member.  Constructing forward avoids inverting the non-univalent target
-of the criterion, and exercises the implication in the direction it is
-actually used.
+given a source s with s(0) = 0, z*p' = s*p^2 with p(0) = 1 is linear in
+1/p, so p is the series division 1/(1 - sum_k s_k z^k/k), and z*f'/f = p
+then determines the member.  Constructing forward avoids inverting the
+non-univalent target of the criterion, and exercises the implication in
+the direction it is actually used.
 """
 
 import cmath
@@ -236,29 +236,20 @@ def gb_threshold_closed_form(alpha: float) -> float:
 def _ratio_rows(sources: np.ndarray) -> np.ndarray:
     """Rows p with z*p' = s*p^2 and p(0) = 1 for source rows s with s(0) = 0.
 
-    k*p_k = [z^k](s * p^2) for all rows at once; p and the running p^2 are
-    also kept reversed, so every dot reads both operands with unit stride.
+    1/p solves z*(1/p)' = -s, so p = 1/(1 - sum_k s_k z^k/k): one division.
     """
     if np.any(np.abs(sources[:, 0]) > srs.UNIT_TOLERANCE):
         raise ParameterDomainError("quotient source must vanish at the origin")
-    p, p_rev, sq_rev = (np.zeros(sources.shape, dtype=np.complex128) for _ in range(3))
-    p[:, 0] = p_rev[:, -1] = sq_rev[:, -1] = 1.0
-    for k in range(1, sources.shape[1]):
-        # sq is final through k-1 here since it only involves p_0..p_{k-1}
-        p[:, k] = srs._row_dots(sources[:, 1 : k + 1], sq_rev[:, -k:]) / k
-        p_rev[:, -1 - k] = p[:, k]
-        sq_rev[:, -1 - k] = srs._row_dots(p[:, : k + 1], p_rev[:, -1 - k :])
-    return p
+    unit = np.zeros(sources.shape, dtype=np.complex128)
+    unit[:, 0] = 1.0
+    denom = unit.copy()
+    denom[:, 1:] = sources[:, 1:] / -np.arange(1.0, sources.shape[1])
+    return srs._row_div(unit, denom)
 
 
 def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
     """Solve z*p' = source * p^2 with p(0) = 1 (source(0) must vanish)."""
     return ComplexSeries(_ratio_rows(_padded_row(source, order + 1))[0])
-
-
-def function_from_ratio(p: ComplexSeries) -> ComplexSeries:
-    """The normalized f with z*f'/f = p, for p with p(0) = 1."""
-    return srs.solve_log_derivative(p)
 
 
 def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:

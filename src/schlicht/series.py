@@ -102,18 +102,8 @@ class ComplexSeries:
 
     def div(self, other: "ComplexSeries") -> "ComplexSeries":
         """Series quotient; the divisor constant term must be a unit."""
-        n = min(self.order, other.order)
-        t = other._c
-        if abs(t[0]) <= UNIT_TOLERANCE:
-            raise DivisionByNonUnit(
-                f"divisor constant term {t[0]} has modulus <= {UNIT_TOLERANCE}"
-            )
-        s = self._c
-        out = np.zeros(n + 1, dtype=np.complex128)
-        out[0] = s[0] / t[0]
-        for k in range(1, n + 1):
-            out[k] = (s[k] - np.dot(out[:k], t[k:0:-1])) / t[0]
-        return ComplexSeries(out)
+        width = min(self.order, other.order) + 1
+        return ComplexSeries(_row_div(self._c[None, :width], other._c[None, :width])[0])
 
     def scale(self, factor: complex) -> "ComplexSeries":
         return ComplexSeries(self._c * complex(factor))
@@ -181,13 +171,10 @@ class ComplexSeries:
             raise BranchPointAtOrigin(
                 f"exp0 needs constant term 0, got {self._c[0]}"
             )
-        n = self.order
-        w = self._c * np.arange(n + 1)
-        out = np.zeros(n + 1, dtype=np.complex128)
-        out[0] = 1.0
-        for k in range(1, n + 1):
-            out[k] = np.dot(w[1 : k + 1], out[k - 1 :: -1]) / k
-        return ComplexSeries(out)
+        # exp(w) = F/z with z*F' = F*(1 + z*w'), F(0) = 0, F'(0) = 1
+        q = self._c * np.arange(self._c.size)
+        q[0] = 1.0
+        return ComplexSeries(_row_log_derivative(q[None, :])[0, 1:])
 
     def powc(self, alpha: complex) -> "ComplexSeries":
         """Principal-branch power (1 + u)^alpha for a series 1 + u."""
@@ -301,7 +288,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """ComplexSeries.div for each row pair, stepping over k with all rows at once."""
+    """Quotient num/denom of each row pair, stepping over k with all rows at once:
+    out_k = (num_k - sum_{j<k} out_j*denom_{k-j}) / denom_0.  This and
+    _row_log_derivative are the package's only coefficient recurrences."""
     if np.any(np.abs(denom[:, 0]) <= UNIT_TOLERANCE):
         raise DivisionByNonUnit(f"a divisor constant has modulus <= {UNIT_TOLERANCE}")
     width = num.shape[1]
@@ -315,7 +304,8 @@ def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 def _row_log_derivative(q: np.ndarray) -> np.ndarray:
-    """solve_log_derivative for each row of q, stepping over k with all rows at once."""
+    """F with z*F' = F*q, F(0) = 0 and F'(0) = 1 for each row q with q(0) = 1,
+    stepping over k with all rows at once; a width-w row gives width w+1."""
     if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
         raise NormalizationError("source constant term must be 1")
     rows, width = q.shape
@@ -334,15 +324,7 @@ def solve_log_derivative(q: ComplexSeries) -> ComplexSeries:
     recurrence (k-1)*F_k = sum_{j=1}^{k-1} F_j q_{k-j}, so q of order M
     determines F through order M+1.
     """
-    qc = q._c
-    if abs(qc[0] - 1.0) > UNIT_TOLERANCE:
-        raise NormalizationError(f"source constant term must be 1, got {qc[0]}")
-    n = q.order + 1
-    out = np.zeros(n + 1, dtype=np.complex128)
-    out[1] = 1.0
-    for k in range(2, n + 1):
-        out[k] = np.dot(out[1:k], qc[k - 1 : 0 : -1]) / (k - 1)
-    return ComplexSeries(out)
+    return ComplexSeries(_row_log_derivative(q._c[None, :])[0])
 
 
 def require_normalized(f: ComplexSeries, tolerance: float = 1e-12) -> None:
@@ -353,7 +335,3 @@ def require_normalized(f: ComplexSeries, tolerance: float = 1e-12) -> None:
         raise NormalizationError(
             f"series is not normalized: c0={f.coefficient(0)}, c1={f.coefficient(1)}"
         )
-
-
-def exp_i(phi: float) -> complex:
-    return cmath.exp(1j * phi)

@@ -15,6 +15,7 @@ of one run are built together: the recurrences step over the coefficient
 index k with every sample in one row of a 2-D array.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,7 @@ def _draw_omega(
     if construction == "rotation":
         if theta is None:
             theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        return np.array([0.0, srs.exp_i(theta)], dtype=np.complex128)
+        return np.array([0.0, cmath.exp(1j * theta)], dtype=np.complex128)
     if rho is None:
         rho = 1.0 - float(rng.random())
     if not 0.0 < rho <= 1.0:

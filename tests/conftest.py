@@ -1,9 +1,13 @@
-"""Shared parameter-draw helpers for the test suite.
+"""Shared parameter-draw helpers and recurrence references for the test suite.
 
 Draws are constructive where a rejection loop would be slow: case-I
 parameters pick gamma so that gamma*(A-B) lands within distance < 1 of B,
 and the identity-hypothesis draws place gamma*(A-B) at a prescribed
 distance from B*(m-2).  Case-II draws use rejection from a biased region.
+
+The reference recurrences write the series division, the log-derivative
+solve and the exponential out as 1-D np.dot loops over k, independent of
+the package's row kernels.
 """
 
 import numpy as np
@@ -75,6 +79,43 @@ def draw_spiral_case_ii(rng, max_tries: int = 10_000):
         if classify_case(p, n).case_tag == "II":
             return beta, a, b, n
     raise AssertionError("spiral case-II rejection sampling exhausted")
+
+
+def reference_div(s, t) -> np.ndarray:
+    """Coefficients of s/t: out_k = (s_k - sum_{j<k} out_j t_{k-j}) / t_0."""
+    s, t = np.asarray(s, dtype=np.complex128), np.asarray(t, dtype=np.complex128)
+    out = np.zeros(min(s.size, t.size), dtype=np.complex128)
+    out[0] = s[0] / t[0]
+    for k in range(1, out.size):
+        out[k] = (s[k] - np.dot(out[:k], t[k:0:-1])) / t[0]
+    return out
+
+
+def reference_log_derivative(q) -> np.ndarray:
+    """F with z*F' = F*q, F(0) = 0, F'(0) = 1: (k-1)*F_k = sum_j F_j q_{k-j}."""
+    q = np.asarray(q, dtype=np.complex128)
+    out = np.zeros(q.size + 1, dtype=np.complex128)
+    out[1] = 1.0
+    for k in range(2, q.size + 1):
+        out[k] = np.dot(out[1:k], q[k - 1 : 0 : -1]) / (k - 1)
+    return out
+
+
+def reference_exp0(w) -> np.ndarray:
+    """exp(w) for w(0) = 0: k*E_k = sum_{j=1}^k j*w_j E_{k-j}."""
+    w = np.asarray(w, dtype=np.complex128)
+    jw = w * np.arange(w.size)
+    out = np.zeros(w.size, dtype=np.complex128)
+    out[0] = 1.0
+    for k in range(1, w.size):
+        out[k] = np.dot(jw[1 : k + 1], out[k - 1 :: -1]) / k
+    return out
+
+
+def max_norm_error(actual, expected) -> float:
+    """max_k |actual_k - expected_k| over max_k |expected_k|."""
+    error = np.abs(np.asarray(actual) - expected)
+    return float(np.max(error) / np.max(np.abs(expected)))
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from schlicht import (
     case_i_value,
     case_ii_value,
     case_iii_value,
+    build_extremal,
     certify_sharpness,
     coefficient_bound,
     coefficient_bound_cauchy_euler,
@@ -76,8 +77,9 @@ def test_criterion_01_classical_starlike_anchor():
     for n in range(2, 51):
         ok &= abs(coefficient_bound(STARLIKE, n).value - n) <= 1e-9
     spec = ExtremalSpec("case-ii", STARLIKE, 50)
+    f = build_extremal(spec)
     for n in range(2, 51):
-        ok &= abs(certify_sharpness(spec, n).gap) <= 1e-9
+        ok &= abs(certify_sharpness(spec, f, n).gap) <= 1e-9
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     _verdict(1, "classical starlike anchor", ok)
@@ -89,8 +91,9 @@ def test_criterion_02_classical_convex_anchor():
     for n in range(2, 51):
         ok &= abs(coefficient_bound(CONVEX, n).value - 1.0) <= 1e-9
     spec = ExtremalSpec("case-ii", CONVEX, 50)
+    f = build_extremal(spec)
     for n in range(2, 51):
-        ok &= abs(certify_sharpness(spec, n).gap) <= 1e-9
+        ok &= abs(certify_sharpness(spec, f, n).gap) <= 1e-9
     _verdict(2, "classical convex anchor", ok)
     assert ok
 

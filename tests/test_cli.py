@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schlicht import cli, extremals
 from schlicht.cli import main, parse_index_range
 from schlicht.errors import NonFiniteOutput, ParameterDomainError
 from schlicht.output import (
@@ -37,6 +38,21 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def extremal_builds(monkeypatch):
+    """Kinds of the extremals built, in order, by any caller of build_extremal."""
+    kinds = []
+    build = extremals.build_extremal
+
+    def counted(spec):
+        kinds.append(spec.kind)
+        return build(spec)
+
+    monkeypatch.setattr(cli, "build_extremal", counted)
+    monkeypatch.setattr(extremals, "build_extremal", counted)
+    return kinds
 
 
 class TestBoundCommand:
@@ -128,6 +144,16 @@ class TestExtremalCommand:
         assert doc["series"]["order"] == 16
         assert len(doc["certification"]) == 5
         assert all(entry["attained"] for entry in doc["certification"])
+
+    def test_extremal_is_built_once(self, extremal_builds, capsys):
+        code, out, _ = run_cli(
+            ["extremal", *STARLIKE_ARGS, "--kind", "case-ii", "--n", "2:50",
+             "--order", "64"],
+            capsys,
+        )
+        assert code == 0
+        assert len(json.loads(out)["certification"]) == 49
+        assert extremal_builds == ["case-ii"]
 
     def test_gamma_only_kind(self, capsys):
         # gamma = -1/2 keeps the class in the single-index regime, where
@@ -288,6 +314,21 @@ class TestJackCommand:
         assert out == ""
         assert "parameter error" in err
 
+    @pytest.mark.parametrize("extra", [["--radius", "1.5", "--angles", "0"],
+                                       ["--radius", "0.5"], ["--angles", "64"]])
+    @pytest.mark.parametrize("check", ["growth", "threshold", "growth-extremal"])
+    def test_grid_options_refused_off_grid(self, check, extra, series_file, capsys):
+        # these checks use no --radius/--angles grid, so the flags are refused
+        # instead of silently ignored
+        args = {"growth": ["--alpha", "0.25", "--input", series_file],
+                "threshold": ["--alpha", "0.5"],
+                "growth-extremal": ["--beta", "1", "--order", "8"]}[check]
+        assert run_cli(["jack", "--check", check, *args], capsys)[0] == 0
+        code, out, err = run_cli(["jack", "--check", check, *args, *extra], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--radius and --angles apply only" in err
+
     def test_spiral_negative_seed_refused(self, capsys):
         code, out, err = run_cli(
             ["jack", "--check", "spiral", "--alpha", "0.4", "--seed", "-1",
@@ -343,11 +384,11 @@ def _finite_numbers(doc) -> bool:
 @settings(max_examples=150, deadline=None)
 @example(  # escaped main as an IndexError
     check="growth-extremal", order=0, samples=1, angles=8, radius=0.5, value=1.0,
-    seed=0, with_input=False,
+    seed=0, with_input=False, with_grid=False,
 )
 @example(  # overflowing coefficients leaked RuntimeWarnings
     check="growth-extremal", order=24, samples=1, angles=8, radius=0.5,
-    value=1e-300, seed=0, with_input=False,
+    value=1e-300, seed=0, with_input=False, with_grid=False,
 )
 @given(
     check=st.sampled_from(["spiral", "gb", "threshold", "growth", "growth-extremal"]),
@@ -358,14 +399,18 @@ def _finite_numbers(doc) -> bool:
     value=st.floats(-2.0, 2.0),
     seed=st.integers(-1, 3),
     with_input=st.booleans(),
+    with_grid=st.booleans(),
 )
 def test_jack_cli_contract(
-    series_file, check, order, samples, angles, radius, value, seed, with_input
+    series_file, check, order, samples, angles, radius, value, seed, with_input,
+    with_grid,
 ):
     """Any jack argv exits 0, 1 or 2, and exit 0 prints JSON with finite numbers."""
     argv = ["jack", "--check", check, f"--alpha={value!r}", f"--beta={value!r}",
             f"--b={value!r}", f"--order={order}", f"--samples={samples}",
-            f"--seed={seed}", f"--angles={angles}", f"--radius={radius!r}"]
+            f"--seed={seed}"]
+    if with_grid:
+        argv += [f"--angles={angles}", f"--radius={radius!r}"]
     if with_input:
         argv.append(f"--input={series_file}")
     out = io.StringIO()
@@ -393,6 +438,20 @@ class TestReportCommand:
         assert all(entry["attained"] for entry in doc["sharpness"])
         assert doc["membership"][0]["margin"] == pytest.approx(0.01, abs=1e-8)
         assert doc["fuzz"]["total_violations"] == 0
+
+    def test_case_ii_extremal_is_built_once(self, extremal_builds, capsys):
+        # gamma = -1/2 puts n = 3..5 in case I, each with its own extremal
+        args = ["report", "--gamma=-0.5,0", "--lambda", "0", "--A", "1", "--B", "-1",
+                "--n", "2:5", "--samples", "20", "--seed", "3", "--order", "16"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        cases = [row["case"] for row in json.loads(out)["bounds"]]
+        assert extremal_builds.count("case-ii") == 1
+        assert extremal_builds.count("case-i") == cases.count("I")
+        extremal_builds.clear()
+        assert run_cli(["report", *STARLIKE_ARGS, "--n", "2:8", "--samples", "20",
+                        "--seed", "3", "--order", "16"], capsys)[0] == 0
+        assert extremal_builds == ["case-ii"]
 
     def test_case_iii_dossier_reports_unknown(self, capsys):
         code, out, _ = run_cli(

@@ -96,14 +96,16 @@ class TestTransfer:
 class TestCertification:
     def test_koebe_attains_to_fifty(self):
         spec = ExtremalSpec("case-ii", STARLIKE, 50)
+        f = build_extremal(spec)
         for n in range(2, 51):
-            record = certify_sharpness(spec, n)
+            record = certify_sharpness(spec, f, n)
             assert record.attained
             assert abs(record.gap) <= 1e-9
 
     def test_case_i_attains_at_own_index(self):
         p = ClassParams(-0.5, 0.3, 1, -1)
-        record = certify_sharpness(ExtremalSpec("case-i", p, 8, n=5), 5)
+        spec = ExtremalSpec("case-i", p, 8, n=5)
+        record = certify_sharpness(spec, build_extremal(spec), 5)
         assert record.attained
         assert abs(record.gap) <= 1e-9
 
@@ -111,7 +113,8 @@ class TestCertification:
         # the closed-form member undershoots the case-III bound; the gap is
         # recorded without any sharpness claim
         p = ClassParams(1j, 0, 1, 0)
-        record = certify_sharpness(ExtremalSpec("case-ii", p, 8), 6)
+        spec = ExtremalSpec("case-ii", p, 8)
+        record = certify_sharpness(spec, build_extremal(spec), 6)
         assert coefficient_bound(p, 6).case_tag == "III"
         assert not record.attained
         assert record.gap > 0.0
@@ -135,15 +138,17 @@ class TestSharpnessInvariants:
         for _ in range(100):
             p = draw_case_ii_params(rng, 12)
             spec = ExtremalSpec("case-ii", p, 12)
+            f = build_extremal(spec)
             for n in range(2, 13):
-                record = certify_sharpness(spec, n)
+                record = certify_sharpness(spec, f, n)
                 assert record.attained, (p, n, record)
 
     def test_case_i_draws_attain_target_index(self, rng):
         for _ in range(100):
             p = draw_case_i_params(rng)
             n = int(rng.integers(2, 13))
-            record = certify_sharpness(ExtremalSpec("case-i", p, 12, n=n), n)
+            spec = ExtremalSpec("case-i", p, 12, n=n)
+            record = certify_sharpness(spec, build_extremal(spec), n)
             assert record.attained, (p, n, record)
 
     def test_transfer_attains_cauchy_euler_bound(self, rng):
@@ -151,8 +156,9 @@ class TestSharpnessInvariants:
             p = draw_case_ii_params(rng, 10)
             ce = CauchyEulerParams(int(rng.integers(2, 5)), float(rng.uniform(-0.9, 3)))
             spec = ExtremalSpec("case-ii", p, 10, cauchy_euler=ce)
+            f = build_extremal(spec)
             for n in (2, 5, 10):
-                record = certify_sharpness(spec, n)
+                record = certify_sharpness(spec, f, n)
                 assert record.attained, (p, ce, n, record)
                 direct = coefficient_bound_cauchy_euler(p, ce, n)
                 assert record.bound == pytest.approx(direct.value, rel=1e-15)

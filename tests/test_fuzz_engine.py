@@ -1,9 +1,9 @@
 """The batched fuzzer against the per-sample loop it replaced.
 
 The reference here builds and checks every Schwarz sample on its own,
-through the one-row series recurrences (ComplexSeries.div and
-solve_log_derivative) and the scalar quadratic inequality, the way
-fuzz_bounds worked before it built all samples as rows of one array.
+through the series division and the log-derivative solve written out as
+1-D np.dot loops and the scalar quadratic inequality, the way fuzz_bounds
+worked before it built all samples as rows of one array.
 """
 
 import numpy as np
@@ -12,25 +12,25 @@ import pytest
 from schlicht import (
     ClassParams,
     coefficient_bound,
-    constant,
     fuzz_bounds,
     member_from_schwarz,
     quadratic_sum_slack,
     sample_schwarz,
-    solve_log_derivative,
 )
 from schlicht.subordination import CONSTRUCTIONS, QUADRATIC_CHECK_LIMIT
 
-from conftest import draw_valid_params
+from conftest import draw_valid_params, reference_div, reference_log_derivative
 from test_acceptance import FUZZ_PARAMS
 
 
 def reference_member(omega, p: ClassParams, order: int) -> np.ndarray:
-    target = order - 1
-    om = omega.extend(target) if omega.order < target else omega.truncate(target)
-    denom = constant(1.0, target) + om.scale(p.b)
-    q = constant(1.0, target) + om.scale(p.product_base()).div(denom)
-    coeffs = np.array(solve_log_derivative(q).coeffs)
+    om = np.zeros(order, dtype=np.complex128)
+    om[: min(omega.order + 1, order)] = omega.coeffs[:order]
+    denom = om * complex(p.b)
+    denom[0] += 1.0
+    q = reference_div(om * complex(p.product_base()), denom)
+    q[0] += 1.0
+    coeffs = reference_log_derivative(q)
     ks = np.arange(len(coeffs))
     coeffs[1:] = coeffs[1:] / (1.0 + p.lam * (ks[1:] - 1))
     return coeffs

@@ -13,7 +13,6 @@ from schlicht import (
     build_gb_instance,
     build_spiral_instance,
     constant,
-    function_from_ratio,
     gb_membership,
     gb_spiral_threshold,
     gb_threshold_closed_form,
@@ -27,6 +26,7 @@ from schlicht import (
     ratio_values,
     sample_schwarz,
     second_coeff_check,
+    solve_log_derivative,
     spiral_membership,
     starlike_membership,
 )
@@ -135,7 +135,7 @@ class TestForwardInstances:
     def test_zero_source_gives_identity(self):
         p = quotient_source_ratio(constant(0, 6), 6)
         assert p == constant(1, 6)
-        assert function_from_ratio(p) == identity(7)
+        assert solve_log_derivative(p) == identity(7)
 
     def test_identity_omega_alpha_zero_gives_koebe(self):
         # the ratio solves to (1+z)/(1-z) and the member is the Koebe shape

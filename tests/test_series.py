@@ -15,6 +15,13 @@ from schlicht.errors import (
 )
 from schlicht.series import circle_values
 
+from conftest import (
+    max_norm_error,
+    reference_div,
+    reference_exp0,
+    reference_log_derivative,
+)
+
 
 def binomial_series(alpha: complex, scale: complex, order: int) -> ComplexSeries:
     """Independent oracle: (1 + scale*z)^alpha via the term recurrence
@@ -343,6 +350,40 @@ class TestSolveLogDerivative:
     def test_unit_target_gives_identity(self):
         f = solve_log_derivative(constant(1, 6))
         assert max_abs_diff(f, identity(7)) == 0.0
+
+
+def decaying_series(rng, order, rate=0.3, constant_term=1.0):
+    """Coefficients of size <= sqrt(2)*rate^k, so a unit-constant divisor
+    has no zero in the closed disk and every recurrence stays bounded."""
+    c = rate ** np.arange(order + 1) * (
+        rng.uniform(-1, 1, order + 1) + 1j * rng.uniform(-1, 1, order + 1)
+    )
+    c[0] = constant_term
+    return ComplexSeries(c)
+
+
+class TestRecurrencesMatchOneDimensionalLoops:
+    """div and solve_log_derivative are one-row calls of the row kernels, and
+    exp0 runs the log-derivative kernel; the 1-D np.dot loops they replaced
+    are the references."""
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
+    def test_div_is_bit_equal(self, order):
+        rng = np.random.default_rng(order)
+        s = decaying_series(rng, order, constant_term=0.4 - 0.2j)
+        t = decaying_series(rng, order, constant_term=0.8 + 0.5j)
+        assert np.array_equal(s.div(t).coeffs, reference_div(s.coeffs, t.coeffs))
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
+    def test_solve_log_derivative_is_bit_equal(self, order):
+        q = decaying_series(np.random.default_rng(order + 1), order)
+        f = solve_log_derivative(q)
+        assert np.array_equal(f.coeffs, reference_log_derivative(q.coeffs))
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
+    def test_exp0_within_max_norm(self, order):
+        w = decaying_series(np.random.default_rng(order + 2), order, constant_term=0.0)
+        assert max_norm_error(w.exp0().coeffs, reference_exp0(w.coeffs)) <= 1e-15
 
 
 class TestSerialization:
