@@ -17,7 +17,13 @@ from . import jack as jackmod
 from .bounds import coefficient_bound, reduction_bound
 from .errors import ParameterDomainError, SchlichtError
 from .jack import gb_threshold_closed_form
-from .extremals import EXTREMAL_KINDS, ExtremalSpec, build_extremal, certify_sharpness
+from .extremals import (
+    EXTREMAL_KINDS,
+    GAMMA_ONLY_PARAMS,
+    ExtremalSpec,
+    build_extremal,
+    certify_sharpness,
+)
 from .output import (
     csv_rows,
     fixed_json_dumps,
@@ -39,11 +45,14 @@ DEFAULT_ORDER = 64
 
 def parse_index_range(text: str) -> tuple[int, int]:
     """Inclusive 'lo:hi' range, or a single index."""
-    if ":" in text:
-        lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, colon, hi_text = text.partition(":")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if colon else lo
+    except ValueError:
+        raise ParameterDomainError(
+            f"--n must be an index or an inclusive lo:hi range, got {text!r}"
+        ) from None
     if lo > hi:
         raise ParameterDomainError(f"empty index range {text!r}")
     return lo, hi
@@ -146,12 +155,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    gamma_only = args.kind in ("koebe-gamma", "convex-gamma", "starlike-n")
-    if gamma_only and args.A is None and args.B is None:
+    if args.kind in GAMMA_ONLY_PARAMS and args.A is None and args.B is None:
         # these kinds fix (lambda, A, B) themselves; only gamma is needed
         _require(args.gamma is not None, f"--gamma is required for {args.kind}")
-        lam = 1.0 if args.kind == "convex-gamma" else 0.0
-        red = Reduction(ClassParams(args.gamma, lam, 1.0, -1.0))
+        red = Reduction(ClassParams(args.gamma, *GAMMA_ONLY_PARAMS[args.kind]))
     else:
         red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
@@ -177,7 +184,7 @@ def _cmd_extremal(args) -> int:
     else:
         doc = {
             "kind": args.kind,
-            "params": red.params.to_json_dict(),
+            "params": spec.params.to_json_dict(),
             "cauchy_euler": (
                 red.cauchy_euler.to_json_dict() if red.cauchy_euler else None
             ),

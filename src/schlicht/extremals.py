@@ -1,13 +1,9 @@
 """Extremal members that attain the sharp bounds, plus certification.
 
-Both families are built from a closed-form source series G and the
-coefficient-wise solution of lambda*z*f' + (1-lambda)*f = G, i.e.
-a_k = g_k / (1 + lambda*(k-1)).  Solving the linear ODE this way avoids
-fractional powers of t that show up in the equivalent integral forms and
-produces identical coefficients.
-
-B = 0 is a removable singularity of the exponents and is handled through
-the exponential limit forms, never by evaluating gamma*(A-B)/B at B=0.
+The extremals are class members like any other: the case-II extremal is
+the member of the Schwarz function omega = z and the case-I extremal at
+index n is the member of omega = z^(n-1), both built by
+subordination.member_from_schwarz.
 """
 
 import numpy as np
@@ -18,8 +14,16 @@ from .bounds import cauchy_euler_factor, reduction_bound
 from .errors import ParameterDomainError
 from .params import CauchyEulerParams, ClassParams, Reduction
 from .series import ComplexSeries
+from .subordination import member_from_schwarz
 
 EXTREMAL_KINDS = ("case-i", "case-ii", "koebe-gamma", "convex-gamma", "starlike-n")
+
+# (lambda, A, B) of the kinds that take only gamma from the class parameters
+GAMMA_ONLY_PARAMS = {
+    "koebe-gamma": (0.0, 1.0, -1.0),
+    "convex-gamma": (1.0, 1.0, -1.0),
+    "starlike-n": (0.0, 1.0, -1.0),
+}
 
 # Relative tolerance for "the extremal attains the bound"; product chains of
 # length <= 50 in double precision stay far inside this.
@@ -28,7 +32,11 @@ ATTAINMENT_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class ExtremalSpec:
-    """Which extremal to build, for which parameters, at which order."""
+    """Which extremal to build, for which parameters, at which order.
+
+    params are the parameters the extremal is built and certified with:
+    a gamma-only kind keeps gamma and sets its own (lambda, A, B).
+    """
 
     kind: str
     params: ClassParams
@@ -41,6 +49,9 @@ class ExtremalSpec:
             raise ParameterDomainError(
                 f"unknown extremal kind {self.kind!r}; expected one of {EXTREMAL_KINDS}"
             )
+        if self.kind in GAMMA_ONLY_PARAMS:
+            fixed = GAMMA_ONLY_PARAMS[self.kind]
+            object.__setattr__(self, "params", ClassParams(self.params.gamma, *fixed))
         if self.kind in ("case-i", "starlike-n"):
             if self.n is None or self.n < 2:
                 raise ParameterDomainError(f"kind {self.kind!r} needs a target n >= 2")
@@ -68,50 +79,20 @@ class SharpnessRecord:
         }
 
 
-def _solve_weighted_ode(source: ComplexSeries, lam: float) -> ComplexSeries:
-    """Coefficients of f with lam*z*f' + (1-lam)*f = source (source(0)=0)."""
-    g = np.asarray(source.coeffs, dtype=np.complex128)
-    out = np.zeros_like(g)
-    ks = np.arange(len(g))
-    out[1:] = g[1:] / (1.0 + lam * (ks[1:] - 1))
-    return ComplexSeries(out)
-
-
 def extremal_case_i(p: ClassParams, n: int, order: int) -> ComplexSeries:
-    """Member whose |a_n| equals the case-I bound at the single index n.
-
-    Source: z*(1 + B*z^{n-1})^{gamma*(A-B)/(B*(n-1))} for B != 0, and its
-    B -> 0 limit z*exp(gamma*A*z^{n-1}/(n-1)) otherwise.
-    """
+    """Member whose |a_n| equals the case-I bound at the single index n:
+    the member of omega = z^(n-1)."""
     if n < 2:
         raise ParameterDomainError(f"index n must be >= 2, got {n}")
     if order < n:
         raise ParameterDomainError(f"order {order} is below the target index {n}")
-    if p.b != 0.0:
-        exponent = p.product_base() / (p.b * (n - 1))
-        base = srs.constant(1.0, order - 1) + srs.monomial(p.b, n - 1, order - 1)
-        source = base.powc(exponent).times_z()
-    else:
-        arg = srs.monomial(p.gamma * p.a / (n - 1), n - 1, order - 1)
-        source = arg.exp0().times_z()
-    return _solve_weighted_ode(source, p.lam)
+    return member_from_schwarz(srs.monomial(1.0, n - 1, n - 1), p, order)
 
 
 def extremal_case_ii(p: ClassParams, order: int) -> ComplexSeries:
-    """Member whose |a_n| equals the case-II bound at every admissible n.
-
-    Source: z*(1 + B*z)^{gamma*(A-B)/B} for B != 0, else z*exp(gamma*A*z).
-    """
-    if order < 1:
-        raise ParameterDomainError("order must be at least 1")
-    if p.b != 0.0:
-        exponent = p.product_base() / p.b
-        base = srs.constant(1.0, order - 1) + srs.monomial(p.b, 1, order - 1)
-        source = base.powc(exponent).times_z()
-    else:
-        arg = srs.monomial(p.gamma * p.a, 1, order - 1)
-        source = arg.exp0().times_z()
-    return _solve_weighted_ode(source, p.lam)
+    """Member whose |a_n| equals the case-II bound at every admissible n:
+    the member of omega = z."""
+    return member_from_schwarz(srs.identity(1), p, order)
 
 
 def transfer_cauchy_euler(g: ComplexSeries, ce: CauchyEulerParams) -> ComplexSeries:
@@ -129,29 +110,13 @@ def transfer_cauchy_euler(g: ComplexSeries, ce: CauchyEulerParams) -> ComplexSer
 
 def build_extremal(spec: ExtremalSpec) -> ComplexSeries:
     """Construct the series an ExtremalSpec describes."""
-    p = spec.params
-    if spec.kind == "case-i":
-        f = extremal_case_i(p, spec.n, spec.order)
-    elif spec.kind == "case-ii":
-        f = extremal_case_ii(p, spec.order)
-    elif spec.kind == "koebe-gamma":
-        f = extremal_case_ii(ClassParams(p.gamma, 0.0, 1.0, -1.0), spec.order)
-    elif spec.kind == "convex-gamma":
-        f = extremal_case_ii(ClassParams(p.gamma, 1.0, 1.0, -1.0), spec.order)
-    else:  # starlike-n
-        f = extremal_case_i(ClassParams(p.gamma, 0.0, 1.0, -1.0), spec.n, spec.order)
+    if spec.kind in ("case-i", "starlike-n"):
+        f = extremal_case_i(spec.params, spec.n, spec.order)
+    else:
+        f = extremal_case_ii(spec.params, spec.order)
     if spec.cauchy_euler is not None:
         f = transfer_cauchy_euler(f, spec.cauchy_euler)
     return f
-
-
-def _bound_params_for(spec: ExtremalSpec) -> ClassParams:
-    p = spec.params
-    if spec.kind in ("koebe-gamma", "starlike-n"):
-        return ClassParams(p.gamma, 0.0, 1.0, -1.0)
-    if spec.kind == "convex-gamma":
-        return ClassParams(p.gamma, 1.0, 1.0, -1.0)
-    return p
 
 
 def certify_sharpness(
@@ -169,7 +134,7 @@ def certify_sharpness(
         raise ParameterDomainError(
             f"extremal order {spec.order} does not reach index {n}"
         )
-    bound = reduction_bound(Reduction(_bound_params_for(spec), spec.cauchy_euler), n)
+    bound = reduction_bound(Reduction(spec.params, spec.cauchy_euler), n)
     observed = abs(series.coefficient(n))
     gap = bound.value - observed
     attained = abs(gap) <= ATTAINMENT_RTOL * max(1.0, bound.value)

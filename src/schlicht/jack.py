@@ -27,7 +27,7 @@ from .errors import (
     PreconditionNotVerified,
 )
 from .series import ComplexSeries
-from .subordination import _draw_omega, _padded_row
+from .subordination import _draw_omega, _fit_rows
 
 SINGULARITY_FLOOR = 1e-12
 
@@ -249,7 +249,7 @@ def _ratio_rows(sources: np.ndarray) -> np.ndarray:
 
 def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
     """Solve z*p' = source * p^2 with p(0) = 1 (source(0) must vanish)."""
-    return ComplexSeries(_ratio_rows(_padded_row(source, order + 1))[0])
+    return ComplexSeries(_ratio_rows(_fit_rows([source.coeffs], order + 1))[0])
 
 
 def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
@@ -269,14 +269,15 @@ def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
 def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
     """Member built to satisfy the spiral quotient criterion exactly; it is
     spiral-like with angle alpha by the criterion."""
-    return ComplexSeries(_spiral_rows(_padded_row(omega, max(order, 1)), alpha)[0])
+    rows = _fit_rows([omega.coeffs], max(order, 1))
+    return ComplexSeries(_spiral_rows(rows, alpha)[0])
 
 
 def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:
     """Member of the quotient-deviation class with deviation b*omega."""
     if not 0.0 < b <= 1.0:
         raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
-    sources = _padded_row(omega, max(order, 1)) * complex(b)
+    sources = _fit_rows([omega.coeffs], max(order, 1)) * complex(b)
     return ComplexSeries(srs._row_log_derivative(_ratio_rows(sources))[0])
 
 
@@ -286,18 +287,16 @@ def spiral_check(
 ) -> list:
     """spiral_membership of build_spiral_instance for Schwarz samples 0..samples-1.
 
-    Sample i is sample_schwarz((seed, i), degree) without its unused sup
-    grid.  Blocks of samples are built and checked together as rows, which
-    bounds the memory of the (2*block, angles) grid of values.
+    Sample i is sample_schwarz((seed, i), degree).  Blocks of samples are
+    built and checked together as rows, which bounds the memory of the
+    (2*block, angles) grid of values.
     """
     rotation = cmath.exp(1j * SpiralParams(alpha).alpha)
     reports = []
     for lo in range(0, samples, SPIRAL_BLOCK):
-        omegas = np.zeros((min(samples - lo, SPIRAL_BLOCK), order), dtype=np.complex128)
-        for i, row in enumerate(omegas):
-            coeffs = _draw_omega((seed, lo + i), degree, "polynomial_normalized")
-            row[: min(coeffs.size, order)] = coeffs[:order]
-        members = _spiral_rows(omegas, alpha)
+        block = range(lo, min(samples, lo + SPIRAL_BLOCK))
+        draws = [_draw_omega((seed, i), degree, "polynomial_normalized") for i in block]
+        members = _spiral_rows(_fit_rows(draws, order), alpha)
         reports += _ratio_reports(members, rotation, 0.0, radius, angles)
     return reports
 

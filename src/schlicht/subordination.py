@@ -4,8 +4,10 @@ A Schwarz function here is a polynomial omega with omega(0) = 0 that maps
 the unit disk into itself.  Members of the subordination class are built
 from omega by solving z*F' = F*Q coefficient-wise with
 Q = 1 + gamma*(A-B)*omega/(1 + B*omega), then dividing out the weights
-1 + lambda*(k-1).  Recovering omega from a member inverts the Moebius
-target pointwise on series: omega = (P-1)/(A - B*P).
+1 + lambda*(k-1).  This is the only construction of a member from omega;
+the extremals are the members of omega = z and omega = z^(n-1).
+Recovering omega from a member inverts the Moebius target pointwise on
+series: omega = (P-1)/(A - B*P).
 
 The fuzzer drives many random Schwarz samples through this construction
 and compares each |a_n| against the bound formulas.  Everything is keyed
@@ -32,32 +34,6 @@ CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
 # check needs all lower coefficients, so cost grows quadratically with it.
 QUADRATIC_CHECK_LIMIT = 10
 
-_SUP_GRID_RADIUS = 0.99
-_SUP_GRID_ANGLES = 256
-
-
-@dataclass(frozen=True)
-class SchwarzSample:
-    """A polynomial self-map of the disk with omega(0) = 0.
-
-    sup_estimate is the max of |omega| over a fixed boundary-adjacent
-    grid; the polynomial_normalized construction additionally guarantees
-    sum_j |c_j| <= 1, which certifies |omega| < 1 analytically.
-    """
-
-    omega: ComplexSeries
-    sup_estimate: float
-    construction: str
-    seed: tuple | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "omega": self.omega.to_json_dict(),
-            "sup_estimate": self.sup_estimate,
-            "construction": self.construction,
-            "seed": list(self.seed) if self.seed is not None else None,
-        }
-
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -73,11 +49,6 @@ class MembershipReport:
             "radius": self.radius_used,
             "angles": self.angles_used,
         }
-
-
-def _grid_sup(omega: ComplexSeries) -> float:
-    vals = omega.eval_on_circle(_SUP_GRID_RADIUS, _SUP_GRID_ANGLES)
-    return float(np.max(np.abs(vals)))
 
 
 def _draw_omega(
@@ -123,61 +94,62 @@ def sample_schwarz(
     construction: str = "polynomial_normalized",
     rho: float | None = None,
     theta: float | None = None,
-) -> SchwarzSample:
+) -> ComplexSeries:
     """Draw a random Schwarz polynomial, reproducibly for a given seed.
 
     polynomial_normalized: omega = z * sum_{j<d} c_j z^j with the c_j
     rescaled so sum|c_j| = rho for a random rho in (0, 1].
     rotation: omega = exp(i*theta) * z.  monomial: omega = rho * z^d.
     """
-    omega = ComplexSeries(_draw_omega(seed, degree, construction, rho, theta))
-    seed_tuple = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    return SchwarzSample(omega, _grid_sup(omega), construction, seed_tuple)
+    return ComplexSeries(_draw_omega(seed, degree, construction, rho, theta))
 
 
 def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:
     """The unique normalized class member generated by a Schwarz polynomial.
 
-    omega may be a SchwarzSample or a plain series with zero constant
-    term; it is treated as an exact polynomial and zero-padded as needed.
+    omega must have zero constant term; it is treated as an exact
+    polynomial and zero-padded as needed.
     """
     if order < 1:
         raise ParameterDomainError("order must be at least 1")
-    rows = _padded_row(omega, order)
+    rows = _fit_rows([omega.coeffs], order)
     if abs(rows[0, 0]) > srs.UNIT_TOLERANCE:
         raise ParameterDomainError("omega must vanish at the origin")
     return ComplexSeries(_member_rows(rows, p)[0])
 
 
-def _padded_row(series, width: int) -> np.ndarray:
-    """The first width coefficients of a series (or of a SchwarzSample's
-    omega), zero-padded, as one row."""
-    coeffs = (series.omega if isinstance(series, SchwarzSample) else series).coeffs
-    row = np.zeros((1, width), dtype=np.complex128)
-    row[0, : min(width, len(coeffs))] = coeffs[:width]
-    return row
+def _fit_rows(coeff_rows, width: int) -> np.ndarray:
+    """Coefficient vectors as the rows of one array, each zero-padded or
+    truncated to width."""
+    rows = np.zeros((len(coeff_rows), width), dtype=np.complex128)
+    for row, coeffs in zip(rows, coeff_rows):
+        coeffs = np.asarray(coeffs)[:width]
+        row[: coeffs.size] = coeffs
+    return rows
+
+
+def _weights(width: int, lam: float) -> np.ndarray:
+    """Weights 1 + lambda*max(k-1, 0) of the coefficients a_0..a_{width-1}."""
+    return 1.0 + lam * np.maximum(np.arange(width) - 1, 0)
 
 
 def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
     """Members a_0..a_N generated by each row of Schwarz coefficients c_0..c_{N-1}.
 
     Row for row this is Q = 1 + base*omega/(1 + B*omega), then
-    series.solve_log_derivative(Q), then the 1 + lambda*(k-1) weights
-    divided out, with the same floating-point operations in the same
-    order as the series methods; the recurrences step over k with all
-    rows at once.
+    series.solve_log_derivative(Q), then the weights divided out, with the
+    same floating-point operations in the same order as the series
+    methods; the recurrences step over k with all rows at once.
     """
     one = np.zeros(omegas.shape[1], dtype=np.complex128)
     one[0] = 1.0
     denom = one + omegas * complex(p.b)
     num = omegas * complex(p.product_base())
     big_f = srs._row_log_derivative(one + srs._row_div(num, denom))
-    ks = np.arange(big_f.shape[1])
-    big_f[:, 1:] = big_f[:, 1:] / (1.0 + p.lam * (ks[1:] - 1))
-    return big_f
+    return big_f / _weights(big_f.shape[1], p.lam)
 
 
-def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> SchwarzSample:
+def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> ComplexSeries:
     """Recover the Schwarz series that generates a given member.
 
     Inverts P = (1+A*w)/(1+B*w) as omega = (P-1)/(A - B*P), where P is
@@ -186,16 +158,14 @@ def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> SchwarzSample:
     """
     srs.require_normalized(f)
     coeffs = np.asarray(f.coeffs, dtype=np.complex128)
-    ks = np.arange(len(coeffs))
-    big_f = coeffs * (1.0 + p.lam * np.maximum(ks - 1, 0))
+    big_f = coeffs * _weights(coeffs.size, p.lam)
     u = ComplexSeries(big_f[1:])  # F/z, a unit series
     z_u_prime = u.z_derivative()
     ratio = z_u_prime.div(u).scale(1.0 / p.gamma)  # (1/gamma)*(zF'/F - 1)
     denom = ratio.scale(-p.b) + (p.a - p.b)  # A - B*P
     if abs(denom.coefficient(0)) <= srs.UNIT_TOLERANCE:
         raise InversionSingular("Moebius inversion is singular: A - B*P(0) ~ 0")
-    omega = ratio.div(denom)
-    return SchwarzSample(omega, _grid_sup(omega), "recovered", None)
+    return ratio.div(denom)
 
 
 def is_member(
@@ -211,8 +181,7 @@ def is_member(
     extremal members sit at margin -> 0+, so a small negative tolerance
     still counts as membership.
     """
-    sample = schwarz_from_member(f, p)
-    vals = sample.omega.eval_on_circle(radius, angles)
+    vals = schwarz_from_member(f, p).eval_on_circle(radius, angles)
     margin = 1.0 - float(np.max(np.abs(vals)))
     return MembershipReport(margin > -tolerance, margin, radius, angles)
 
@@ -246,15 +215,16 @@ def _quadratic_slacks(moduli: np.ndarray, p: ClassParams) -> np.ndarray:
     """quadratic_sum_slack at n = 2..m+1 for rows of moduli |a_2|..|a_{m+1}|.
 
     The right-hand side is a running sum over n.  The per-index factors
-    are Python floats and squares go through pow (np.float_power), so each
+    are doubles and squares go through pow (np.float_power), so each
     entry rounds as the scalar formula in quadratic_sum_slack's docstring
     does when evaluated left to right.
     """
     rows, m = moduli.shape
     base = p.product_base()
     ks = range(2, m + 2)
-    lhs_scale = np.array([(k - 1) * (1.0 + p.lam * (k - 1)) for k in ks])
-    weight_scale = np.array([(1.0 + p.lam * (k - 1)) ** 2 for k in ks])
+    weights = _weights(m + 2, p.lam)[2:]
+    lhs_scale = np.arange(1, m + 1) * weights
+    weight_scale = np.float_power(weights, 2.0)
     margins = np.array([abs(base - p.b * (k - 1)) ** 2 - (k - 1) ** 2 for k in ks])
     lhs = np.float_power(lhs_scale * moduli, 2.0)
     terms = margins * (weight_scale * np.float_power(moduli, 2.0))
@@ -356,16 +326,15 @@ def fuzz_bounds(
     bounds = [coefficient_bound(p, n) for n in indices]
     check_to = min(n_max, QUADRATIC_CHECK_LIMIT)
 
+    # the construction pick owns its own stream so it does not bias the
+    # draws from (seed, index)
+    constructions = [
+        _pick_construction(np.random.default_rng((seed, index, 1)))
+        for index in range(samples)
+    ]
     # omega's coefficients c_0..c_{n_max-1} fix the member through a_{n_max}
-    omegas = np.zeros((samples, n_max), dtype=np.complex128)
-    construction_counts = {name: 0 for name in CONSTRUCTIONS}
-    for index in range(samples):
-        # the construction pick owns its own stream so it does not bias the
-        # draws from (seed, index)
-        construction = _pick_construction(np.random.default_rng((seed, index, 1)))
-        construction_counts[construction] += 1
-        coeffs = _draw_omega((seed, index), degree, construction)[:n_max]
-        omegas[index, : coeffs.size] = coeffs
+    draws = [_draw_omega((seed, i), degree, c) for i, c in enumerate(constructions)]
+    omegas = _fit_rows(draws, n_max)
 
     moduli = _moduli(_member_rows(omegas, p)[:, 2:])
     limits = np.array([b.value for b in bounds]) * (1.0 + violation_rtol)
@@ -396,7 +365,7 @@ def fuzz_bounds(
         samples=samples,
         degree=degree,
         n_max=n_max,
-        constructions=construction_counts,
+        constructions={name: constructions.count(name) for name in CONSTRUCTIONS},
         per_index=per_index,
         quadratic_checked_to=check_to,
         quadratic_violations=int(np.count_nonzero(min_slacks < -violation_rtol)),

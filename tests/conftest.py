@@ -7,7 +7,8 @@ distance from B*(m-2).  Case-II draws use rejection from a biased region.
 
 The reference recurrences write the series division, the log-derivative
 solve and the exponential out as 1-D np.dot loops over k, independent of
-the package's row kernels.
+the package's row kernels; the extremal reference is the closed form of
+the member of omega = z^m, and grid_sup evaluates by np.polyval.
 """
 
 import numpy as np
@@ -110,6 +111,35 @@ def reference_exp0(w) -> np.ndarray:
     for k in range(1, w.size):
         out[k] = np.dot(jw[1 : k + 1], out[k - 1 :: -1]) / k
     return out
+
+
+def reference_extremal(p, m: int, order: int) -> np.ndarray:
+    """a_0..a_order of the member of omega = z^m, from its closed form.
+
+    That member is the weighted solve of z*(1 + B*z^m)^c with
+    c = gamma*(A-B)/(B*m), or of z*exp(gamma*A*z^m/m) when B = 0: the
+    coefficient of z^(1+j*m) is binom(c, j)*B^j, or (gamma*A/m)^j/j!,
+    divided by the weight 1 + lambda*j*m.  The running product is kept in
+    extended precision, since in doubles its rounding drifts to ~1e-14
+    over 500 factors.
+    """
+    gamma = np.clongdouble(p.gamma)
+    out = np.zeros(order + 1, dtype=np.complex128)
+    term = np.clongdouble(1.0)
+    for j, k in enumerate(range(1, order + 1, m)):
+        out[k] = complex(term) / (1.0 + p.lam * (k - 1))
+        if p.b != 0.0:
+            c = gamma * (p.a - p.b) / (p.b * m)
+            term *= (c - j) / (j + 1) * p.b
+        else:
+            term *= gamma * p.a / m / (j + 1)
+    return out
+
+
+def grid_sup(omega) -> float:
+    """max |omega| over 256 equispaced points of |z| = 0.99."""
+    z = 0.99 * np.exp(2j * np.pi * np.arange(256) / 256)
+    return float(np.max(np.abs(np.polyval(np.asarray(omega.coeffs)[::-1], z))))
 
 
 def max_norm_error(actual, expected) -> float:

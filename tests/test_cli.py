@@ -1,6 +1,7 @@
 """CLI behavior: formats, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 from schlicht import cli, extremals
 from schlicht.cli import main, parse_index_range
 from schlicht.errors import NonFiniteOutput, ParameterDomainError
+from schlicht.extremals import EXTREMAL_KINDS
 from schlicht.output import (
     fixed_json_dumps,
     format_complex_pair,
     format_float,
     parse_complex_pair,
 )
+from schlicht.params import SUBCLASS_NAMES
 
 STARLIKE_ARGS = ["--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1"]
 
@@ -182,6 +185,19 @@ class TestExtremalCommand:
         assert not doc["certification"][0]["attained"]
         assert doc["certification"][0]["gap"] > 0.0
 
+    @pytest.mark.parametrize("kind", ["koebe-gamma", "convex-gamma", "starlike-n"])
+    def test_prints_the_params_it_built_with(self, kind, capsys):
+        # these kinds fix (lambda, A, B); class options change nothing printed
+        base = ["extremal", "--kind", kind, "--gamma", "1,0"]
+        code, plain, _ = run_cli(base, capsys)
+        assert code == 0
+        code, out, _ = run_cli([*base, "--lambda", "0.2", "--A", "0.5", "--B=-0.5"], capsys)
+        assert code == 0
+        assert out == plain
+        params = json.loads(out)["params"]
+        lam = 1.0 if kind == "convex-gamma" else 0.0
+        assert (params["lambda"], params["A"], params["B"]) == (lam, 1.0, -1.0)
+
     def test_csv_coefficients(self, capsys):
         code, out, _ = run_cli(
             ["extremal", *STARLIKE_ARGS, "--kind", "case-ii", "--n", "4",
@@ -193,6 +209,16 @@ class TestExtremalCommand:
         assert lines[0] == "k,re,im"
         assert len(lines) == 8
         assert float(lines[4].split(",")[1]) == pytest.approx(3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("command", ["bound", "classify", "extremal", "report"])
+@pytest.mark.parametrize("n", ["a:b", "x", "3:", ":2", "2:1.5"])
+def test_malformed_index_range_exits_one(command, n, capsys):
+    extra = ["--seed", "1", "--samples", "2"] if command == "report" else []
+    code, out, err = run_cli([command, *STARLIKE_ARGS, f"--n={n}", *extra], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parameter error: --n")
 
 
 class TestVerifyCommand:
@@ -423,6 +449,102 @@ def test_jack_cli_contract(
         assert out.getvalue() == ""
 
 
+def _parses_as(text: str, fmt: str) -> bool:
+    """JSON with finite numbers, or CSV/table rows of one width under a header."""
+    if fmt == "json":
+        return _finite_numbers(json.loads(text))
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+    else:
+        rows = [line.split() for line in text.splitlines()]
+    return len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+
+
+def _pair(g) -> str:
+    return f"{g[0]!r},{g[1]!r}"
+
+
+_NUMBER = st.floats(-1.5, 1.5)
+_CLASS_OPTIONS = {
+    "class": st.sampled_from(SUBCLASS_NAMES),
+    "gamma": st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(_pair),
+    "lambda": _NUMBER,
+    "A": _NUMBER,
+    "B": _NUMBER,
+    "beta": _NUMBER,
+    "alpha": _NUMBER,
+    # a large --m makes cauchy_euler_factor loop m times per index
+    "m": st.integers(-1, 5),
+    "mu": st.floats(-2.0, 4.0),
+}
+# a core class inside its domain, so that half the draws reach a computation
+_CORE_CLASS = st.floats(-1.0, 0.5).flatmap(lambda b: st.fixed_dictionaries({
+    "gamma": st.tuples(st.floats(0.1, 3.0), st.floats(-3.0, 3.0)).map(_pair),
+    "lambda": st.floats(0.0, 1.0),
+    "A": st.floats(b + 0.1, 1.0),
+    "B": st.just(b),
+}))
+_MALFORMED_RANGES = ("a:b", "x", "3:", ":", "")
+_INDEX_RANGE = st.one_of(
+    st.integers(-2, 40).map(str),
+    st.tuples(st.integers(-2, 40), st.integers(-2, 40)).map(lambda r: f"{r[0]}:{r[1]}"),
+    st.sampled_from(_MALFORMED_RANGES),
+)
+_SMALL = st.integers(-1, 5)
+_COMMAND_OPTIONS = {
+    "bound": {"n": _INDEX_RANGE, "format": st.sampled_from(["json", "csv", "table"])},
+    "classify": {"n": _INDEX_RANGE, "format": st.sampled_from(["json", "table"])},
+    "extremal": {"kind": st.sampled_from(EXTREMAL_KINDS), "n": _INDEX_RANGE,
+                 "order": st.integers(-1, 64), "format": st.sampled_from(["json", "csv"])},
+    "verify": {"samples": _SMALL, "degree": _SMALL, "seed": _SMALL,
+               "n-max": st.integers(-1, 40)},
+    "report": {"n": _INDEX_RANGE, "order": st.integers(-1, 64), "samples": _SMALL,
+               "degree": _SMALL, "seed": _SMALL},
+}
+
+
+@st.composite
+def _subcommand_argv(draw):
+    """A subcommand with any subset of its options, or with an in-domain
+    core class, a seed where one is required, and any subset of the rest."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    optional = dict(_COMMAND_OPTIONS[command])
+    if draw(st.booleans()):
+        options = draw(_CORE_CLASS)
+        if "seed" in optional:
+            options["seed"] = draw(st.integers(0, 5))
+            del optional["seed"]
+    else:
+        options = {}
+        optional.update(_CLASS_OPTIONS)
+    options.update(draw(st.fixed_dictionaries({}, optional=optional)))
+    return [command] + [f"--{name}={value}" for name, value in options.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@example(argv=["bound", "--n=a:b"])  # exited 2 on int()'s ValueError
+@example(argv=["classify", "--n=x"])
+@example(argv=["extremal", "--gamma=1,0", "--n=3:"])
+@given(argv=_subcommand_argv())
+def test_subcommand_cli_contract(argv):
+    """Any bound/classify/extremal/verify/report argv exits 0, 1 or 2; exit 0
+    prints the requested format, any other exit prints nothing."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as usage_error:  # argparse exits on its own
+            code = usage_error.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "json")
+        assert _parses_as(out.getvalue(), fmt)
+    else:
+        assert out.getvalue() == ""
+    if any(f"--n={text}" in argv for text in _MALFORMED_RANGES):
+        assert code == 1
+
+
 class TestReportCommand:
     def test_dossier_shape_and_determinism(self, capsys):
         args = ["report", *STARLIKE_ARGS, "--n", "2:8", "--samples", "100",
@@ -488,8 +610,9 @@ class TestOutputHelpers:
     def test_index_range(self):
         assert parse_index_range("2:10") == (2, 10)
         assert parse_index_range("7") == (7, 7)
-        with pytest.raises(ParameterDomainError):
-            parse_index_range("9:2")
+        for text in ("9:2", "a:b", "x", "3:", ""):
+            with pytest.raises(ParameterDomainError):
+                parse_index_range(text)
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"

@@ -21,7 +21,12 @@ from schlicht import (
 )
 from schlicht.errors import NormalizationError, ParameterDomainError
 
-from conftest import draw_case_i_params, draw_case_ii_params
+from conftest import (
+    draw_case_i_params,
+    draw_case_ii_params,
+    max_norm_error,
+    reference_extremal,
+)
 
 STARLIKE = ClassParams(1, 0, 1, -1)
 CONVEX = ClassParams(1, 1, 1, -1)
@@ -76,6 +81,24 @@ class TestCaseIIExtremal:
             )
 
 
+class TestClosedFormReference:
+    @pytest.mark.parametrize("order", [12, 64, 512])
+    def test_extremals_match_closed_form(self, order):
+        # the members of omega = z and z^(n-1) against z*(1 + B*z^m)^c and,
+        # at B = 0, z*exp(gamma*A*z^m/m), with the weights divided out
+        for gamma in (0.7 - 0.4j, -1.3 + 0.9j):
+            for lam in (0.0, 0.3, 1.0):
+                for b in (-1.0, 0.0, -0.4):
+                    p = ClassParams(gamma, lam, 0.8, b)
+                    f = extremal_case_ii(p, order)
+                    expected = reference_extremal(p, 1, order)
+                    assert max_norm_error(f.coeffs, expected) <= 1e-14, p
+                    for n in (2, 3, 7):
+                        f = extremal_case_i(p, n, order)
+                        expected = reference_extremal(p, n - 1, order)
+                        assert max_norm_error(f.coeffs, expected) <= 1e-14, (p, n)
+
+
 class TestTransfer:
     def test_normalization_preserved(self):
         out = transfer_cauchy_euler(identity(6), CauchyEulerParams(3, 0.5))
@@ -110,7 +133,7 @@ class TestCertification:
         assert abs(record.gap) <= 1e-9
 
     def test_case_iii_probe_not_attained(self):
-        # the closed-form member undershoots the case-III bound; the gap is
+        # the omega = z member undershoots the case-III bound; the gap is
         # recorded without any sharpness claim
         p = ClassParams(1j, 0, 1, 0)
         spec = ExtremalSpec("case-ii", p, 8)
@@ -181,7 +204,7 @@ class TestSharpnessInvariants:
 
         p = ClassParams(-0.5, 0, 1, -1)
         f = extremal_case_i(p, 3, 12)
-        omega = schwarz_from_member(f, p).omega
+        omega = schwarz_from_member(f, p)
         coeffs = np.array(omega.coeffs)
         assert abs(coeffs[2]) == pytest.approx(1.0, abs=1e-10)
         mask = np.ones(len(coeffs), dtype=bool)

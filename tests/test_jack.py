@@ -36,6 +36,8 @@ from schlicht.errors import (
     PreconditionNotVerified,
 )
 
+from conftest import grid_sup
+
 STARLIKE = ClassParams(1, 0, 1, -1)
 
 
@@ -178,7 +180,7 @@ class TestForwardInstances:
         f = build_gb_instance(sample, b, 256)
         rep = gb_membership(f, b, 0.95, 1024)
         assert rep.member
-        assert rep.max_dev <= b * sample.sup_estimate / 0.99 + 1e-6
+        assert rep.max_dev <= b * grid_sup(sample) / 0.99 + 1e-6
 
 
 class TestGrowth:

@@ -74,7 +74,7 @@ def test_batched_spiral_check_matches_per_sample_loop(seed, alpha):
     assert len(reports) == samples
     omegas = np.zeros((samples, ORDER), dtype=np.complex128)
     for i, rep in enumerate(reports):
-        omega = sample_schwarz((seed, i), 4).omega
+        omega = sample_schwarz((seed, i), 4)
         omegas[i, : omega.order + 1] = omega.coeffs
         expected = reference_spiral_member(omega, alpha, ORDER)
         margin, winding = reference_margin(ComplexSeries(expected), alpha)
@@ -85,7 +85,7 @@ def test_batched_spiral_check_matches_per_sample_loop(seed, alpha):
     members = jack._spiral_rows(omegas, alpha)
     for i in range(samples):
         sample = sample_schwarz((seed, i), 4)
-        expected = reference_spiral_member(sample.omega, alpha, ORDER)
+        expected = reference_spiral_member(sample, alpha, ORDER)
         assert max_norm_error(members[i], expected) <= MAX_NORM_RTOL
         # a row of the batch rounds exactly as build_spiral_instance does
         one = build_spiral_instance(sample, alpha, ORDER)
@@ -101,12 +101,12 @@ def test_blocks_do_not_change_reports(monkeypatch):
 @pytest.mark.parametrize("seed,alpha", CASES[:3])
 def test_one_instance_builders_match_reference(seed, alpha):
     sample = sample_schwarz((seed, 0), 4)
-    expected = reference_spiral_member(sample.omega, alpha, ORDER)
+    expected = reference_spiral_member(sample, alpha, ORDER)
     member = build_spiral_instance(sample, alpha, ORDER)
     assert max_norm_error(member.coeffs, expected) <= MAX_NORM_RTOL
 
     b = 0.4
-    om = sample.omega.extend(ORDER - 1)
+    om = sample.extend(ORDER - 1)
     ratio = reference_ratio(om.scale(b), ORDER - 1)
     actual = quotient_source_ratio(om.scale(b), ORDER - 1)
     assert max_norm_error(actual.coeffs, ratio) <= MAX_NORM_RTOL
