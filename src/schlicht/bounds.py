@@ -2,9 +2,12 @@
 
 All bounds are modulus products over the complex seed gamma*(A-B).
 Factorial denominators are folded in factor by factor, which keeps every
-intermediate on the order of the final bound and avoids overflow for the
-index range this package targets (n <= 50 comfortably; doubles only give
-out near 171!).
+intermediate on the order of the final bound.  A range of indices lo..hi
+is one O(hi) sweep: one pass over the margins gives every case, and two
+running products give every case-II and case-III value, bit-identical to
+evaluating each n on its own.  A product that leaves the double range
+(gamma = 1000, B = -1 does before n = 300) becomes inf; the CLI refuses
+to write it and exits 2.
 
 Case I and II bounds are sharp (an explicit member attains them); case
 III bounds carry sharpness "unknown", which is the honest status: no
@@ -12,13 +15,15 @@ attaining member is known and none is claimed.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .errors import HypothesisViolated, ParameterDomainError
 from .params import (
     CauchyEulerParams,
     ClassParams,
     Reduction,
-    classify_case,
+    case_sweep,
     reduce_subclass,
     spiral_gamma,
 )
@@ -53,37 +58,68 @@ def case_i_value(p: ClassParams, n: int) -> float:
     return abs(p.gamma) * (p.a - p.b) / ((n - 1) * (1.0 + p.lam * (n - 1)))
 
 
+def _modulus_products(base: complex, b: float, count: int, shift: int) -> list[float]:
+    """prod_{j<m} |base - j*B| / max(j+shift, 1) for m = 0..count.
+
+    Shift 1 gives the case-II products (denominator m!), shift 0 the
+    case-III ones ((m-1)!).  Each entry multiplies its factors left to
+    right, as a loop over j < m does, so it is bit-identical to that loop.
+    """
+    factors = (abs(base - j * b) / max(j + shift, 1) for j in range(count))
+    return list(accumulate(factors, mul, initial=1.0))
+
+
+def _bound_row(
+    p: ClassParams,
+    n: int,
+    case_tag: str,
+    k: int | None,
+    ii: list[float] | None,
+    iii: list[float] | None,
+) -> BoundResult:
+    """The bound at n in the given case, read off the running products:
+    ii[m] = prod_{j<m} |gamma*(A-B) - j*B|/(j+1) and iii[m] the same over
+    max(j, 1)."""
+    if case_tag == "I":
+        return BoundResult(n, case_i_value(p, n), "I", None, SHARP, "case-i")
+    weight = 1.0 + p.lam * (n - 1)
+    if case_tag == "II":
+        return BoundResult(n, ii[n - 1] / weight, "II", None, SHARP, "case-ii")
+    return BoundResult(
+        n, iii[k] / ((n - 1) * weight), "III", k, SHARP_UNKNOWN, "case-iii"
+    )
+
+
 def case_ii_value(p: ClassParams, n: int) -> float:
     """prod_{j=0}^{n-2} |gamma*(A-B) - j*B| / ((n-1)! * (1+lambda*(n-1)))."""
-    base = p.product_base()
-    acc = 1.0
-    for j in range(n - 1):
-        acc *= abs(base - j * p.b) / (j + 1)
-    return acc / (1.0 + p.lam * (n - 1))
+    ii = _modulus_products(p.product_base(), p.b, n - 1, 1)
+    return _bound_row(p, n, "II", None, ii, None).value
 
 
 def case_iii_value(p: ClassParams, n: int, k: int) -> float:
     """prod_{j=0}^{k-1} |gamma*(A-B) - j*B| / ((k-1)!*(n-1)*(1+lambda*(n-1)))."""
     if not 1 <= k <= n - 1:
         raise ParameterDomainError(f"crossover k={k} outside 1..{n - 1}")
+    iii = _modulus_products(p.product_base(), p.b, k, 0)
+    return _bound_row(p, n, "III", k, None, iii).value
+
+
+def bound_sweep(p: ClassParams, lo: int, hi: int) -> list[BoundResult]:
+    """coefficient_bound at every n in lo..hi, in O(hi): one case_sweep
+    and the two running products up to index hi."""
+    _, cases = case_sweep(p, lo, hi)
     base = p.product_base()
-    acc = 1.0
-    for j in range(k):
-        acc *= abs(base - j * p.b) / max(j, 1)
-    return acc / ((n - 1) * (1.0 + p.lam * (n - 1)))
+    ii = _modulus_products(base, p.b, hi - 1, 1)
+    iii = _modulus_products(base, p.b, hi - 1, 0)
+    return [
+        _bound_row(p, n, tag, k, ii, iii)
+        for n, (tag, k) in zip(range(lo, hi + 1), cases)
+    ]
 
 
 def coefficient_bound(p: ClassParams, n: int) -> BoundResult:
     """Sharp (cases I/II) or best-known (case III) bound on |a_n|."""
-    cls = classify_case(p, n)
-    if cls.case_tag == "I":
-        return BoundResult(n, case_i_value(p, n), "I", None, SHARP, "case-i")
-    if cls.case_tag == "II":
-        return BoundResult(n, case_ii_value(p, n), "II", None, SHARP, "case-ii")
-    k = cls.crossover_k
-    return BoundResult(
-        n, case_iii_value(p, n, k), "III", k, SHARP_UNKNOWN, "case-iii"
-    )
+    return bound_sweep(p, n, n)[0]
 
 
 def cauchy_euler_factor(ce: CauchyEulerParams, n: int) -> float:
@@ -94,19 +130,23 @@ def cauchy_euler_factor(ce: CauchyEulerParams, n: int) -> float:
     return acc
 
 
-def coefficient_bound_cauchy_euler(
-    p: ClassParams, ce: CauchyEulerParams, n: int
-) -> BoundResult:
-    """Bound for solutions of the Cauchy-Euler equation sourced by the class."""
-    inner = coefficient_bound(p, n)
+def _transferred(inner: BoundResult, ce: CauchyEulerParams) -> BoundResult:
+    """A class bound carried over to the Cauchy-Euler solutions."""
     return BoundResult(
-        n,
-        inner.value * cauchy_euler_factor(ce, n),
+        inner.n,
+        inner.value * cauchy_euler_factor(ce, inner.n),
         inner.case_tag,
         inner.crossover_k,
         inner.sharp,
         inner.formula_id + "+cauchy-euler",
     )
+
+
+def coefficient_bound_cauchy_euler(
+    p: ClassParams, ce: CauchyEulerParams, n: int
+) -> BoundResult:
+    """Bound for solutions of the Cauchy-Euler equation sourced by the class."""
+    return _transferred(coefficient_bound(p, n), ce)
 
 
 def telescoping_identity_residual(p: ClassParams, m: int) -> float:
@@ -154,10 +194,7 @@ def spiral_product_bound(beta: float, a: float, b: float, n: int) -> float:
     if n < 2:
         raise ParameterDomainError(f"index n must be >= 2, got {n}")
     seed = (a - b) * cmath.exp(-1j * beta) * math.cos(beta)
-    acc = 1.0
-    for j in range(n - 1):
-        acc *= abs(seed - j * b) / (j + 1)
-    return acc
+    return _modulus_products(seed, b, n - 1, 1)[-1]
 
 
 def spiral_bound_cross_check(beta: float, a: float, b: float, n: int) -> float:
@@ -170,6 +207,15 @@ def spiral_bound_cross_check(beta: float, a: float, b: float, n: int) -> float:
             f"got case {result.case_tag} for beta={beta}, A={a}, B={b}, n={n}"
         )
     return abs(spiral_product_bound(beta, a, b, n) - result.value)
+
+
+def reduction_sweep(red: Reduction, lo: int, hi: int) -> list[BoundResult]:
+    """Bounds at n = lo..hi for a reduced class, with its Cauchy-Euler
+    transfer if it has one; one bound_sweep."""
+    results = bound_sweep(red.params, lo, hi)
+    if red.cauchy_euler is not None:
+        results = [_transferred(r, red.cauchy_euler) for r in results]
+    return results
 
 
 def reduction_bound(red: Reduction, n: int) -> BoundResult:

@@ -11,10 +11,11 @@ including a result that is not finite.
 """
 
 import argparse
+import functools
 import sys
 
 from . import jack as jackmod
-from .bounds import coefficient_bound, reduction_bound
+from .bounds import bound_sweep, reduction_sweep
 from .errors import ParameterDomainError, SchlichtError
 from .jack import gb_threshold_closed_form
 from .extremals import (
@@ -32,9 +33,10 @@ from .output import (
 )
 from .params import (
     SUBCLASS_NAMES,
+    CaseClassification,
     ClassParams,
     Reduction,
-    classify_case,
+    case_sweep,
     reduce_subclass,
 )
 from .series import ComplexSeries
@@ -101,7 +103,7 @@ def _emit(args, text: str) -> None:
 def _cmd_bound(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
-    results = [reduction_bound(red, n) for n in range(lo, hi + 1)]
+    results = reduction_sweep(red, lo, hi)
     if args.format == "csv":
         rows = [
             [
@@ -138,17 +140,20 @@ def _cmd_bound(args) -> int:
 def _cmd_classify(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
-    rows = []
-    for n in range(lo, hi + 1):
-        cls = classify_case(red.params, n)
-        rows.append({"n": n, **cls.to_json_dict()})
+    margins, cases = case_sweep(red.params, lo, hi)
+    indexed = list(zip(range(lo, hi + 1), cases))
     if args.format == "table":
         lines = [f"{'n':>4} {'case':>4} {'k':>4}"]
-        for row in rows:
-            k_text = "-" if row["crossover_k"] is None else str(row["crossover_k"])
-            lines.append(f"{row['n']:>4} {row['case']:>4} {k_text:>4}")
+        for n, (tag, k) in indexed:
+            k_text = "-" if k is None else str(k)
+            lines.append(f"{n:>4} {tag:>4} {k_text:>4}")
         _emit(args, "\n".join(lines) + "\n")
     else:
+        # only the JSON rows carry their margins A_2..A_{n-1}
+        rows = []
+        for n, (tag, k) in indexed:
+            cls = CaseClassification(tag, k, tuple(margins[: n - 2]))
+            rows.append({"n": n, **cls.to_json_dict()})
         doc = {"params": red.params.to_json_dict(), "classification": rows}
         _emit(args, fixed_json_dumps(doc) + "\n")
     return 0
@@ -162,6 +167,7 @@ def _cmd_extremal(args) -> int:
     else:
         red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
+    _require(hi >= 2, f"index n must be >= 2, got {hi}")
     order = max(args.order, hi)
     spec = ExtremalSpec(
         kind=args.kind,
@@ -286,7 +292,7 @@ def _cmd_report(args) -> int:
     lo, hi = parse_index_range(args.n)
     lo = max(lo, 2)
     order = max(args.order, hi)
-    bounds = [coefficient_bound(p, n) for n in range(lo, hi + 1)]
+    bounds = bound_sweep(p, lo, hi)
 
     case_ii_spec = ExtremalSpec("case-ii", p, order)
     case_ii = build_extremal(case_ii_spec)
@@ -341,7 +347,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by main."""
     parser = _Parser(
         prog="schlicht",
         description="Coefficient bounds, extremal series, and randomized "

@@ -10,7 +10,8 @@ those reductions.
 The case machinery lives here too: the margin sequence
 A_k = |gamma*(A-B) - B*(k-1)| - (k-1) is sign-monotone (once negative it
 stays negative), and the position of its sign change selects which bound
-formula applies (cases I/II/III).
+formula applies (cases I/II/III).  case_sweep classifies a whole index
+range from one pass over the margins.
 """
 
 import cmath
@@ -121,6 +122,35 @@ def case_margin_sequence(p: ClassParams, n: int) -> list[float]:
     return [abs(base - p.b * (k - 1)) - (k - 1) for k in range(2, n)]
 
 
+def case_sweep(
+    p: ClassParams, lo: int, hi: int
+) -> tuple[list[float], list[tuple[str, int | None]]]:
+    """Margins A_2..A_{hi-1} and the (case, crossover_k) of every n in lo..hi.
+
+    One pass over n.  The crossover of a case-III index n is the largest
+    k < n with A_k >= 0, kept as the last such k seen so far, so the
+    margins need not be sign-monotone.
+    """
+    if lo < 2:
+        raise ParameterDomainError(f"index n must be >= 2, got {lo}")
+    margins = case_margin_sequence(p, hi)
+    cases = []
+    last_nonnegative = None
+    for n in range(2, hi + 1):
+        # margins[n - 3] is A_{n-1}, the last margin at index n
+        if n > 2 and margins[n - 3] >= 0.0:
+            last_nonnegative = n - 1
+        if n < lo:
+            continue
+        if n == 2 or margins[n - 3] >= 0.0:
+            cases.append(("II", None))
+        elif margins[0] < 0.0:
+            cases.append(("I", None))
+        else:
+            cases.append(("III", last_nonnegative))
+    return margins, cases
+
+
 def classify_case(p: ClassParams, n: int) -> CaseClassification:
     """Select the bound regime at index n from the margin signs.
 
@@ -128,13 +158,8 @@ def classify_case(p: ClassParams, n: int) -> CaseClassification:
     (the formulas agree there).  n=2 is always case II; both formulas
     coincide at that index.
     """
-    margins = tuple(case_margin_sequence(p, n))
-    if n == 2 or margins[-1] >= 0.0:
-        return CaseClassification("II", None, margins)
-    if margins[0] < 0.0:
-        return CaseClassification("I", None, margins)
-    crossover = max(k for k, a_k in zip(range(2, n), margins) if a_k >= 0.0)
-    return CaseClassification("III", crossover, margins)
+    margins, [(tag, k)] = case_sweep(p, n, n)
+    return CaseClassification(tag, k, tuple(margins))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as srs
-from .bounds import coefficient_bound
+from .bounds import bound_sweep
 from .errors import InversionSingular, ParameterDomainError
 from .params import ClassParams
 from .series import ComplexSeries
@@ -139,13 +139,17 @@ def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
     Row for row this is Q = 1 + base*omega/(1 + B*omega), then
     series.solve_log_derivative(Q), then the weights divided out, with the
     same floating-point operations in the same order as the series
-    methods; the recurrences step over k with all rows at once.
+    methods; the recurrences step over k with all rows at once.  With
+    B = 0 the division is skipped.
     """
     one = np.zeros(omegas.shape[1], dtype=np.complex128)
     one[0] = 1.0
-    denom = one + omegas * complex(p.b)
     num = omegas * complex(p.product_base())
-    big_f = srs._row_log_derivative(one + srs._row_div(num, denom))
+    if p.b != 0.0:
+        # with B = 0 the divisor is the constant 1, and the quotient is num
+        # up to the signs of zero parts
+        num = srs._row_div(num, one + omegas * complex(p.b))
+    big_f = srs._row_log_derivative(one + num)
     return big_f / _weights(big_f.shape[1], p.lam)
 
 
@@ -323,7 +327,7 @@ def fuzz_bounds(
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
     indices = range(2, n_max + 1)
-    bounds = [coefficient_bound(p, n) for n in indices]
+    bounds = bound_sweep(p, 2, n_max)
     check_to = min(n_max, QUADRATIC_CHECK_LIMIT)
 
     # the construction pick owns its own stream so it does not bias the

@@ -8,7 +8,9 @@ distance from B*(m-2).  Case-II draws use rejection from a biased region.
 The reference recurrences write the series division, the log-derivative
 solve and the exponential out as 1-D np.dot loops over k, independent of
 the package's row kernels; the extremal reference is the closed form of
-the member of omega = z^m, and grid_sup evaluates by np.polyval.
+the member of omega = z^m, and grid_sup evaluates by np.polyval.  The
+bound references evaluate one index n at a time: the margin list and its
+max for the case, and a product loop over j for the value.
 """
 
 import numpy as np
@@ -80,6 +82,48 @@ def draw_spiral_case_ii(rng, max_tries: int = 10_000):
         if classify_case(p, n).case_tag == "II":
             return beta, a, b, n
     raise AssertionError("spiral case-II rejection sampling exhausted")
+
+
+def reference_case(p, n: int):
+    """(case, crossover_k, margins A_2..A_{n-1}) at index n on its own."""
+    base = p.product_base()
+    margins = [abs(base - p.b * (k - 1)) - (k - 1) for k in range(2, n)]
+    if n == 2 or margins[-1] >= 0.0:
+        return "II", None, margins
+    if margins[0] < 0.0:
+        return "I", None, margins
+    crossover = max(k for k, a_k in zip(range(2, n), margins) if a_k >= 0.0)
+    return "III", crossover, margins
+
+
+def reference_case_ii(p, n: int) -> float:
+    """prod_{j<n-1} |gamma*(A-B) - j*B|/(j+1), over 1 + lambda*(n-1)."""
+    base = p.product_base()
+    acc = 1.0
+    for j in range(n - 1):
+        acc *= abs(base - j * p.b) / (j + 1)
+    return acc / (1.0 + p.lam * (n - 1))
+
+
+def reference_case_iii(p, n: int, k: int) -> float:
+    """prod_{j<k} |gamma*(A-B) - j*B|/max(j, 1), over (n-1)*(1 + lambda*(n-1))."""
+    base = p.product_base()
+    acc = 1.0
+    for j in range(k):
+        acc *= abs(base - j * p.b) / max(j, 1)
+    return acc / ((n - 1) * (1.0 + p.lam * (n - 1)))
+
+
+def reference_bound(p, n: int):
+    """(case, crossover_k, bound) at index n on its own."""
+    case, k, _ = reference_case(p, n)
+    if case == "I":
+        value = abs(p.gamma) * (p.a - p.b) / ((n - 1) * (1.0 + p.lam * (n - 1)))
+    elif case == "II":
+        value = reference_case_ii(p, n)
+    else:
+        value = reference_case_iii(p, n, k)
+    return case, k, value
 
 
 def reference_div(s, t) -> np.ndarray:

@@ -104,6 +104,20 @@ class TestBoundCommand:
         assert out == ""
         assert "non-finite" in err
 
+    def test_long_case_i_sweep(self, capsys):
+        # the sweep is linear in hi; per-index evaluation was quadratic
+        code, out, _ = run_cli(
+            ["bound", "--gamma=-0.5,0", "--lambda", "0", "--A", "1", "--B", "-1",
+             "--n", "2:10000", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 9999
+        assert rows[0].startswith("2,II,")
+        assert all(row.split(",")[1] == "I" for row in rows[1:])
+        assert rows[-1].startswith("10000,I,")
+
     def test_subclass_via_name(self, capsys):
         code, out, _ = run_cli(
             ["bound", "--class", "M", "--beta", "2", "--n", "3", "--format", "json"],
@@ -212,13 +226,49 @@ class TestExtremalCommand:
 
 
 @pytest.mark.parametrize("command", ["bound", "classify", "extremal", "report"])
-@pytest.mark.parametrize("n", ["a:b", "x", "3:", ":2", "2:1.5"])
+@pytest.mark.parametrize("n", ["a:b", "x", "3:", ":2", "2:1.5", "1", "0:1"])
 def test_malformed_index_range_exits_one(command, n, capsys):
     extra = ["--seed", "1", "--samples", "2"] if command == "report" else []
     code, out, err = run_cli([command, *STARLIKE_ARGS, f"--n={n}", *extra], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("parameter error: --n")
+    # "1" and "0:1" parse but hold no index to bound or certify
+    parses = n in ("1", "0:1")
+    assert err.startswith(
+        "parameter error: index n must be >= 2" if parses else "parameter error: --n"
+    )
+
+
+def test_parser_is_built_once_and_reused(extremal_builds, capsys):
+    argvs = [
+        ["bound", *STARLIKE_ARGS, "--n", "2:12", "--format", "json"],
+        ["bound", "--no-such-option"],
+        ["verify", *STARLIKE_ARGS, "--samples", "20", "--seed", "4", "--n-max", "6"],
+        ["extremal", *STARLIKE_ARGS, "--kind", "case-ii", "--n", "2:6", "--order", "16"],
+        ["bound", *STARLIKE_ARGS, "--n", "2:12", "--format", "json"],
+    ]
+
+    def run_all(fresh_parser: bool) -> list:
+        outcomes = []
+        for argv in argvs:
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as usage_error:
+                code = usage_error.code
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    cli.build_parser.cache_clear()
+    reused = run_all(fresh_parser=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0]
+    assert reused[0] == reused[-1]
+    assert run_all(fresh_parser=True) == reused
+    # build_extremal is still looked up per call, so the fixture sees both runs
+    assert extremal_builds == ["case-ii", "case-ii"]
 
 
 class TestVerifyCommand:

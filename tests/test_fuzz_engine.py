@@ -119,6 +119,17 @@ def test_member_matches_one_row_recurrences(rng):
         assert np.array_equal(np.array(f.coeffs), reference_member(sample, p, order))
 
 
+@pytest.mark.parametrize("order", [10, 64, 512])
+def test_b_zero_member_equals_the_division_form(rng, order):
+    # with B = 0 the member skips the division by 1 + 0*omega
+    for i, construction in enumerate(CONSTRUCTIONS):
+        gamma = complex(*rng.uniform(-2, 2, 2))
+        p = ClassParams(gamma, rng.uniform(), rng.uniform(0.1, 1), 0.0)
+        sample = sample_schwarz((8, i), 4, construction)
+        f = member_from_schwarz(sample, p, order)
+        assert np.array_equal(np.array(f.coeffs), reference_member(sample, p, order))
+
+
 def test_quadratic_slack_matches_scalar_formula(rng):
     for i in range(20):
         p = draw_valid_params(rng)
