@@ -9,7 +9,6 @@ criteria for spiral-likeness together with the matching growth bounds.
 
 from . import errors
 from .bounds import (
-    BoundResult,
     case_i_value,
     case_ii_value,
     case_iii_value,
@@ -18,12 +17,10 @@ from .bounds import (
     coefficient_bound_cauchy_euler,
     spiral_bound_cross_check,
     spiral_product_bound,
-    subclass_bound,
     telescoping_identity_residual,
 )
 from .extremals import (
     ExtremalSpec,
-    SharpnessRecord,
     build_extremal,
     certify_sharpness,
     extremal_case_i,
@@ -31,11 +28,7 @@ from .extremals import (
     transfer_cauchy_euler,
 )
 from .jack import (
-    DeviationReport,
-    GrowthReport,
-    SecondCoeffReport,
     SpiralParams,
-    SpiralReport,
     build_gb_instance,
     build_spiral_instance,
     gb_membership,
@@ -53,7 +46,6 @@ from .jack import (
     winding_number,
 )
 from .params import (
-    CaseClassification,
     CauchyEulerParams,
     ClassParams,
     Reduction,
@@ -64,9 +56,6 @@ from .params import (
 )
 from .series import ComplexSeries, constant, identity, monomial, solve_log_derivative
 from .subordination import (
-    FuzzIndexStats,
-    FuzzReport,
-    MembershipReport,
     fuzz_bounds,
     is_member,
     member_from_schwarz,
@@ -78,22 +67,12 @@ from .subordination import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundResult",
-    "CaseClassification",
     "CauchyEulerParams",
     "ClassParams",
     "ComplexSeries",
-    "DeviationReport",
     "ExtremalSpec",
-    "FuzzIndexStats",
-    "FuzzReport",
-    "GrowthReport",
-    "MembershipReport",
     "Reduction",
-    "SecondCoeffReport",
-    "SharpnessRecord",
     "SpiralParams",
-    "SpiralReport",
     "build_extremal",
     "build_gb_instance",
     "build_spiral_instance",
@@ -135,7 +114,6 @@ __all__ = [
     "spiral_membership",
     "spiral_product_bound",
     "starlike_membership",
-    "subclass_bound",
     "winding_number",
     "telescoping_identity_residual",
     "transfer_cauchy_euler",

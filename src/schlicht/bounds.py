@@ -24,7 +24,6 @@ from .params import (
     ClassParams,
     Reduction,
     case_sweep,
-    reduce_subclass,
     spiral_gamma,
 )
 
@@ -216,15 +215,3 @@ def reduction_sweep(red: Reduction, lo: int, hi: int) -> list[BoundResult]:
     if red.cauchy_euler is not None:
         results = [_transferred(r, red.cauchy_euler) for r in results]
     return results
-
-
-def reduction_bound(red: Reduction, n: int) -> BoundResult:
-    """Bound for a reduced class, with its Cauchy-Euler transfer if it has one."""
-    if red.cauchy_euler is not None:
-        return coefficient_bound_cauchy_euler(red.params, red.cauchy_euler, n)
-    return coefficient_bound(red.params, n)
-
-
-def subclass_bound(name: str, n: int, **kw) -> BoundResult:
-    """Bound for a named subclass, via its parameter reduction."""
-    return reduction_bound(reduce_subclass(name, **kw), n)

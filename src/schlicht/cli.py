@@ -23,7 +23,7 @@ from .extremals import (
     GAMMA_ONLY_PARAMS,
     ExtremalSpec,
     build_extremal,
-    certify_sharpness,
+    sharpness_record,
 )
 from .output import (
     csv_rows,
@@ -167,7 +167,7 @@ def _cmd_extremal(args) -> int:
     else:
         red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
-    _require(hi >= 2, f"index n must be >= 2, got {hi}")
+    _require(lo >= 2, f"index n must be >= 2, got {lo}")
     order = max(args.order, hi)
     spec = ExtremalSpec(
         kind=args.kind,
@@ -177,10 +177,10 @@ def _cmd_extremal(args) -> int:
         cauchy_euler=red.cauchy_euler,
     )
     f = build_extremal(spec)
-    if args.kind in ("case-i", "starlike-n"):
-        certs = [certify_sharpness(spec, f, hi)]
-    else:
-        certs = [certify_sharpness(spec, f, n) for n in range(max(lo, 2), hi + 1)]
+    # case-i and starlike-n extremals certify only their own index hi
+    first = hi if spec.n is not None else lo
+    bounds = reduction_sweep(Reduction(spec.params, spec.cauchy_euler), first, hi)
+    certs = [sharpness_record(bound, f) for bound in bounds]
     if args.format == "csv":
         rows = [
             [str(k), format_float(c.real), format_float(c.imag)]
@@ -290,25 +290,20 @@ def _cmd_report(args) -> int:
         )
     p = red.params
     lo, hi = parse_index_range(args.n)
-    lo = max(lo, 2)
     order = max(args.order, hi)
     bounds = bound_sweep(p, lo, hi)
 
-    case_ii_spec = ExtremalSpec("case-ii", p, order)
-    case_ii = build_extremal(case_ii_spec)
+    case_ii = build_extremal(ExtremalSpec("case-ii", p, order))
     sharpness = []
     memberships = []
     for result in bounds:
-        n = result.n
         if result.case_tag == "I":
-            spec = ExtremalSpec("case-i", p, order, n=n)
-            f = build_extremal(spec)
+            kind = "case-i"
+            f = build_extremal(ExtremalSpec(kind, p, order, n=result.n))
         else:
-            spec, f = case_ii_spec, case_ii
-        record = certify_sharpness(spec, f, n)
-        sharpness.append(
-            {"extremal_kind": spec.kind, **record.to_json_dict()}
-        )
+            kind, f = "case-ii", case_ii
+        record = sharpness_record(result, f)
+        sharpness.append({"extremal_kind": kind, **record.to_json_dict()})
     membership = is_member(case_ii, p)
     memberships.append({"extremal_kind": "case-ii", **membership.to_json_dict()})
 

@@ -13,14 +13,6 @@ class DivisionByNonUnit(SchlichtError, ZeroDivisionError):
     """Series division needs a divisor whose constant term is a unit."""
 
 
-class NonvanishingInnerConstant(SchlichtError, ValueError):
-    """Series composition needs an inner series with zero constant term."""
-
-
-class BranchPointAtOrigin(SchlichtError, ValueError):
-    """log/exp/power of a series whose constant term sits on a branch point."""
-
-
 class RadiusOutOfRange(ParameterDomainError):
     """Circle evaluation needs a radius strictly between 0 and 1."""
 

@@ -10,7 +10,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import series as srs
-from .bounds import cauchy_euler_factor, reduction_bound
+from .bounds import BoundResult, cauchy_euler_factor, reduction_sweep
 from .errors import ParameterDomainError
 from .params import CauchyEulerParams, ClassParams, Reduction
 from .series import ComplexSeries
@@ -134,8 +134,13 @@ def certify_sharpness(
         raise ParameterDomainError(
             f"extremal order {spec.order} does not reach index {n}"
         )
-    bound = reduction_bound(Reduction(spec.params, spec.cauchy_euler), n)
-    observed = abs(series.coefficient(n))
+    (bound,) = reduction_sweep(Reduction(spec.params, spec.cauchy_euler), n, n)
+    return sharpness_record(bound, series)
+
+
+def sharpness_record(bound: BoundResult, series: ComplexSeries) -> SharpnessRecord:
+    """Compare |a_n| of series against one bound row at its index n."""
+    observed = abs(series.coefficient(bound.n))
     gap = bound.value - observed
     attained = abs(gap) <= ATTAINMENT_RTOL * max(1.0, bound.value)
-    return SharpnessRecord(n, bound.value, observed, gap, attained)
+    return SharpnessRecord(bound.n, bound.value, observed, gap, attained)

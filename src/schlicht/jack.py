@@ -345,14 +345,18 @@ def second_coeff_check(
 
 
 def growth_extremal(beta: float, order: int) -> ComplexSeries:
-    """The function z*(1+z)^{-1/beta} as a series."""
+    """The function z*(1+z)^{-1/beta} as a series: the solution of
+    z*f'/f = q = 1 - (1/beta)*z/(1+z), so q_k = -(1/beta)*(-1)^(k-1) for
+    k >= 1, through order."""
     if beta <= 0.0:
         raise ParameterDomainError(f"beta must be positive, got {beta}")
     if order < 2:
         raise ParameterDomainError(f"order must be >= 2, got {order}")
-    base = srs.constant(1.0, order - 1) + srs.monomial(1.0, 1, order - 1)
+    q = np.ones(order, dtype=np.complex128)
+    q[2::2] = -1.0
     with np.errstate(over="raise", invalid="raise"):  # tiny beta overflows
-        return base.powc(-1.0 / beta).times_z()
+        q[1:] *= -1.0 / beta
+        return srs.solve_log_derivative(ComplexSeries(q))
 
 
 def growth_extremal_starlike_order(beta: float) -> float:

@@ -22,10 +22,6 @@ def format_float(x: float) -> str:
     return f"{x:.14e}"
 
 
-def format_complex_pair(value: complex) -> str:
-    return f"{format_float(value.real)},{format_float(value.imag)}"
-
-
 def parse_complex_pair(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:

@@ -14,7 +14,6 @@ formula applies (cases I/II/III).  case_sweep classifies a whole index
 range from one pass over the margins.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -251,8 +250,3 @@ def spiral_gamma(beta: float) -> complex:
     if not abs(beta) < math.pi / 2:
         raise ParameterDomainError(f"need |beta| < pi/2, got {beta}")
     return 1.0 / (1.0 + 1j * math.tan(beta))
-
-
-def spiral_gamma_closed_form(beta: float) -> complex:
-    """Alternative evaluation of the same reduction, for cross-checking."""
-    return cmath.exp(-1j * beta) * math.cos(beta)

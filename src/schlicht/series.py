@@ -1,11 +1,16 @@
-"""Truncated complex power-series arithmetic.
+"""Truncated complex power series: a value type over two row kernels.
 
 Every higher-level computation in this package runs on Taylor polynomials
-c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  Binary
-operations truncate to the smaller operand order, so a result never
-contains coefficients that both inputs do not determine.  Fractional
-powers use the principal branch through exp(alpha*log(.)) of a series
-with constant term 1; that is the only branch convention in the package.
+c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  The only
+coefficient recurrences are _row_div (series quotient) and
+_row_log_derivative (the normalized F with z*F' = F*q); both step over k
+with every row of a 2-D array at once, and ComplexSeries.div and
+solve_log_derivative are their one-row calls.  A quotient truncates to the
+smaller operand order, so it never contains coefficients that both inputs
+do not determine.  No logarithm or fractional power of a series is taken:
+a power such as z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose
+coefficients are those of the principal branch, so the package needs no
+branch convention.  circle_values is the one circle evaluator.
 
 Instances are immutable (the backing array is marked read-only) and all
 operations are pure functions, so series can be shared freely between
@@ -17,9 +22,7 @@ import cmath
 import numpy as np
 
 from .errors import (
-    BranchPointAtOrigin,
     DivisionByNonUnit,
-    NonvanishingInnerConstant,
     NormalizationError,
     ParameterDomainError,
     RadiusOutOfRange,
@@ -60,21 +63,6 @@ class ComplexSeries:
             raise IndexError(f"coefficient index {k} outside 0..{self.order}")
         return complex(self._c[k])
 
-    def truncate(self, order: int) -> "ComplexSeries":
-        if order > self.order:
-            raise ValueError("truncate cannot raise the order; use extend")
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        return ComplexSeries(self._c[: order + 1])
-
-    def extend(self, order: int) -> "ComplexSeries":
-        """Zero-pad to a higher order (treats the series as an exact polynomial)."""
-        if order < self.order:
-            raise ValueError("extend cannot lower the order; use truncate")
-        out = np.zeros(order + 1, dtype=np.complex128)
-        out[: self._c.size] = self._c
-        return ComplexSeries(out)
-
     def __repr__(self):
         head = ", ".join(f"{complex(v):.6g}" for v in self._c[:4])
         tail = ", ..." if self.order > 3 else ""
@@ -85,20 +73,7 @@ class ComplexSeries:
             return NotImplemented
         return self.order == other.order and bool(np.all(self._c == other._c))
 
-    # -- ring operations ---------------------------------------------------
-
-    def add(self, other: "ComplexSeries") -> "ComplexSeries":
-        n = min(self.order, other.order)
-        return ComplexSeries(self._c[: n + 1] + other._c[: n + 1])
-
-    def sub(self, other: "ComplexSeries") -> "ComplexSeries":
-        n = min(self.order, other.order)
-        return ComplexSeries(self._c[: n + 1] - other._c[: n + 1])
-
-    def mul(self, other: "ComplexSeries") -> "ComplexSeries":
-        n = min(self.order, other.order)
-        prod = np.convolve(self._c[: n + 1], other._c[: n + 1])
-        return ComplexSeries(prod[: n + 1])
+    # -- arithmetic ----------------------------------------------------------
 
     def div(self, other: "ComplexSeries") -> "ComplexSeries":
         """Series quotient; the divisor constant term must be a unit."""
@@ -109,101 +84,9 @@ class ComplexSeries:
         return ComplexSeries(self._c * complex(factor))
 
     def __add__(self, other):
-        if isinstance(other, ComplexSeries):
-            return self.add(other)
+        """The series plus a scalar, which moves only the constant term."""
         out = np.array(self._c)
         out[0] += complex(other)
-        return ComplexSeries(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, ComplexSeries):
-            return self.sub(other)
-        return self + (-complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + complex(other)
-
-    def __neg__(self):
-        return ComplexSeries(-self._c)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexSeries):
-            return self.mul(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, ComplexSeries):
-            return self.div(other)
-        return self.scale(1.0 / complex(other))
-
-    # -- composition and transcendental maps --------------------------------
-
-    def compose(self, inner: "ComplexSeries") -> "ComplexSeries":
-        """Taylor coefficients of self(inner(z)); inner(0) must vanish."""
-        if abs(inner._c[0]) > UNIT_TOLERANCE:
-            raise NonvanishingInnerConstant(
-                f"inner constant term {inner._c[0]} is not zero"
-            )
-        n = min(self.order, inner.order)
-        inner_t = inner if inner.order == n else inner.truncate(n)
-        acc = constant(self._c[n], n)
-        for k in range(n - 1, -1, -1):
-            acc = acc.mul(inner_t) + complex(self._c[k])
-        return acc
-
-    def log1(self) -> "ComplexSeries":
-        """Principal log of a series with constant term 1."""
-        if abs(self._c[0] - 1.0) > UNIT_TOLERANCE:
-            raise BranchPointAtOrigin(
-                f"log1 needs constant term 1, got {self._c[0]}"
-            )
-        if self.order == 0:
-            return ComplexSeries([0.0])
-        return self.derivative().div(self.truncate(self.order - 1)).integrate()
-
-    def exp0(self) -> "ComplexSeries":
-        """Exponential of a series with zero constant term."""
-        if abs(self._c[0]) > UNIT_TOLERANCE:
-            raise BranchPointAtOrigin(
-                f"exp0 needs constant term 0, got {self._c[0]}"
-            )
-        # exp(w) = F/z with z*F' = F*(1 + z*w'), F(0) = 0, F'(0) = 1
-        q = self._c * np.arange(self._c.size)
-        q[0] = 1.0
-        return ComplexSeries(_row_log_derivative(q[None, :])[0, 1:])
-
-    def powc(self, alpha: complex) -> "ComplexSeries":
-        """Principal-branch power (1 + u)^alpha for a series 1 + u."""
-        if abs(self._c[0] - 1.0) > UNIT_TOLERANCE:
-            raise BranchPointAtOrigin(
-                f"powc needs constant term 1, got {self._c[0]}"
-            )
-        alpha = complex(alpha)
-        if alpha == 0:
-            return constant(1.0, self.order)
-        return self.log1().scale(alpha).exp0()
-
-    # -- calculus ------------------------------------------------------------
-
-    def derivative(self) -> "ComplexSeries":
-        if self.order == 0:
-            return ComplexSeries([0.0])
-        return ComplexSeries(self._c[1:] * np.arange(1, self.order + 1))
-
-    def integrate(self) -> "ComplexSeries":
-        """Termwise antiderivative with constant term 0; order grows by one."""
-        out = np.zeros(self._c.size + 1, dtype=np.complex128)
-        out[1:] = self._c / np.arange(1, self._c.size + 1)
-        return ComplexSeries(out)
-
-    def times_z(self) -> "ComplexSeries":
-        """Multiply by z; order grows by one."""
-        out = np.zeros(self._c.size + 1, dtype=np.complex128)
-        out[1:] = self._c
         return ComplexSeries(out)
 
     def z_derivative(self) -> "ComplexSeries":

@@ -5,13 +5,18 @@ parameters pick gamma so that gamma*(A-B) lands within distance < 1 of B,
 and the identity-hypothesis draws place gamma*(A-B) at a prescribed
 distance from B*(m-2).  Case-II draws use rejection from a biased region.
 
-The reference recurrences write the series division, the log-derivative
-solve and the exponential out as 1-D np.dot loops over k, independent of
-the package's row kernels; the extremal reference is the closed form of
-the member of omega = z^m, and grid_sup evaluates by np.polyval.  The
-bound references evaluate one index n at a time: the margin list and its
-max for the case, and a product loop over j for the value.
+The reference recurrences write the series division and the
+log-derivative solve out as 1-D np.dot loops over k, independent of the
+package's row kernels; binomial_series is the term recurrence of
+(1 + s*z)^alpha; the extremal reference is the closed form of the member
+of omega = z^m, and grid_sup evaluates by np.polyval.  The bound
+references evaluate one index n at a time: the margin list and its max
+for the case, and a product loop over j for the value.
+spiral_gamma_closed_form is the second evaluation of the spiral reduction.
 """
+
+import cmath
+import math
 
 import numpy as np
 import pytest
@@ -146,15 +151,19 @@ def reference_log_derivative(q) -> np.ndarray:
     return out
 
 
-def reference_exp0(w) -> np.ndarray:
-    """exp(w) for w(0) = 0: k*E_k = sum_{j=1}^k j*w_j E_{k-j}."""
-    w = np.asarray(w, dtype=np.complex128)
-    jw = w * np.arange(w.size)
-    out = np.zeros(w.size, dtype=np.complex128)
-    out[0] = 1.0
-    for k in range(1, w.size):
-        out[k] = np.dot(jw[1 : k + 1], out[k - 1 :: -1]) / k
-    return out
+def binomial_series(alpha: complex, scale: complex, order: int) -> np.ndarray:
+    """Coefficients of (1 + scale*z)^alpha through order, by the term
+    recurrence c_k = c_{k-1} * scale * (alpha - k + 1) / k."""
+    coeffs = [1.0 + 0j]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * scale * (alpha - k + 1) / k)
+    return np.array(coeffs)
+
+
+def spiral_gamma_closed_form(beta: float) -> complex:
+    """The spiral reduction gamma = 1/(1+i*tan(beta)) evaluated as
+    exp(-i*beta)*cos(beta), for cross-checking spiral_gamma."""
+    return cmath.exp(-1j * beta) * math.cos(beta)
 
 
 def reference_extremal(p, m: int, order: int) -> np.ndarray:

@@ -14,11 +14,12 @@ from schlicht import (
     cauchy_euler_factor,
     coefficient_bound,
     coefficient_bound_cauchy_euler,
+    reduce_subclass,
     spiral_bound_cross_check,
     spiral_product_bound,
-    subclass_bound,
     telescoping_identity_residual,
 )
+from schlicht.bounds import reduction_sweep
 from schlicht.errors import HypothesisViolated, ParameterDomainError
 
 from conftest import (
@@ -158,30 +159,32 @@ class TestSpiralProductBound:
 
 class TestSubclassBounds:
     def test_starlike_gamma_case_i(self):
-        result = subclass_bound("Sstar", 4, gamma=-0.5)
+        (result,) = reduction_sweep(reduce_subclass("Sstar", gamma=-0.5), 4, 4)
         assert result.case_tag == "I"
         assert result.value == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_convex_gamma_value_one(self):
-        result = subclass_bound("C", 6, gamma=1.0)
+        (result,) = reduction_sweep(reduce_subclass("C", gamma=1.0), 6, 6)
         assert result.value == pytest.approx(1.0, abs=1e-12)
 
     def test_m_class_boundary_tie_value(self):
         # beta=2 puts the first margin exactly at zero; the tie classifies II
         # and both formulas give 2|gamma|/(n-1) = 1
-        result = subclass_bound("M", 3, beta=2.0)
+        (result,) = reduction_sweep(reduce_subclass("M", beta=2.0), 3, 3)
         assert result.case_tag == "II"
         assert result.value == pytest.approx(1.0, abs=1e-14)
         p = ClassParams(-1, 0, 1, -1)
         assert case_i_value(p, 3) == pytest.approx(result.value, abs=1e-14)
 
     def test_b_class_uses_order_two_transfer(self):
-        result = subclass_bound("B", 2, gamma=1.0, lam=0.0, beta=0.0, mu=0.0)
+        red = reduce_subclass("B", gamma=1.0, lam=0.0, beta=0.0, mu=0.0)
+        (result,) = reduction_sweep(red, 2, 2)
         assert result.value == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_sc_matches_direct_reduction(self):
         direct = coefficient_bound(ClassParams(0.5j, 0.25, 0.5, -1), 5)
-        via_name = subclass_bound("Sc", 5, gamma=0.5j, lam=0.25, beta=0.25)
+        red = reduce_subclass("Sc", gamma=0.5j, lam=0.25, beta=0.25)
+        (via_name,) = reduction_sweep(red, 5, 5)
         assert via_name.value == pytest.approx(direct.value, rel=1e-15)
 
 

@@ -19,11 +19,15 @@ from schlicht import (
     is_member,
     transfer_cauchy_euler,
 )
+from schlicht.bounds import reduction_sweep
 from schlicht.errors import NormalizationError, ParameterDomainError
+from schlicht.extremals import sharpness_record
+from schlicht.params import Reduction
 
 from conftest import (
     draw_case_i_params,
     draw_case_ii_params,
+    draw_valid_params,
     max_norm_error,
     reference_extremal,
 )
@@ -185,6 +189,19 @@ class TestSharpnessInvariants:
                 assert record.attained, (p, ce, n, record)
                 direct = coefficient_bound_cauchy_euler(p, ce, n)
                 assert record.bound == pytest.approx(direct.value, rel=1e-15)
+
+    def test_sweep_rows_certify_like_one_row_calls(self, rng):
+        # extremal and report certify from the rows of one sweep; each record
+        # is bit-identical to certify_sharpness at that index alone
+        for i in range(40):
+            p = draw_valid_params(rng)
+            ce = CauchyEulerParams(2, float(rng.uniform(-0.9, 3))) if i % 2 else None
+            hi = int(rng.integers(2, 41))
+            spec = ExtremalSpec("case-ii", p, hi, cauchy_euler=ce)
+            f = build_extremal(spec)
+            rows = reduction_sweep(Reduction(p, ce), 2, hi)
+            swept = [sharpness_record(bound, f) for bound in rows]
+            assert swept == [certify_sharpness(spec, f, n) for n in range(2, hi + 1)]
 
     def test_extremals_pass_membership(self, rng):
         for _ in range(10):

@@ -36,7 +36,7 @@ from schlicht.errors import (
     PreconditionNotVerified,
 )
 
-from conftest import grid_sup
+from conftest import binomial_series, grid_sup, max_norm_error
 
 STARLIKE = ClassParams(1, 0, 1, -1)
 
@@ -148,7 +148,7 @@ class TestForwardInstances:
     def test_ratio_is_half_plane_map_for_identity_omega(self):
         sp = SpiralParams(0.0)
         om = identity(256)
-        v = constant(1.0, 256) + om.scale(sp.a_spiral)
+        v = om.scale(sp.a_spiral) + 1.0
         source = om.scale(sp.a_spiral + 1.0).div(v).div(v)
         p = quotient_source_ratio(source, 256)
         assert np.allclose(p.coeffs[:8], [1, 2, 2, 2, 2, 2, 2, 2], atol=1e-12)
@@ -240,6 +240,15 @@ class TestGrowthExtremal:
         for n in range(1, 9):
             assert abs(f.coefficient(n)) == pytest.approx(float(n), rel=1e-12)
         assert growth_extremal_starlike_order(0.5) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("order", [64, 512])
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.8, 3.7])
+    def test_matches_binomial_recurrence(self, beta, order):
+        # z*(1+z)^(-1/beta) from the binomial term recurrence, independent of
+        # the log-derivative solve
+        f = growth_extremal(beta, order)
+        expected = np.concatenate([[0.0], binomial_series(-1.0 / beta, 1.0, order - 1)])
+        assert max_norm_error(f.coeffs, expected) <= 1e-14
 
     def test_fast_growth_flagged_not_univalent(self):
         profile = growth_extremal_profile(0.25, 8)

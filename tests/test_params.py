@@ -17,9 +17,7 @@ from schlicht import (
     spiral_gamma,
 )
 from schlicht.errors import ParameterDomainError
-from schlicht.params import spiral_gamma_closed_form
-
-from conftest import draw_valid_params
+from conftest import draw_valid_params, spiral_gamma_closed_form
 
 
 class TestValidation:
