@@ -39,7 +39,6 @@ from .jack import (
     growth_extremal_profile,
     growth_extremal_starlike_order,
     quotient_source_ratio,
-    ratio_values,
     second_coeff_check,
     spiral_membership,
     starlike_membership,
@@ -103,7 +102,6 @@ __all__ = [
     "monomial",
     "quadratic_sum_slack",
     "quotient_source_ratio",
-    "ratio_values",
     "reduce_subclass",
     "sample_schwarz",
     "schwarz_from_member",

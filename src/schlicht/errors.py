@@ -13,6 +13,10 @@ class DivisionByNonUnit(SchlichtError, ZeroDivisionError):
     """Series division needs a divisor whose constant term is a unit."""
 
 
+class BranchPointAtOrigin(SchlichtError, ValueError):
+    """log/exp/power of a series whose constant term sits on a branch point."""
+
+
 class RadiusOutOfRange(ParameterDomainError):
     """Circle evaluation needs a radius strictly between 0 and 1."""
 

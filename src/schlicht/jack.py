@@ -147,12 +147,6 @@ def _ratio_reports(rows, rotation: complex, shift: float, radius, angles) -> lis
     ]
 
 
-def ratio_values(f: ComplexSeries, radius: float, angles: int) -> np.ndarray:
-    """Values of z*f'/f on the circle |z| = radius."""
-    (f_vals, zfp_vals), _ = _grid_values(np.array([f.coeffs]), radius, angles)
-    return zfp_vals[0] / f_vals[0]
-
-
 def spiral_membership(
     f: ComplexSeries, alpha: float, radius: float = 0.95, angles: int = DEFAULT_ANGLES
 ) -> SpiralReport:

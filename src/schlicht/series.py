@@ -12,6 +12,11 @@ a power such as z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose
 coefficients are those of the principal branch, so the package needs no
 branch convention.  circle_values is the one circle evaluator.
 
+mul, log1, exp0 and powc stay only because the benchmark's tracer
+(perfbench/tracing.py) wraps them by name; no package code calls them.
+powc is exp(alpha*log(.)) of a series with constant term 1, so its branch
+is the principal one.
+
 Instances are immutable (the backing array is marked read-only) and all
 operations are pure functions, so series can be shared freely between
 concurrent tasks.
@@ -22,6 +27,7 @@ import cmath
 import numpy as np
 
 from .errors import (
+    BranchPointAtOrigin,
     DivisionByNonUnit,
     NormalizationError,
     ParameterDomainError,
@@ -92,6 +98,39 @@ class ComplexSeries:
     def z_derivative(self) -> "ComplexSeries":
         """The series z * d/dz of self (same order, coefficient k*c_k)."""
         return ComplexSeries(self._c * np.arange(self._c.size))
+
+    # -- traced by the benchmark, called by no package code -------------------
+
+    def mul(self, other: "ComplexSeries") -> "ComplexSeries":
+        n = min(self.order, other.order)
+        return ComplexSeries(np.convolve(self._c[: n + 1], other._c[: n + 1])[: n + 1])
+
+    def log1(self) -> "ComplexSeries":
+        """Principal log of a series with constant term 1: the integral of f'/f."""
+        if abs(self._c[0] - 1.0) > UNIT_TOLERANCE:
+            raise BranchPointAtOrigin(f"log1 needs constant term 1, got {self._c[0]}")
+        k = np.arange(1, self._c.size)
+        out = np.zeros(self._c.size, dtype=np.complex128)
+        if k.size:
+            out[1:] = _row_div((self._c[1:] * k)[None, :], self._c[None, :-1])[0] / k
+        return ComplexSeries(out)
+
+    def exp0(self) -> "ComplexSeries":
+        """Exponential of a series with zero constant term."""
+        if abs(self._c[0]) > UNIT_TOLERANCE:
+            raise BranchPointAtOrigin(f"exp0 needs constant term 0, got {self._c[0]}")
+        # exp(w) = F/z with z*F' = F*(1 + z*w'), F(0) = 0, F'(0) = 1
+        q = self._c * np.arange(self._c.size)
+        q[0] = 1.0
+        return ComplexSeries(_row_log_derivative(q[None, :])[0, 1:])
+
+    def powc(self, alpha: complex) -> "ComplexSeries":
+        """Principal-branch power (1 + u)^alpha for a series 1 + u."""
+        if abs(self._c[0] - 1.0) > UNIT_TOLERANCE:
+            raise BranchPointAtOrigin(f"powc needs constant term 1, got {self._c[0]}")
+        if complex(alpha) == 0:
+            return constant(1.0, self.order)
+        return self.log1().scale(alpha).exp0()
 
     # -- evaluation ------------------------------------------------------------
 

@@ -5,9 +5,9 @@ parameters pick gamma so that gamma*(A-B) lands within distance < 1 of B,
 and the identity-hypothesis draws place gamma*(A-B) at a prescribed
 distance from B*(m-2).  Case-II draws use rejection from a biased region.
 
-The reference recurrences write the series division and the
-log-derivative solve out as 1-D np.dot loops over k, independent of the
-package's row kernels; binomial_series is the term recurrence of
+The reference recurrences write the series division, the log-derivative
+solve and the exponential out as 1-D np.dot loops over k, independent of
+the package's row kernels; binomial_series is the term recurrence of
 (1 + s*z)^alpha; the extremal reference is the closed form of the member
 of omega = z^m, and grid_sup evaluates by np.polyval.  The bound
 references evaluate one index n at a time: the margin list and its max
@@ -148,6 +148,17 @@ def reference_log_derivative(q) -> np.ndarray:
     out[1] = 1.0
     for k in range(2, q.size + 1):
         out[k] = np.dot(out[1:k], q[k - 1 : 0 : -1]) / (k - 1)
+    return out
+
+
+def reference_exp0(w) -> np.ndarray:
+    """exp(w) for w(0) = 0: k*E_k = sum_{j=1}^k j*w_j E_{k-j}."""
+    w = np.asarray(w, dtype=np.complex128)
+    jw = w * np.arange(w.size)
+    out = np.zeros(w.size, dtype=np.complex128)
+    out[0] = 1.0
+    for k in range(1, w.size):
+        out[k] = np.dot(jw[1 : k + 1], out[k - 1 :: -1]) / k
     return out
 
 

@@ -1,14 +1,28 @@
-"""Series value type: division examples, round trips, evaluation, and the
-two row kernels against 1-D reference loops."""
+"""Series value type: division examples, round trips, evaluation, the two
+row kernels against 1-D reference loops, and the traced product, log,
+exponential and power."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schlicht import ComplexSeries, constant, identity, monomial, solve_log_derivative
-from schlicht.errors import DivisionByNonUnit, ParameterDomainError, RadiusOutOfRange
+from schlicht.errors import (
+    BranchPointAtOrigin,
+    DivisionByNonUnit,
+    ParameterDomainError,
+    RadiusOutOfRange,
+)
 from schlicht.series import _row_div, _row_log_derivative, circle_values
 
-from conftest import reference_div, reference_log_derivative
+from conftest import (
+    binomial_series,
+    max_norm_error,
+    reference_div,
+    reference_exp0,
+    reference_log_derivative,
+)
 
 
 def geometric(order: int) -> ComplexSeries:
@@ -39,17 +53,18 @@ class TestArithmeticExamples:
         assert s + 0 == s
 
     def test_add_monomials(self):
-        # the constant monomial 1 added to z
-        assert (identity(2) + 1).coeffs == (1, 1, 0)
+        # 1 + z is a new value; the operand z keeps its coefficients
+        z = identity(2)
+        assert (z + 1).coeffs == (1, 1, 0)
+        assert z.coeffs == (0, 1, 0)
 
     def test_mul_difference_of_squares(self):
-        # (1 - z^2)/(1 - z) = 1 + z
-        q = ComplexSeries([1, 0, -1]).div(ComplexSeries([1, -1, 0]))
-        assert q.coeffs == (1, 1, 0)
+        prod = ComplexSeries([1, 1, 0]).mul(ComplexSeries([1, -1, 0]))
+        assert prod.coeffs == (1, 0, -1)
 
     def test_mul_inverse_of_geometric(self):
-        q = constant(1, 8).div(geometric(8))
-        assert max_abs_diff(q, ComplexSeries([1, -1] + [0] * 7)) == 0.0
+        prod = geometric(8).mul(ComplexSeries([1, -1] + [0] * 7))
+        assert max_abs_diff(prod, constant(1, 8)) == 0.0
 
     def test_koebe_coefficients(self):
         # z/(1-z)^2 has the coefficients n
@@ -73,6 +88,39 @@ class TestArithmeticExamples:
     def test_div_by_nonunit_rejected(self):
         with pytest.raises(DivisionByNonUnit):
             constant(1, 3).div(identity(3))
+
+
+class TestTranscendental:
+    def test_powc_inverse_square(self):
+        out = ComplexSeries([1, -1] + [0] * 6).powc(-2)
+        for k in range(7):
+            assert out.coefficient(k) == pytest.approx(k + 1, abs=1e-12)
+
+    def test_powc_reciprocal(self):
+        out = ComplexSeries([1, 1] + [0] * 5).powc(-1)
+        expected = ComplexSeries([(-1.0) ** k for k in range(7)])
+        assert max_abs_diff(out, expected) < 1e-13
+
+    def test_powc_complex_exponent_matches_binomial_recurrence(self):
+        # (1-z)^(-2i) against the independent binomial oracle
+        out = ComplexSeries([1, -1] + [0] * 14).powc(-2j)
+        oracle = ComplexSeries(binomial_series(-2j, -1, 15))
+        assert max_abs_diff(out, oracle) < 1e-12
+
+    def test_branch_point_rejected(self):
+        with pytest.raises(BranchPointAtOrigin):
+            identity(4).powc(0.5)
+        with pytest.raises(BranchPointAtOrigin):
+            identity(4).log1()
+        with pytest.raises(BranchPointAtOrigin):
+            constant(1, 4).exp0()
+
+    def test_log_exp_round_trip(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            s = random_series(rng, 32, radius=0.5, unit_constant=True)
+            back = s.log1().exp0()
+            assert max_abs_diff(back, s) < 1e-12
 
 
 class TestCalculusAndEval:
@@ -142,12 +190,17 @@ class TestCircleValues:
         assert issubclass(RadiusOutOfRange, ParameterDomainError)
 
 
-def product(s: ComplexSeries, t: ComplexSeries) -> np.ndarray:
-    """Coefficients of s*t through the order of s."""
-    return np.convolve(s.coeffs, t.coeffs)[: s.order + 1]
-
-
 class TestInvariants:
+    def test_ring_distributivity_100_draws(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            s = random_series(rng, 64)
+            t = random_series(rng, 64)
+            u = random_series(rng, 64)
+            left = ComplexSeries(np.add(s.coeffs, t.coeffs)).mul(u)
+            right = ComplexSeries(np.add(s.mul(u).coeffs, t.mul(u).coeffs))
+            assert max_abs_diff(left, right) < 1e-12
+
     def test_div_mul_round_trip_postcondition(self):
         # tolerance scales with the largest coefficient met along the way,
         # matching the operation's contract
@@ -156,13 +209,13 @@ class TestInvariants:
             s = random_series(rng, 64)
             t = random_series(rng, 64, unit_constant=True)
             q = s.div(t)
-            back = product(q, t)
+            back = q.mul(t)
             scale = max(
                 1.0,
                 float(np.max(np.abs(np.array(s.coeffs)))),
                 float(np.max(np.abs(np.array(q.coeffs)))),
             )
-            assert np.max(np.abs(back - s.coeffs)) < 1e-12 * scale
+            assert max_abs_diff(back, s) < 1e-12 * scale
 
     def test_div_mul_round_trip_relative(self):
         # decaying coefficients keep the quotient well-scaled; then the
@@ -176,9 +229,23 @@ class TestInvariants:
             t_c = decay * (rng.uniform(-1, 1, 65) + 1j * rng.uniform(-1, 1, 65))
             t_c[0] = 1.0
             t = ComplexSeries(t_c)
-            back = product(s.div(t), t)
+            back = s.div(t).mul(t)
             a = np.array(s.coeffs)
-            assert np.max(np.abs(a - back) / np.maximum(1.0, np.abs(a))) < 1e-10
+            b = np.array(back.coeffs)
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-10
+
+    def test_powc_round_trip(self):
+        rng = np.random.default_rng(9)
+        decay = 0.5 ** np.arange(65)
+        for _ in range(100):
+            c = decay * (rng.uniform(-1, 1, 65) + 1j * rng.uniform(-1, 1, 65))
+            c[0] = 1.0
+            s = ComplexSeries(c)
+            alpha = complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0))
+            back = s.powc(alpha).powc(1.0 / alpha)
+            a = np.array(s.coeffs)
+            b = np.array(back.coeffs)
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-10
 
     def test_truncation_stability(self):
         # recomputing from width 2N and truncating must be bit-identical, so
@@ -193,6 +260,28 @@ class TestInvariants:
                               _row_div(num[:, : n + 1], denom[:, : n + 1]))
         assert np.array_equal(_row_log_derivative(rows)[:, : n + 2],
                               _row_log_derivative(rows[:, : n + 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.lists(
+            st.tuples(
+                st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_mul_commutes(self, cs, ds):
+        s = ComplexSeries([complex(re, im) for re, im in cs])
+        t = ComplexSeries([complex(re, im) for re, im in ds])
+        assert max_abs_diff(s.mul(t), t.mul(s)) < 1e-13
 
 
 class TestSolveLogDerivative:
@@ -219,8 +308,9 @@ def decaying_series(rng, order, rate=0.3, constant_term=1.0):
 
 
 class TestRecurrencesMatchOneDimensionalLoops:
-    """div and solve_log_derivative are one-row calls of the row kernels; the
-    1-D np.dot loops they replaced are the references."""
+    """div and solve_log_derivative are one-row calls of the row kernels, and
+    exp0 runs the log-derivative kernel; the 1-D np.dot loops they replaced
+    are the references."""
 
     @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
     def test_div_is_bit_equal(self, order):
@@ -234,6 +324,11 @@ class TestRecurrencesMatchOneDimensionalLoops:
         q = decaying_series(np.random.default_rng(order + 1), order)
         f = solve_log_derivative(q)
         assert np.array_equal(f.coeffs, reference_log_derivative(q.coeffs))
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
+    def test_exp0_within_max_norm(self, order):
+        w = decaying_series(np.random.default_rng(order + 2), order, constant_term=0.0)
+        assert max_norm_error(w.exp0().coeffs, reference_exp0(w.coeffs)) <= 1e-15
 
 
 class TestSerialization:
