@@ -12,12 +12,12 @@ including a result that is not finite.
 
 import argparse
 import functools
+import json
 import sys
 
 from . import jack as jackmod
 from .bounds import bound_sweep, reduction_sweep
 from .errors import ParameterDomainError, SchlichtError
-from .jack import gb_threshold_closed_form
 from .extremals import (
     EXTREMAL_KINDS,
     GAMMA_ONLY_PARAMS,
@@ -60,80 +60,74 @@ def parse_index_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _add_class_arguments(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--class", dest="subclass", default="S", choices=SUBCLASS_NAMES)
-    cmd.add_argument("--gamma", type=parse_complex_pair, default=None,
-                     help="complex gamma as 're,im'")
-    cmd.add_argument("--lambda", dest="lam", type=float, default=None)
-    cmd.add_argument("--A", type=float, default=None)
-    cmd.add_argument("--B", type=float, default=None)
-    cmd.add_argument("--beta", type=float, default=None)
-    cmd.add_argument("--alpha", type=float, default=None)
-    cmd.add_argument("--m", type=int, default=None)
-    cmd.add_argument("--mu", type=float, default=None)
+# dests of the class options, named as the reduce_subclass keywords
+CLASS_KEYS = ("gamma", "lam", "a", "b", "beta", "alpha", "m", "mu")
+
+# the options each jack --check needs, checked in this order; the key
+# order is the --check choice order
+JACK_NEEDS = {"spiral": ("alpha", "seed"), "gb": ("b",), "threshold": ("alpha",),
+              "growth": ("alpha",), "growth-extremal": ("beta",)}
 
 
 def _reduction_from_args(args) -> Reduction:
-    kw = {}
-    for key, value in (
-        ("gamma", args.gamma),
-        ("lam", args.lam),
-        ("a", args.A),
-        ("b", args.B),
-        ("beta", args.beta),
-        ("alpha", args.alpha),
-        ("m", args.m),
-        ("mu", args.mu),
-    ):
-        if value is not None:
-            kw[key] = value
-    if args.subclass == "S" and "lam" not in kw:
-        kw["lam"] = 0.0
+    given = {key: getattr(args, key) for key in CLASS_KEYS}
+    kw = {key: value for key, value in given.items() if value is not None}
+    if args.subclass == "S":
+        kw.setdefault("lam", 0.0)
     return reduce_subclass(args.subclass, **kw)
 
 
+def _base_class(args) -> ClassParams:
+    """The class of a command that samples members, which takes no transfer."""
+    red = _reduction_from_args(args)
+    if red.cauchy_euler is not None:
+        raise ParameterDomainError(
+            f"{args.command} covers the base class; drop the Cauchy-Euler parameters"
+        )
+    return red.params
+
+
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit_rows(args, header, widths, rows, doc) -> None:
+    """Write doc() as JSON, or the rows as CSV or a right-aligned table.
+
+    A cell None is written as "" in CSV and "-" in a table, any other
+    cell as its str().  Table columns are titled by the last word of the
+    CSV name (crossover_k is k).  doc is called only for JSON, so the
+    other formats never build the document.
+    """
+    if args.format == "json":
+        _emit(args, fixed_json_dumps(doc()) + "\n")
+        return
+    blank = "" if args.format == "csv" else "-"
+    cells = [[blank if cell is None else str(cell) for cell in row] for row in rows]
+    if args.format == "csv":
+        _emit(args, csv_rows(header, cells))
+        return
+    titles = [name.rpartition("_")[2] for name in header]
+    lines = [" ".join(map(str.rjust, line, widths)) for line in [titles, *cells]]
+    _emit(args, "\n".join(lines) + "\n")
+
+
 def _cmd_bound(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
     results = reduction_sweep(red, lo, hi)
-    if args.format == "csv":
-        rows = [
-            [
-                str(r.n),
-                r.case_tag,
-                "" if r.crossover_k is None else str(r.crossover_k),
-                format_float(r.value),
-                r.sharp,
-            ]
-            for r in results
-        ]
-        _emit(args, csv_rows(["n", "case", "crossover_k", "bound", "sharp"], rows))
-    elif args.format == "table":
-        lines = [f"{'n':>4} {'case':>4} {'k':>4} {'bound':>22} {'sharp':>8}"]
-        for r in results:
-            k_text = "-" if r.crossover_k is None else str(r.crossover_k)
-            lines.append(
-                f"{r.n:>4} {r.case_tag:>4} {k_text:>4} "
-                f"{format_float(r.value):>22} {r.sharp:>8}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        doc = {
-            "params": red.params.to_json_dict(),
-            "cauchy_euler": (
-                red.cauchy_euler.to_json_dict() if red.cauchy_euler else None
-            ),
-            "results": [r.to_json_dict() for r in results],
-        }
-        _emit(args, fixed_json_dumps(doc) + "\n")
+    rows = ((r.n, r.case_tag, r.crossover_k, format_float(r.value), r.sharp)
+            for r in results)
+    header = ("n", "case", "crossover_k", "bound", "sharp")
+    _emit_rows(args, header, (4, 4, 4, 22, 8), rows, lambda: {
+        "params": red.params.to_json_dict(),
+        "cauchy_euler": red.cauchy_euler.to_json_dict() if red.cauchy_euler else None,
+        "results": [r.to_json_dict() for r in results],
+    })
     return 0
 
 
@@ -141,26 +135,20 @@ def _cmd_classify(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
     margins, cases = case_sweep(red.params, lo, hi)
-    indexed = list(zip(range(lo, hi + 1), cases))
-    if args.format == "table":
-        lines = [f"{'n':>4} {'case':>4} {'k':>4}"]
-        for n, (tag, k) in indexed:
-            k_text = "-" if k is None else str(k)
-            lines.append(f"{n:>4} {tag:>4} {k_text:>4}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        # only the JSON rows carry their margins A_2..A_{n-1}
-        rows = []
-        for n, (tag, k) in indexed:
-            cls = CaseClassification(tag, k, tuple(margins[: n - 2]))
-            rows.append({"n": n, **cls.to_json_dict()})
-        doc = {"params": red.params.to_json_dict(), "classification": rows}
-        _emit(args, fixed_json_dumps(doc) + "\n")
+    rows = [(n, tag, k) for n, (tag, k) in zip(range(lo, hi + 1), cases)]
+    # only the JSON rows carry their margins A_2..A_{n-1}
+    classes = (
+        (n, CaseClassification(tag, k, tuple(margins[: n - 2]))) for n, tag, k in rows
+    )
+    _emit_rows(args, ("n", "case", "k"), (4, 4, 4), rows, lambda: {
+        "params": red.params.to_json_dict(),
+        "classification": [{"n": n, **c.to_json_dict()} for n, c in classes],
+    })
     return 0
 
 
 def _cmd_extremal(args) -> int:
-    if args.kind in GAMMA_ONLY_PARAMS and args.A is None and args.B is None:
+    if args.kind in GAMMA_ONLY_PARAMS and args.a is None and args.b is None:
         # these kinds fix (lambda, A, B) themselves; only gamma is needed
         _require(args.gamma is not None, f"--gamma is required for {args.kind}")
         red = Reduction(ClassParams(args.gamma, *GAMMA_ONLY_PARAMS[args.kind]))
@@ -181,40 +169,22 @@ def _cmd_extremal(args) -> int:
     first = hi if spec.n is not None else lo
     bounds = reduction_sweep(Reduction(spec.params, spec.cauchy_euler), first, hi)
     certs = [sharpness_record(bound, f) for bound in bounds]
-    if args.format == "csv":
-        rows = [
-            [str(k), format_float(c.real), format_float(c.imag)]
-            for k, c in enumerate(f.coeffs)
-        ]
-        _emit(args, csv_rows(["k", "re", "im"], rows))
-    else:
-        doc = {
-            "kind": args.kind,
-            "params": spec.params.to_json_dict(),
-            "cauchy_euler": (
-                red.cauchy_euler.to_json_dict() if red.cauchy_euler else None
-            ),
-            "order": order,
-            "series": f.to_json_dict(),
-            "certification": [c.to_json_dict() for c in certs],
-        }
-        _emit(args, fixed_json_dumps(doc) + "\n")
+    rows = ((k, format_float(c.real), format_float(c.imag))
+            for k, c in enumerate(f.coeffs))
+    _emit_rows(args, ("k", "re", "im"), None, rows, lambda: {
+        "kind": args.kind,
+        "params": spec.params.to_json_dict(),
+        "cauchy_euler": red.cauchy_euler.to_json_dict() if red.cauchy_euler else None,
+        "order": order,
+        "series": f.to_json_dict(),
+        "certification": [c.to_json_dict() for c in certs],
+    })
     return 0
 
 
 def _cmd_verify(args) -> int:
-    red = _reduction_from_args(args)
-    if red.cauchy_euler is not None:
-        raise ParameterDomainError(
-            "verify fuzzes the base class; drop the Cauchy-Euler parameters"
-        )
-    report = fuzz_bounds(
-        red.params,
-        n_max=args.n_max,
-        samples=args.samples,
-        seed=args.seed,
-        degree=args.degree,
-    )
+    report = fuzz_bounds(_base_class(args), n_max=args.n_max, samples=args.samples,
+                         seed=args.seed, degree=args.degree)
     _emit(args, fixed_json_dumps(report.to_json_dict()) + "\n")
     return 0
 
@@ -223,12 +193,14 @@ def _cmd_jack(args) -> int:
     grid = args.check in ("spiral", "gb")
     _require(grid or (args.radius is None and args.angles is None),
              "--radius and --angles apply only to --check spiral and gb")
+    for name in JACK_NEEDS[args.check]:
+        _require(getattr(args, name) is not None,
+                 f"--{name} is required for {args.check}")
     radius = 0.95 if args.radius is None else args.radius
     angles = jackmod.DEFAULT_ANGLES if args.angles is None else args.angles
     if args.check == "threshold":
-        _require(args.alpha is not None, "--alpha is required for threshold")
         value = jackmod.gb_spiral_threshold(args.alpha)
-        closed = gb_threshold_closed_form(args.alpha)
+        closed = jackmod.gb_threshold_closed_form(args.alpha)
         doc = {
             "check": "threshold",
             "alpha": args.alpha,
@@ -237,8 +209,6 @@ def _cmd_jack(args) -> int:
             "abs_error": abs(value - closed),
         }
     elif args.check == "spiral":
-        _require(args.alpha is not None, "--alpha is required for spiral")
-        _require(args.seed is not None, "--seed is required for spiral")
         _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
         _require(args.samples >= 1, f"--samples must be >= 1, got {args.samples}")
         # order 1 leaves only f = z, which passes without testing anything
@@ -258,22 +228,15 @@ def _cmd_jack(args) -> int:
             "margins": margins,
         }
     elif args.check == "gb":
-        _require(args.b is not None, "--b is required for gb")
         f = _load_series(args.input)
         rep = jackmod.gb_membership(f, args.b, radius, angles)
         doc = {"check": "gb", "b": args.b, **rep.to_json_dict()}
     elif args.check == "growth":
-        _require(args.alpha is not None, "--alpha is required for growth")
         f = _load_series(args.input)
-        growth = jackmod.growth_check(f, args.alpha)
-        second = jackmod.second_coeff_check(f, args.alpha)
-        doc = {
-            "check": "growth",
-            "growth": growth.to_json_dict(),
-            "second_coefficient": second.to_json_dict(),
-        }
+        growth = jackmod.growth_check(f, args.alpha).to_json_dict()
+        second = jackmod.second_coeff_check(f, args.alpha).to_json_dict()
+        doc = {"check": "growth", "growth": growth, "second_coefficient": second}
     else:  # growth-extremal
-        _require(args.beta is not None, "--beta is required for growth-extremal")
         doc = {
             "check": "growth-extremal",
             **jackmod.growth_extremal_profile(args.beta, args.order),
@@ -283,19 +246,13 @@ def _cmd_jack(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    red = _reduction_from_args(args)
-    if red.cauchy_euler is not None:
-        raise ParameterDomainError(
-            "report covers the base class; drop the Cauchy-Euler parameters"
-        )
-    p = red.params
+    p = _base_class(args)
     lo, hi = parse_index_range(args.n)
     order = max(args.order, hi)
     bounds = bound_sweep(p, lo, hi)
 
     case_ii = build_extremal(ExtremalSpec("case-ii", p, order))
     sharpness = []
-    memberships = []
     for result in bounds:
         if result.case_tag == "I":
             kind = "case-i"
@@ -305,7 +262,6 @@ def _cmd_report(args) -> int:
         record = sharpness_record(result, f)
         sharpness.append({"extremal_kind": kind, **record.to_json_dict()})
     membership = is_member(case_ii, p)
-    memberships.append({"extremal_kind": "case-ii", **membership.to_json_dict()})
 
     fuzz = fuzz_bounds(
         p, n_max=hi, samples=args.samples, seed=args.seed, degree=args.degree
@@ -314,7 +270,7 @@ def _cmd_report(args) -> int:
         "params": p.to_json_dict(),
         "bounds": [b.to_json_dict() for b in bounds],
         "sharpness": sharpness,
-        "membership": memberships,
+        "membership": [{"extremal_kind": "case-ii", **membership.to_json_dict()}],
         "fuzz": fuzz.to_json_dict(),
     }
     _emit(args, fixed_json_dumps(doc) + "\n")
@@ -328,8 +284,6 @@ def _require(condition: bool, message: str) -> None:
 
 def _load_series(path: str | None) -> ComplexSeries:
     _require(path is not None, "--input (a series JSON file) is required")
-    import json
-
     with open(path, encoding="utf-8") as handle:
         return ComplexSeries.from_json_dict(json.load(handle))
 
@@ -352,66 +306,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bound = sub.add_parser("bound", help="evaluate coefficient bounds")
-    _add_class_arguments(bound)
-    bound.add_argument("--n", default="2:10", help="index or inclusive lo:hi range")
+    # options shared by several subcommands, each declared once
+    klass = argparse.ArgumentParser(add_help=False)
+    klass.add_argument("--class", dest="subclass", default="S", choices=SUBCLASS_NAMES)
+    klass.add_argument("--gamma", type=parse_complex_pair,
+                       help="complex gamma as 're,im'")
+    klass.add_argument("--lambda", dest="lam", type=float)
+    klass.add_argument("--A", dest="a", type=float)
+    klass.add_argument("--B", dest="b", type=float)
+    klass.add_argument("--beta", type=float)
+    klass.add_argument("--alpha", type=float)
+    klass.add_argument("--m", type=int)
+    klass.add_argument("--mu", type=float)
+    index = argparse.ArgumentParser(add_help=False)
+    index.add_argument("--n", default="2:10", help="index or inclusive lo:hi range")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
+
+    def command(name, func, parents, summary):
+        cmd = sub.add_parser(name, parents=parents, help=summary)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    bound = command("bound", _cmd_bound, [klass, index, output],
+                    "evaluate coefficient bounds")
     bound.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    bound.add_argument("--output", default=None)
-    bound.set_defaults(func=_cmd_bound)
 
-    classify = sub.add_parser("classify", help="show the case classification")
-    _add_class_arguments(classify)
-    classify.add_argument("--n", default="2:10")
+    classify = command("classify", _cmd_classify, [klass, index, output],
+                       "show the case classification")
     classify.add_argument("--format", choices=("json", "table"), default="json")
-    classify.add_argument("--output", default=None)
-    classify.set_defaults(func=_cmd_classify)
 
-    extremal = sub.add_parser("extremal", help="emit an extremal series")
-    _add_class_arguments(extremal)
+    extremal = command("extremal", _cmd_extremal, [klass, index, output],
+                       "emit an extremal series")
     extremal.add_argument("--kind", choices=EXTREMAL_KINDS, default="case-ii")
-    extremal.add_argument("--n", default="2:10")
     extremal.add_argument("--order", type=int, default=DEFAULT_ORDER)
     extremal.add_argument("--format", choices=("json", "csv"), default="json")
-    extremal.add_argument("--output", default=None)
-    extremal.set_defaults(func=_cmd_extremal)
 
-    verify = sub.add_parser("verify", help="fuzz the bounds with Schwarz samples")
-    _add_class_arguments(verify)
+    verify = command("verify", _cmd_verify, [klass, output],
+                     "fuzz the bounds with Schwarz samples")
     verify.add_argument("--samples", type=int, default=1000)
     verify.add_argument("--degree", type=int, default=4)
     verify.add_argument("--seed", type=int, required=True)
     verify.add_argument("--n-max", dest="n_max", type=int, default=10)
-    verify.add_argument("--output", default=None)
-    verify.set_defaults(func=_cmd_verify)
 
-    jack = sub.add_parser("jack", help="disk criteria and growth checks")
-    jack.add_argument(
-        "--check",
-        required=True,
-        choices=("spiral", "gb", "threshold", "growth", "growth-extremal"),
-    )
-    jack.add_argument("--alpha", type=float, default=None)
-    jack.add_argument("--beta", type=float, default=None)
-    jack.add_argument("--b", type=float, default=None)
+    jack = command("jack", _cmd_jack, [output], "disk criteria and growth checks")
+    jack.add_argument("--check", required=True, choices=tuple(JACK_NEEDS))
+    jack.add_argument("--alpha", type=float)
+    jack.add_argument("--beta", type=float)
+    jack.add_argument("--b", type=float)
     jack.add_argument("--samples", type=int, default=200)
     jack.add_argument("--degree", type=int, default=4)
-    jack.add_argument("--seed", type=int, default=None)
+    jack.add_argument("--seed", type=int)
     jack.add_argument("--order", type=int, default=512)
-    jack.add_argument("--radius", type=float, default=None, help="spiral and gb only")
-    jack.add_argument("--angles", type=int, default=None, help="spiral and gb only")
-    jack.add_argument("--input", default=None, help="series JSON file")
-    jack.add_argument("--output", default=None)
-    jack.set_defaults(func=_cmd_jack)
+    jack.add_argument("--radius", type=float, help="spiral and gb only")
+    jack.add_argument("--angles", type=int, help="spiral and gb only")
+    jack.add_argument("--input", help="series JSON file")
 
-    report = sub.add_parser("report", help="consolidated dossier for one class")
-    _add_class_arguments(report)
-    report.add_argument("--n", default="2:10")
+    report = command("report", _cmd_report, [klass, index, output],
+                     "consolidated dossier for one class")
     report.add_argument("--order", type=int, default=DEFAULT_ORDER)
     report.add_argument("--samples", type=int, default=500)
     report.add_argument("--degree", type=int, default=4)
     report.add_argument("--seed", type=int, required=True)
-    report.add_argument("--output", default=None)
-    report.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -33,8 +33,15 @@ SINGULARITY_FLOOR = 1e-12
 
 DEFAULT_ANGLES = 2048
 
+# growth_check's grids: the growth bound is checked on GROWTH_RADII and the
+# starlikeness precondition on GROWTH_MEMBERSHIP_RADIUS, GROWTH_ANGLES points each
 GROWTH_RADII = (0.3, 0.5, 0.6)
+GROWTH_ANGLES = 1024
+GROWTH_MEMBERSHIP_RADIUS = 0.75
 GROWTH_TOLERANCE = 1e-9
+
+# points of the dense grid that gb_spiral_threshold searches before refining
+THRESHOLD_GRID = 100_000
 
 # samples built and checked together by spiral_check
 SPIRAL_BLOCK = 64
@@ -156,10 +163,7 @@ def spiral_membership(
 
 
 def starlike_membership(
-    f: ComplexSeries,
-    order_alpha: float,
-    radius: float = 0.95,
-    angles: int = DEFAULT_ANGLES,
+    f: ComplexSeries, order_alpha: float, radius: float, angles: int
 ) -> SpiralReport:
     """Grid test of Re(z*f'/f) > order_alpha; min_re reports the margin."""
     if not 0.0 <= order_alpha < 1.0:
@@ -185,25 +189,24 @@ def gb_membership(
     return DeviationReport(member, max_dev, radius, angles, winding)
 
 
-def gb_spiral_threshold(alpha: float, grid: int = 100_000) -> float:
+def gb_spiral_threshold(alpha: float) -> float:
     """Largest quotient deviation b certified to imply spiral-likeness.
 
     Minimizes |(1+A)e^{i*t}/(1+A*e^{i*t})^2| over t for A = exp(-2i*alpha)
-    on a dense grid, then sharpens with golden-section search.  The value
-    equals |1 + A|/4.
+    on a grid of THRESHOLD_GRID points, then sharpens with golden-section
+    search.  The value equals |1 + A|/4.
     """
-    sp = SpiralParams(alpha)
-    a = sp.a_spiral
+    a = SpiralParams(alpha).a_spiral
 
     def objective(t: float) -> float:
         w = cmath.exp(1j * t)
         return abs((1.0 + a) * w / (1.0 + a * w) ** 2)
 
-    ts = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    ts = np.linspace(0.0, 2.0 * math.pi, THRESHOLD_GRID, endpoint=False)
     ws = np.exp(1j * ts)
     vals = np.abs((1.0 + a) * ws / (1.0 + a * ws) ** 2)
     best = int(np.argmin(vals))
-    step = 2.0 * math.pi / grid
+    step = 2.0 * math.pi / THRESHOLD_GRID
     lo, hi = ts[best] - step, ts[best] + step
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -276,8 +279,8 @@ def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:
 
 
 def spiral_check(
-    alpha: float, seed: int, samples: int, degree: int, order: int,
-    radius: float = 0.95, angles: int = DEFAULT_ANGLES,
+    alpha: float, seed: int, samples: int, degree: int, order: int, radius: float,
+    angles: int,
 ) -> list:
     """spiral_membership of build_spiral_instance for Schwarz samples 0..samples-1.
 
@@ -295,47 +298,42 @@ def spiral_check(
     return reports
 
 
-def growth_check(
-    f: ComplexSeries,
-    alpha: float,
-    radii=GROWTH_RADII,
-    angles: int = 1024,
-    membership_radius: float = 0.75,
-    tolerance: float = GROWTH_TOLERANCE,
-) -> GrowthReport:
+def growth_check(f: ComplexSeries, alpha: float) -> GrowthReport:
     """Check |f(z)| <= |z|/(1-|z|)^{1/beta} for a starlike f of order alpha.
 
-    Membership (Re(z*f'/f) > alpha on a grid) is verified first and a
-    failure raises PreconditionNotVerified rather than reporting a bogus
-    growth violation.  worst_slack is min over the grid of
-    bound(|z|) - |f(z)|; ok means it stays above -tolerance.
+    Membership (Re(z*f'/f) > alpha on |z| = GROWTH_MEMBERSHIP_RADIUS, 0.75)
+    is verified first and a failure raises PreconditionNotVerified rather
+    than reporting a bogus growth violation.  worst_slack is min of
+    bound(|z|) - |f(z)| over the circles |z| in GROWTH_RADII (0.3, 0.5,
+    0.6); ok means it stays above -GROWTH_TOLERANCE.  Every circle has
+    GROWTH_ANGLES (1024) points.
     """
     beta = SpiralParams(alpha).beta_for_growth
-    membership = starlike_membership(f, alpha, membership_radius, angles)
+    radius = GROWTH_MEMBERSHIP_RADIUS
+    membership = starlike_membership(f, alpha, radius, GROWTH_ANGLES)
     if not membership.member:
         raise PreconditionNotVerified(
-            f"grid margin {membership.min_re} <= 0 at radius {membership_radius}"
+            f"grid margin {membership.min_re} <= 0 at radius {radius}"
         )
-    peaks = [float(np.max(np.abs(f.eval_on_circle(r, angles)))) for r in radii]
-    worst = min(r / (1.0 - r) ** (1.0 / beta) - peak for r, peak in zip(radii, peaks))
+    peaks = [float(np.max(np.abs(f.eval_on_circle(r, GROWTH_ANGLES))))
+             for r in GROWTH_RADII]
+    worst = min(r / (1.0 - r) ** (1.0 / beta) - peak
+                for r, peak in zip(GROWTH_RADII, peaks))
     return GrowthReport(
-        ok=worst >= -tolerance,
+        ok=worst >= -GROWTH_TOLERANCE,
         worst_slack=worst,
         alpha=alpha,
         beta=beta,
-        radii=tuple(radii),
+        radii=GROWTH_RADII,
         narrow_hypothesis=alpha >= 0.5,
     )
 
 
-def second_coeff_check(
-    f: ComplexSeries, alpha: float, tolerance: float = GROWTH_TOLERANCE
-) -> SecondCoeffReport:
+def second_coeff_check(f: ComplexSeries, alpha: float) -> SecondCoeffReport:
     """Check |f''(0)| <= 2/beta for the growth exponent tied to alpha."""
-    sp = SpiralParams(alpha)
-    limit = 2.0 / sp.beta_for_growth
+    limit = 2.0 / SpiralParams(alpha).beta_for_growth
     value = 2.0 * abs(f.coefficient(2))
-    return SecondCoeffReport(value <= limit + tolerance, value, limit)
+    return SecondCoeffReport(value <= limit + GROWTH_TOLERANCE, value, limit)
 
 
 def growth_extremal(beta: float, order: int) -> ComplexSeries:

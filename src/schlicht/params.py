@@ -169,80 +169,77 @@ class Reduction:
     cauchy_euler: CauchyEulerParams | None = None
 
 
-SUBCLASS_NAMES = ("S", "K", "Sstar", "C", "Sc", "B", "M", "N", "Sbeta", "SP")
+# subclass -> the reduce_subclass keywords it takes, no more and no fewer
+SUBCLASS_PARAMS = {
+    "S": ("gamma", "lam", "a", "b"),
+    "K": ("gamma", "lam", "a", "b", "m", "mu"),
+    "Sstar": ("gamma",),
+    "C": ("gamma",),
+    "Sc": ("gamma", "lam", "beta"),
+    "B": ("gamma", "lam", "beta", "mu"),
+    "M": ("beta",),
+    "N": ("beta",),
+    "Sbeta": ("beta", "a", "b"),
+    "SP": ("alpha", "a", "b"),
+}
+SUBCLASS_NAMES = tuple(SUBCLASS_PARAMS)
 
 
 def reduce_subclass(name: str, **kw) -> Reduction:
     """Map a named subclass to its (gamma, lambda, A, B) representative.
 
-    Supported names and their parameters:
-      S      gamma, lam, a, b        (identity passthrough)
-      K      gamma, lam, a, b, m, mu (adds the Cauchy-Euler transfer)
-      Sstar  gamma                   -> (gamma, 0, 1, -1)
-      C      gamma                   -> (gamma, 1, 1, -1)
-      Sc     gamma, lam, beta        -> (gamma, lam, 1-2*beta, -1), 0 <= beta < 1
-      B      gamma, lam, beta, mu    -> Sc plus the order-2 transfer
-      M      beta                    -> (1-beta, 0, 1, -1), beta > 1
-      N      beta                    -> (1-beta, 1, 1, -1), beta > 1
-      Sbeta  beta, a, b              -> (1/(1+i*tan(beta)), 0, a, b), |beta| < pi/2
-      SP     alpha, a, b             -> Sbeta with beta=alpha (real-coefficient
-                                        stand-in; the unimodular-target spiral
-                                        machinery lives in the jack module)
+    Each name takes exactly the keywords SUBCLASS_PARAMS lists for it; a
+    missing or an unexpected keyword is refused, missing ones first, each
+    list in its table (or call) order.
+      S      (gamma, lam, a, b)       identity passthrough
+      K      (gamma, lam, a, b) plus the Cauchy-Euler transfer (m, mu)
+      Sstar  -> (gamma, 0, 1, -1)
+      C      -> (gamma, 1, 1, -1)
+      Sc     -> (gamma, lam, 1-2*beta, -1), 0 <= beta < 1
+      B      Sc plus the order-2 transfer with shift mu
+      M      -> (1-beta, 0, 1, -1), beta > 1
+      N      -> (1-beta, 1, 1, -1), beta > 1
+      Sbeta  -> (1/(1+i*tan(beta)), 0, a, b), |beta| < pi/2
+      SP     Sbeta with beta=alpha (real-coefficient stand-in; the
+             unimodular-target spiral machinery lives in the jack module)
     """
-    try:
-        if name == "S":
-            return Reduction(ClassParams(kw["gamma"], kw["lam"], kw["a"], kw["b"]))
-        if name == "K":
-            return Reduction(
-                ClassParams(kw["gamma"], kw["lam"], kw["a"], kw["b"]),
-                CauchyEulerParams(kw["m"], kw["mu"]),
-            )
-        if name == "Sstar":
-            return Reduction(ClassParams(kw["gamma"], 0.0, 1.0, -1.0))
-        if name == "C":
-            return Reduction(ClassParams(kw["gamma"], 1.0, 1.0, -1.0))
-        if name == "Sc":
-            beta = float(kw["beta"])
-            if not 0.0 <= beta < 1.0:
-                raise ParameterDomainError(f"Sc needs 0 <= beta < 1, got {beta}")
-            return Reduction(
-                ClassParams(kw["gamma"], kw["lam"], 1.0 - 2.0 * beta, -1.0)
-            )
-        if name == "B":
-            beta = float(kw["beta"])
-            if not 0.0 <= beta < 1.0:
-                raise ParameterDomainError(f"B needs 0 <= beta < 1, got {beta}")
-            return Reduction(
-                ClassParams(kw["gamma"], kw["lam"], 1.0 - 2.0 * beta, -1.0),
-                CauchyEulerParams(2, kw["mu"]),
-            )
-        if name == "M":
-            beta = float(kw["beta"])
-            if beta <= 1.0:
-                raise ParameterDomainError(f"M needs beta > 1, got {beta}")
-            return Reduction(ClassParams(1.0 - beta, 0.0, 1.0, -1.0))
-        if name == "N":
-            beta = float(kw["beta"])
-            if beta <= 1.0:
-                raise ParameterDomainError(f"N needs beta > 1, got {beta}")
-            return Reduction(ClassParams(1.0 - beta, 1.0, 1.0, -1.0))
-        if name == "Sbeta":
-            beta = float(kw["beta"])
-            if not abs(beta) < math.pi / 2:
-                raise ParameterDomainError(f"Sbeta needs |beta| < pi/2, got {beta}")
-            gamma = 1.0 / (1.0 + 1j * math.tan(beta))
-            return Reduction(ClassParams(gamma, 0.0, kw["a"], kw["b"]))
-        if name == "SP":
-            return Reduction(
-                reduce_subclass("Sbeta", beta=kw["alpha"], a=kw["a"], b=kw["b"]).params
-            )
-    except KeyError as missing:
+    if name not in SUBCLASS_PARAMS:
         raise ParameterDomainError(
-            f"subclass {name!r} is missing parameter {missing.args[0]!r}"
-        ) from None
-    raise ParameterDomainError(
-        f"unknown subclass {name!r}; expected one of {SUBCLASS_NAMES}"
-    )
+            f"unknown subclass {name!r}; expected one of {SUBCLASS_NAMES}"
+        )
+    takes = SUBCLASS_PARAMS[name]
+    missing = [key for key in takes if key not in kw]
+    unexpected = [key for key in kw if key not in takes]
+    for problem, keys in (("is missing", missing), ("does not take", unexpected)):
+        if keys:
+            raise ParameterDomainError(
+                f"subclass {name!r} {problem} {', '.join(map(repr, keys))}"
+            )
+    if name == "S":
+        return Reduction(ClassParams(kw["gamma"], kw["lam"], kw["a"], kw["b"]))
+    if name == "K":
+        return Reduction(
+            ClassParams(kw["gamma"], kw["lam"], kw["a"], kw["b"]),
+            CauchyEulerParams(kw["m"], kw["mu"]),
+        )
+    if name in ("Sstar", "C"):
+        return Reduction(ClassParams(kw["gamma"], float(name == "C"), 1.0, -1.0))
+    if name in ("Sc", "B"):
+        beta = float(kw["beta"])
+        if not 0.0 <= beta < 1.0:
+            raise ParameterDomainError(f"{name} needs 0 <= beta < 1, got {beta}")
+        return Reduction(
+            ClassParams(kw["gamma"], kw["lam"], 1.0 - 2.0 * beta, -1.0),
+            CauchyEulerParams(2, kw["mu"]) if name == "B" else None,
+        )
+    if name in ("M", "N"):
+        beta = float(kw["beta"])
+        if beta <= 1.0:
+            raise ParameterDomainError(f"{name} needs beta > 1, got {beta}")
+        return Reduction(ClassParams(1.0 - beta, float(name == "N"), 1.0, -1.0))
+    # Sbeta, or SP with beta = alpha
+    beta = float(kw["beta" if name == "Sbeta" else "alpha"])
+    return Reduction(ClassParams(spiral_gamma(beta), 0.0, kw["a"], kw["b"]))
 
 
 def spiral_gamma(beta: float) -> complex:

@@ -38,6 +38,9 @@ from .errors import (
 # anything farther is a hard error rather than a silent regularization.
 UNIT_TOLERANCE = 1e-14
 
+# require_normalized accepts |f(0)| and |f'(0) - 1| up to this
+NORMALIZATION_TOLERANCE = 1e-12
+
 
 class ComplexSeries:
     """A complex Taylor polynomial of fixed truncation order.
@@ -249,11 +252,10 @@ def solve_log_derivative(q: ComplexSeries) -> ComplexSeries:
     return ComplexSeries(_row_log_derivative(q._c[None, :])[0])
 
 
-def require_normalized(f: ComplexSeries, tolerance: float = 1e-12) -> None:
-    """Check f(0)=0 and f'(0)=1 up to tolerance."""
+def require_normalized(f: ComplexSeries) -> None:
+    """Check f(0)=0 and f'(0)=1 up to NORMALIZATION_TOLERANCE."""
     if f.order < 1:
         raise NormalizationError("series order must be at least 1")
-    if abs(f.coefficient(0)) > tolerance or abs(f.coefficient(1) - 1.0) > tolerance:
-        raise NormalizationError(
-            f"series is not normalized: c0={f.coefficient(0)}, c1={f.coefficient(1)}"
-        )
+    c0, c1 = f.coefficient(0), f.coefficient(1)
+    if abs(c0) > NORMALIZATION_TOLERANCE or abs(c1 - 1.0) > NORMALIZATION_TOLERANCE:
+        raise NormalizationError(f"series is not normalized: c0={c0}, c1={c1}")

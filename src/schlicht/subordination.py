@@ -34,30 +34,32 @@ CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
 # check needs all lower coefficients, so cost grows quadratically with it.
 QUADRATIC_CHECK_LIMIT = 10
 
+# A fuzzed |a_n| violates its bound when it exceeds bound*(1+VIOLATION_RTOL);
+# a quadratic slack below -VIOLATION_RTOL is a violation too.
+VIOLATION_RTOL = 1e-9
+
+# is_member's grid, MEMBERSHIP_ANGLES points of |z| = MEMBERSHIP_RADIUS, and
+# how far below 0 the margin 1 - max|omega| may fall for a member
+MEMBERSHIP_RADIUS = 0.99
+MEMBERSHIP_ANGLES = 2048
+MEMBERSHIP_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class MembershipReport:
     member: bool
     margin: float
-    radius_used: float
-    angles_used: int
 
     def to_json_dict(self) -> dict:
         return {
             "member": self.member,
             "margin": self.margin,
-            "radius": self.radius_used,
-            "angles": self.angles_used,
+            "radius": MEMBERSHIP_RADIUS,
+            "angles": MEMBERSHIP_ANGLES,
         }
 
 
-def _draw_omega(
-    seed,
-    degree: int,
-    construction: str,
-    rho: float | None = None,
-    theta: float | None = None,
-) -> np.ndarray:
+def _draw_omega(seed, degree: int, construction: str) -> np.ndarray:
     """Coefficients c_0..c_m of a Schwarz polynomial drawn from seed's stream."""
     if degree < 1:
         raise ParameterDomainError(f"degree must be >= 1, got {degree}")
@@ -68,13 +70,9 @@ def _draw_omega(
     rng = np.random.default_rng(seed)
 
     if construction == "rotation":
-        if theta is None:
-            theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
         return np.array([0.0, cmath.exp(1j * theta)], dtype=np.complex128)
-    if rho is None:
-        rho = 1.0 - float(rng.random())
-    if not 0.0 < rho <= 1.0:
-        raise ParameterDomainError(f"rho must be in (0, 1], got {rho}")
+    rho = 1.0 - float(rng.random())  # in (0, 1]
     coeffs = np.zeros(degree + 1, dtype=np.complex128)
     if construction == "monomial":
         coeffs[degree] = rho
@@ -89,19 +87,16 @@ def _draw_omega(
 
 
 def sample_schwarz(
-    seed,
-    degree: int,
-    construction: str = "polynomial_normalized",
-    rho: float | None = None,
-    theta: float | None = None,
+    seed, degree: int, construction: str = "polynomial_normalized"
 ) -> ComplexSeries:
     """Draw a random Schwarz polynomial, reproducibly for a given seed.
 
     polynomial_normalized: omega = z * sum_{j<d} c_j z^j with the c_j
-    rescaled so sum|c_j| = rho for a random rho in (0, 1].
-    rotation: omega = exp(i*theta) * z.  monomial: omega = rho * z^d.
+    rescaled so sum|c_j| = rho.  rotation: omega = exp(i*theta) * z.
+    monomial: omega = rho * z^d.  rho in (0, 1] and theta in [0, 2*pi)
+    are drawn from seed's stream too.
     """
-    return ComplexSeries(_draw_omega(seed, degree, construction, rho, theta))
+    return ComplexSeries(_draw_omega(seed, degree, construction))
 
 
 def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:
@@ -172,22 +167,18 @@ def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> ComplexSeries:
     return ratio.div(denom)
 
 
-def is_member(
-    f: ComplexSeries,
-    p: ClassParams,
-    radius: float = 0.99,
-    angles: int = 2048,
-    tolerance: float = 1e-6,
-) -> MembershipReport:
+def is_member(f: ComplexSeries, p: ClassParams) -> MembershipReport:
     """Grid membership test: recover omega and check |omega| < 1.
 
-    The margin is 1 - max|omega| over the grid; boundary-touching
-    extremal members sit at margin -> 0+, so a small negative tolerance
-    still counts as membership.
+    The margin is 1 - max|omega| over the fixed grid of MEMBERSHIP_ANGLES
+    points on |z| = MEMBERSHIP_RADIUS (0.99, 2048); boundary-touching
+    extremal members sit at margin -> 0+, so a margin above
+    -MEMBERSHIP_TOLERANCE (-1e-6) still counts as membership.
     """
-    vals = schwarz_from_member(f, p).eval_on_circle(radius, angles)
+    omega = schwarz_from_member(f, p)
+    vals = omega.eval_on_circle(MEMBERSHIP_RADIUS, MEMBERSHIP_ANGLES)
     margin = 1.0 - float(np.max(np.abs(vals)))
-    return MembershipReport(margin > -tolerance, margin, radius, angles)
+    return MembershipReport(margin > -MEMBERSHIP_TOLERANCE, margin)
 
 
 def quadratic_sum_slack(f: ComplexSeries, p: ClassParams, n: int) -> float:
@@ -305,17 +296,12 @@ def _pick_construction(rng) -> str:
 
 
 def fuzz_bounds(
-    p: ClassParams,
-    n_max: int,
-    samples: int,
-    seed: int,
-    degree: int = 4,
-    violation_rtol: float = 1e-9,
+    p: ClassParams, n_max: int, samples: int, seed: int, degree: int = 4
 ) -> FuzzReport:
     """Stress-test the bound formulas with random Schwarz samples.
 
     For each sample, builds the member, records |a_n| for 2 <= n <= n_max
-    against the bound (violation when |a_n| > bound*(1+violation_rtol)),
+    against the bound (violation when |a_n| > bound*(1+VIOLATION_RTOL)),
     and checks the quadratic coefficient inequality for n up to 10.
     Sample i draws from the streams (seed, i) and (seed, i, 1) only, and
     all samples are then built and checked together as rows of one array.
@@ -341,7 +327,7 @@ def fuzz_bounds(
     omegas = _fit_rows(draws, n_max)
 
     moduli = _moduli(_member_rows(omegas, p)[:, 2:])
-    limits = np.array([b.value for b in bounds]) * (1.0 + violation_rtol)
+    limits = np.array([b.value for b in bounds]) * (1.0 + VIOLATION_RTOL)
     violations = np.count_nonzero(moduli > limits, axis=0)
     max_observed = moduli.max(axis=0)
     # the first sample to reach the column maximum; none when every |a_n| is 0
@@ -372,6 +358,6 @@ def fuzz_bounds(
         constructions={name: constructions.count(name) for name in CONSTRUCTIONS},
         per_index=per_index,
         quadratic_checked_to=check_to,
-        quadratic_violations=int(np.count_nonzero(min_slacks < -violation_rtol)),
+        quadratic_violations=int(np.count_nonzero(min_slacks < -VIOLATION_RTOL)),
         quadratic_min_slack=float(min_slacks.min()),
     )

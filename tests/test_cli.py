@@ -23,6 +23,12 @@ from schlicht.output import (
 from schlicht.params import SUBCLASS_NAMES
 
 STARLIKE_ARGS = ["--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1"]
+# classes whose index range 2:9 reaches case I, II and III respectively
+CASE_ARGS = {
+    "I": ["--gamma=-0.5,0", "--lambda", "0", "--A", "1", "--B", "-1"],
+    "II": STARLIKE_ARGS,
+    "III": ["--gamma", "0,2", "--lambda", "0", "--A", "1", "--B", "0"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +140,34 @@ class TestBoundCommand:
         assert "bound" in out.splitlines()[0]
         assert len(out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("case", sorted(CASE_ARGS))
+    def test_csv_and_table_carry_the_same_cells(self, case, capsys):
+        argv = ["bound", *CASE_ARGS[case], "--n", "2:9", "--format"]
+        code, csv_out, _ = run_cli([*argv, "csv"], capsys)
+        assert code == 0
+        code, table_out, _ = run_cli([*argv, "table"], capsys)
+        assert code == 0
+        csv_lines = [line.split(",") for line in csv_out.splitlines()]
+        table_lines = [line.split() for line in table_out.splitlines()]
+        assert csv_lines[0] == ["n", "case", "crossover_k", "bound", "sharp"]
+        assert table_lines[0] == ["n", "case", "k", "bound", "sharp"]
+        assert len(csv_lines) == len(table_lines) == 9
+        for csv_row, table_row in zip(csv_lines[1:], table_lines[1:]):
+            # a crossover index only in case III; none is "" in CSV, "-" in a table
+            k = csv_row[2]
+            assert (k != "") == (csv_row[1] == "III")
+            assert table_row == [*csv_row[:2], k or "-", *csv_row[3:]]
+        assert case in {row[1] for row in csv_lines[1:]}
+
+    def test_class_option_outside_the_class_is_refused(self, capsys):
+        code, out, err = run_cli(
+            ["bound", "--class", "Sstar", "--gamma", "1,0", "--A", "0.3", "--n", "2:3"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parameter error: subclass 'Sstar' does not take 'a'")
+
 
 class TestClassifyCommand:
     def test_case_iii_classification(self, capsys):
@@ -146,6 +180,24 @@ class TestClassifyCommand:
         doc = json.loads(out)
         row = doc["classification"][0]
         assert row["case"] == "III" and row["crossover_k"] == 3
+
+    @pytest.mark.parametrize("case", sorted(CASE_ARGS))
+    def test_table_rows_match_json_rows(self, case, capsys):
+        argv = ["classify", *CASE_ARGS[case], "--n", "2:9", "--format"]
+        code, out, _ = run_cli([*argv, "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["classification"]
+        code, out, _ = run_cli([*argv, "table"], capsys)
+        assert code == 0
+        lines = [line.split() for line in out.splitlines()]
+        assert lines[0] == ["n", "case", "k"]
+        expected = [
+            [str(row["n"]), row["case"],
+             "-" if row["crossover_k"] is None else str(row["crossover_k"])]
+            for row in rows
+        ]
+        assert lines[1:] == expected
+        assert len(expected) == 8
 
 
 class TestExtremalCommand:

@@ -207,12 +207,12 @@ class TestSharpnessInvariants:
         for _ in range(10):
             p = draw_case_ii_params(rng, 8)
             f = extremal_case_ii(p, 48)
-            report = is_member(f, p, radius=0.99, angles=2048)
+            report = is_member(f, p)
             assert report.margin >= -1e-6
         for _ in range(10):
             p = draw_case_i_params(rng)
             f = extremal_case_i(p, 4, 48)
-            report = is_member(f, p, radius=0.99, angles=2048)
+            report = is_member(f, p)
             assert report.margin >= -1e-6
 
     def test_case_i_recovered_schwarz_is_monomial(self):

@@ -17,6 +17,7 @@ from schlicht import (
     spiral_gamma,
 )
 from schlicht.errors import ParameterDomainError
+from schlicht.params import SUBCLASS_NAMES, SUBCLASS_PARAMS
 from conftest import draw_valid_params, spiral_gamma_closed_form
 
 
@@ -139,6 +140,22 @@ class TestClassification:
             assert margins[k - 2] >= 0.0 and margins[k - 1] < 0.0
 
 
+# one in-domain keyword set per subclass
+VALID_KEYWORDS = {
+    "S": {"gamma": 1.0, "lam": 0.0, "a": 1.0, "b": -1.0},
+    "K": {"gamma": 1.0, "lam": 0.5, "a": 1.0, "b": -1.0, "m": 3, "mu": 0.5},
+    "Sstar": {"gamma": 1.0},
+    "C": {"gamma": 0.5j},
+    "Sc": {"gamma": 1.0, "lam": 0.5, "beta": 0.25},
+    "B": {"gamma": 1.0, "lam": 0.0, "beta": 0.0, "mu": 1.5},
+    "M": {"beta": 2.0},
+    "N": {"beta": 1.5},
+    "Sbeta": {"beta": 0.0, "a": 1.0, "b": -1.0},
+    "SP": {"alpha": 0.3, "a": 1.0, "b": -1.0},
+}
+ALL_KEYWORDS = ("gamma", "lam", "a", "b", "beta", "alpha", "m", "mu")
+
+
 class TestReductions:
     def test_starlike_of_complex_order(self):
         red = reduce_subclass("Sstar", gamma=1.0)
@@ -187,6 +204,24 @@ class TestReductions:
             reduce_subclass("nope", gamma=1.0)
         with pytest.raises(ParameterDomainError):
             reduce_subclass("Sstar")
+
+    @pytest.mark.parametrize("name", SUBCLASS_NAMES)
+    def test_keyword_outside_or_missing_from_the_class_is_refused(self, name):
+        valid = VALID_KEYWORDS[name]
+        assert tuple(valid) == SUBCLASS_PARAMS[name]
+        reduce_subclass(name, **valid)
+        extra = next(key for key in ALL_KEYWORDS if key not in valid)
+        with pytest.raises(ParameterDomainError, match=f"does not take '{extra}'$"):
+            reduce_subclass(name, **valid, **{extra: 0.5})
+        first, *rest = valid
+        with pytest.raises(ParameterDomainError, match=f"is missing '{first}'$"):
+            reduce_subclass(name, **{key: valid[key] for key in rest})
+
+    def test_missing_keywords_are_reported_before_extra_ones(self):
+        with pytest.raises(
+            ParameterDomainError, match="subclass 'S' is missing 'lam', 'b'"
+        ):
+            reduce_subclass("S", gamma=1.0, a=1.0, beta=0.5)
 
     def test_spiral_gamma_identity(self):
         # 1/(1+i*tan b) = exp(-i*b)*cos(b)

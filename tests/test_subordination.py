@@ -11,7 +11,6 @@ from schlicht import (
     identity,
     is_member,
     member_from_schwarz,
-    monomial,
     quadratic_sum_slack,
     sample_schwarz,
     schwarz_from_member,
@@ -49,14 +48,20 @@ def functional_equation_residual(f, omega, p) -> float:
 
 class TestSampler:
     def test_rotation_is_unimodular_linear(self):
-        s = sample_schwarz(3, 1, "rotation", theta=0.0)
-        assert s == identity(1)
+        s = sample_schwarz(3, 1, "rotation")
+        assert s.order == 1
+        assert s.coefficient(0) == 0
+        assert abs(s.coefficient(1)) == pytest.approx(1.0, abs=1e-15)
         assert grid_sup(s) == pytest.approx(0.99, abs=1e-12)
 
     def test_monomial_scaled(self):
-        s = sample_schwarz(3, 2, "monomial", rho=0.5)
-        assert s == monomial(0.5, 2, 2)
-        assert grid_sup(s) < 0.5
+        # rho*z^d with rho drawn in (0, 1]
+        s = sample_schwarz(3, 2, "monomial")
+        coeffs = np.array(s.coeffs)
+        rho = coeffs[2]
+        assert rho.imag == 0.0 and 0.0 < rho.real <= 1.0
+        assert np.all(np.delete(coeffs, 2) == 0)
+        assert grid_sup(s) < rho.real
 
     def test_polynomial_certificate(self):
         for i in range(50):
@@ -140,7 +145,7 @@ class TestMembership:
 
     def test_koebe_margin(self):
         f = member_from_schwarz(identity(1), STARLIKE, 32)
-        report = is_member(f, STARLIKE, radius=0.99)
+        report = is_member(f, STARLIKE)
         assert report.member
         assert report.margin == pytest.approx(0.01, abs=1e-9)
 
