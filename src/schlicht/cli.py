@@ -60,8 +60,10 @@ def parse_index_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# dests of the class options, named as the reduce_subclass keywords
+# dests of the class options, named as the reduce_subclass keywords, and
+# the options of the dests that differ from their option names
 CLASS_KEYS = ("gamma", "lam", "a", "b", "beta", "alpha", "m", "mu")
+OPTION_NAMES = {"lam": "lambda", "a": "A", "b": "B"}
 
 # the options each jack --check needs, checked in this order; the key
 # order is the --check choice order
@@ -148,8 +150,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    if args.kind in GAMMA_ONLY_PARAMS and args.a is None and args.b is None:
-        # these kinds fix (lambda, A, B) themselves; only gamma is needed
+    if args.kind in GAMMA_ONLY_PARAMS:
+        # these kinds fix (lambda, A, B) themselves and take only gamma, so
+        # any other class option would be ignored: refuse it instead
+        given = [f"--{OPTION_NAMES.get(key, key)}" for key in CLASS_KEYS[1:]
+                 if getattr(args, key) is not None]
+        if args.subclass != "S":
+            given.insert(0, f"--class {args.subclass}")
+        _require(not given, f"--kind {args.kind} takes only --gamma, got {', '.join(given)}")
         _require(args.gamma is not None, f"--gamma is required for {args.kind}")
         red = Reduction(ClassParams(args.gamma, *GAMMA_ONLY_PARAMS[args.kind]))
     else:

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionNotVerified,
 )
 from .series import ComplexSeries
-from .subordination import _draw_omega, _fit_rows
+from .subordination import _fit_rows, schwarz_rows
 
 SINGULARITY_FLOOR = 1e-12
 
@@ -292,8 +292,8 @@ def spiral_check(
     reports = []
     for lo in range(0, samples, SPIRAL_BLOCK):
         block = range(lo, min(samples, lo + SPIRAL_BLOCK))
-        draws = [_draw_omega((seed, i), degree, "polynomial_normalized") for i in block]
-        members = _spiral_rows(_fit_rows(draws, order), alpha)
+        _, omegas = schwarz_rows(seed, block, degree, order, "polynomial_normalized")
+        members = _spiral_rows(omegas, alpha)
         reports += _ratio_reports(members, rotation, 0.0, radius, angles)
     return reports
 

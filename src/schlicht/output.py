@@ -79,6 +79,10 @@ _ESCAPES = {
 
 
 def _emit_string(text: str, out) -> None:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        # nothing to escape: every key and most values
+        out.write(f'"{text}"')
+        return
     out.write('"')
     for ch in text:
         if ch in _ESCAPES:

@@ -11,10 +11,17 @@ series: omega = (P-1)/(A - B*P).
 
 The fuzzer drives many random Schwarz samples through this construction
 and compares each |a_n| against the bound formulas.  Everything is keyed
-off a single integer seed; sample i owns the RNG stream seeded by
-(seed, i), so identical seeds give byte-identical reports.  The samples
-of one run are built together: the recurrences step over the coefficient
-index k with every sample in one row of a 2-D array.
+off a single integer seed; sample i draws from the stream
+np.random.default_rng((seed, i)) and picks its construction from
+default_rng((seed, i, 1)), so identical seeds give byte-identical
+reports.  Those streams are not built one Generator at a time: the
+SeedSequence hash of every sample's entropy runs as one vectorized
+uint32 pass, each PCG64 start state and first double (O'Neill 2014,
+XSL-RR output) follow in exact integer arithmetic, and only the normals
+of polynomial samples go through one reused PCG64.  The draws are bit
+for bit those of the per-sample Generators.  The samples of one run are
+then built together: the recurrences step over the coefficient index k
+with every sample in one row of a 2-D array.
 """
 
 import cmath
@@ -44,6 +51,19 @@ MEMBERSHIP_RADIUS = 0.99
 MEMBERSHIP_ANGLES = 2048
 MEMBERSHIP_TOLERANCE = 1e-6
 
+# a sample's construction is the first of CONSTRUCTIONS whose edge lies
+# above the first double u of its (seed, i, 1) stream, the last when none does
+PICK_EDGES = (0.8, 0.9)
+
+# numpy's SeedSequence: a pool of 4 uint32 words mixed by multiply and a
+# 16-bit xorshift; and the multiplier of PCG64's 128-bit LCG
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -59,31 +79,177 @@ class MembershipReport:
         }
 
 
-def _draw_omega(seed, degree: int, construction: str) -> np.ndarray:
-    """Coefficients c_0..c_m of a Schwarz polynomial drawn from seed's stream."""
+def _entropy_words(entropy) -> list:
+    """The uint32 words SeedSequence makes of an int or a sequence of ints:
+    each int little-endian, 0 as one word."""
+    if isinstance(entropy, (int, np.integer)):
+        n = int(entropy)
+        if n < 0:
+            raise ParameterDomainError(f"seed must be a nonnegative integer, got {n}")
+        words = [n & _MASK32]
+        while n := n >> 32:
+            words.append(n & _MASK32)
+        return words
+    return [word for part in entropy for word in _entropy_words(part)]
+
+
+def _stream_entropy(seed: int, indices, *suffix) -> np.ndarray:
+    """Entropy words of the streams (seed, i, *suffix), one row per index i.
+
+    Every index is below 2**32, so it is one word and all rows have the
+    same length.
+    """
+    prefix = _entropy_words(seed)
+    rows = np.empty((len(indices), len(prefix) + 1 + len(suffix)), dtype=np.uint32)
+    rows[:, : len(prefix)] = prefix
+    rows[:, len(prefix)] = indices
+    rows[:, len(prefix) + 1 :] = suffix
+    return rows
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) for each row of entropy.
+
+    The hash constant advances once per hashmix call whatever the words
+    are, so every row runs the same uint32 operations side by side.
+    """
+    rows, length = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    state = np.empty((rows, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for dst in range(8):
+        value = pool[dst % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, dst] = value ^ (value >> np.uint32(16))
+    return state.view(np.uint64)
+
+
+def _first_draws(entropy: np.ndarray) -> tuple:
+    """Each stream's first random() double, with its PCG64 state and
+    increment after that draw.
+
+    PCG64 seeds from words w0..w3 as inc = 2*(w2*2^64 + w3) + 1 and
+    state = (inc + w0*2^64 + w1)*MULT + inc, all mod 2^128; a draw steps
+    state = state*MULT + inc and outputs the XSL-RR of the new state,
+    whose top 53 bits make the double.  Python ints keep it exact.
+    """
+    words = _seed_words(entropy).astype(object)
+    inc = (((words[:, 2] << 64) | words[:, 3]) << 1 | 1) & _MASK128
+    start = (words[:, 0] << 64) | words[:, 1]
+    state = ((inc + start) * _PCG_MULT + inc) & _MASK128
+    state = (state * _PCG_MULT + inc) & _MASK128
+    xored = ((state >> 64) ^ state) & _MASK64
+    rot = state >> 122
+    out = ((xored >> rot) | (xored << (-rot & 63))) & _MASK64
+    return (out >> 11).astype(np.float64) * 2.0**-53, state, inc
+
+
+def _normal_rows(states, incs, count: int) -> np.ndarray:
+    """count standard normals from each PCG64 stream, resumed at its state."""
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    normals = np.empty((len(states), count))
+    for row, state, inc in zip(normals, states, incs):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=row)
+    return normals
+
+
+def _normalized_rows(normals: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Rows c_j = x_j + i*y_j of the normals (x | y), rescaled so sum|c_j| = rho.
+
+    A row whose c are all zero is replaced by c_j = 1 before rescaling.
+    """
+    degree = normals.shape[1] // 2
+    c = normals[:, :degree] + 1j * normals[:, degree:]
+    total = np.sum(np.abs(c), axis=1)
+    zero = total == 0.0
+    c[zero] = 1.0
+    total[zero] = degree
+    return c * (rho / total)[:, None]
+
+
+def _check_draw(degree: int, construction) -> None:
     if degree < 1:
         raise ParameterDomainError(f"degree must be >= 1, got {degree}")
-    if construction not in CONSTRUCTIONS:
+    if construction is not None and construction not in CONSTRUCTIONS:
         raise ParameterDomainError(
             f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}"
         )
-    rng = np.random.default_rng(seed)
 
-    if construction == "rotation":
-        theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        return np.array([0.0, cmath.exp(1j * theta)], dtype=np.complex128)
-    rho = 1.0 - float(rng.random())  # in (0, 1]
-    coeffs = np.zeros(degree + 1, dtype=np.complex128)
-    if construction == "monomial":
-        coeffs[degree] = rho
-        return coeffs
-    c = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
-    total = float(np.sum(np.abs(c)))
-    if total == 0.0:
-        c = np.ones(degree, dtype=np.complex128)
-        total = float(degree)
-    coeffs[1:] = c * (rho / total)
-    return coeffs
+
+def _omega_rows(entropy: np.ndarray, kinds: np.ndarray, degree: int, width: int):
+    """Schwarz coefficients c_0..c_{width-1}, one row per stream of entropy.
+
+    kinds indexes CONSTRUCTIONS (0 polynomial, 1 rotation, 2 monomial).
+    The stream's first double u gives rho = 1 - u in (0, 1] and
+    theta = 2*pi*u; polynomial rows then draw 2*degree normals, the real
+    parts before the imaginary ones.
+    """
+    u, states, incs = _first_draws(entropy)
+    rho = 1.0 - u
+    omegas = np.zeros((len(kinds), width), dtype=np.complex128)
+    if width > 1:
+        for row in np.flatnonzero(kinds == 1):
+            omegas[row, 1] = cmath.exp(1j * float(0.0 + 2.0 * np.pi * u[row]))
+    if degree < width:
+        monomials = kinds == 2
+        omegas[monomials, degree] = rho[monomials]
+    polys = np.flatnonzero(kinds == 0)
+    c = _normalized_rows(_normal_rows(states[polys], incs[polys], 2 * degree), rho[polys])
+    span = max(0, min(degree, width - 1))
+    omegas[polys, 1 : span + 1] = c[:, :span]
+    return omegas
+
+
+def schwarz_rows(
+    seed: int, indices, degree: int, width: int, construction: str | None = None
+) -> tuple:
+    """Constructions and coefficient rows c_0..c_{width-1} of the samples
+    `indices` of seed.
+
+    Row i is sample_schwarz((seed, i), degree, name) zero-padded or
+    truncated to width.  With construction None, name is picked by the
+    first double of the stream (seed, i, 1) against PICK_EDGES, a stream
+    of its own so that the pick does not bias the draws; else it is
+    construction for every row.
+    """
+    _check_draw(degree, construction)
+    if construction is None:
+        u = _first_draws(_stream_entropy(seed, indices, 1))[0]
+        kinds = np.searchsorted(PICK_EDGES, u, side="right")
+    else:
+        kinds = np.full(len(indices), CONSTRUCTIONS.index(construction))
+    omegas = _omega_rows(_stream_entropy(seed, indices), kinds, degree, width)
+    return [CONSTRUCTIONS[k] for k in kinds], omegas
 
 
 def sample_schwarz(
@@ -94,9 +260,13 @@ def sample_schwarz(
     polynomial_normalized: omega = z * sum_{j<d} c_j z^j with the c_j
     rescaled so sum|c_j| = rho.  rotation: omega = exp(i*theta) * z.
     monomial: omega = rho * z^d.  rho in (0, 1] and theta in [0, 2*pi)
-    are drawn from seed's stream too.
+    are drawn from the stream default_rng(seed) too.
     """
-    return ComplexSeries(_draw_omega(seed, degree, construction))
+    _check_draw(degree, construction)
+    entropy = np.array([_entropy_words(seed)], dtype=np.uint32)
+    kinds = np.array([CONSTRUCTIONS.index(construction)])
+    width = 2 if construction == "rotation" else degree + 1
+    return ComplexSeries(_omega_rows(entropy, kinds, degree, width)[0])
 
 
 def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:
@@ -286,15 +456,6 @@ class FuzzReport:
         }
 
 
-def _pick_construction(rng) -> str:
-    u = rng.random()
-    if u < 0.8:
-        return "polynomial_normalized"
-    if u < 0.9:
-        return "rotation"
-    return "monomial"
-
-
 def fuzz_bounds(
     p: ClassParams, n_max: int, samples: int, seed: int, degree: int = 4
 ) -> FuzzReport:
@@ -316,15 +477,8 @@ def fuzz_bounds(
     bounds = bound_sweep(p, 2, n_max)
     check_to = min(n_max, QUADRATIC_CHECK_LIMIT)
 
-    # the construction pick owns its own stream so it does not bias the
-    # draws from (seed, index)
-    constructions = [
-        _pick_construction(np.random.default_rng((seed, index, 1)))
-        for index in range(samples)
-    ]
     # omega's coefficients c_0..c_{n_max-1} fix the member through a_{n_max}
-    draws = [_draw_omega((seed, i), degree, c) for i, c in enumerate(constructions)]
-    omegas = _fit_rows(draws, n_max)
+    constructions, omegas = schwarz_rows(seed, range(samples), degree, n_max)
 
     moduli = _moduli(_member_rows(omegas, p)[:, 2:])
     limits = np.array([b.value for b in bounds]) * (1.0 + VIOLATION_RTOL)

@@ -13,6 +13,9 @@ of omega = z^m, and grid_sup evaluates by np.polyval.  The bound
 references evaluate one index n at a time: the margin list and its max
 for the case, and a product loop over j for the value.
 spiral_gamma_closed_form is the second evaluation of the spiral reduction.
+reference_draw and reference_pick draw a Schwarz sample and the fuzzer's
+construction pick through one np.random.default_rng per stream, the way
+the package drew them before it seeded all streams in one pass.
 """
 
 import cmath
@@ -198,6 +201,34 @@ def reference_extremal(p, m: int, order: int) -> np.ndarray:
         else:
             term *= gamma * p.a / m / (j + 1)
     return out
+
+
+def reference_draw(seed, degree: int, construction: str) -> np.ndarray:
+    """Coefficients c_0..c_m of the Schwarz polynomial drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    if construction == "rotation":
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        return np.array([0.0, cmath.exp(1j * theta)], dtype=np.complex128)
+    rho = 1.0 - float(rng.random())
+    coeffs = np.zeros(degree + 1, dtype=np.complex128)
+    if construction == "monomial":
+        coeffs[degree] = rho
+        return coeffs
+    c = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    total = float(np.sum(np.abs(c)))
+    if total == 0.0:
+        c = np.ones(degree, dtype=np.complex128)
+        total = float(degree)
+    coeffs[1:] = c * (rho / total)
+    return coeffs
+
+
+def reference_pick(seed: int, index: int) -> str:
+    """The fuzzer's construction of sample index, from default_rng((seed, index, 1))."""
+    u = np.random.default_rng((seed, index, 1)).random()
+    if u < 0.8:
+        return "polynomial_normalized"
+    return "rotation" if u < 0.9 else "monomial"
 
 
 def grid_sup(omega) -> float:

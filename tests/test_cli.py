@@ -252,16 +252,26 @@ class TestExtremalCommand:
 
     @pytest.mark.parametrize("kind", ["koebe-gamma", "convex-gamma", "starlike-n"])
     def test_prints_the_params_it_built_with(self, kind, capsys):
-        # these kinds fix (lambda, A, B); class options change nothing printed
-        base = ["extremal", "--kind", kind, "--gamma", "1,0"]
-        code, plain, _ = run_cli(base, capsys)
+        # these kinds fix (lambda, A, B) and print them
+        code, out, _ = run_cli(["extremal", "--kind", kind, "--gamma", "1,0"], capsys)
         assert code == 0
-        code, out, _ = run_cli([*base, "--lambda", "0.2", "--A", "0.5", "--B=-0.5"], capsys)
-        assert code == 0
-        assert out == plain
         params = json.loads(out)["params"]
         lam = 1.0 if kind == "convex-gamma" else 0.0
         assert (params["lambda"], params["A"], params["B"]) == (lam, 1.0, -1.0)
+
+    @pytest.mark.parametrize("kind", ["koebe-gamma", "convex-gamma", "starlike-n"])
+    def test_refuses_class_options_it_would_ignore(self, kind, capsys):
+        base = ["extremal", "--kind", kind, "--gamma", "1,0"]
+        code, _, _ = run_cli([*base, "--class", "S"], capsys)
+        assert code == 0
+        for extra in (["--lambda", "0.2"], ["--A", "0.5"], ["--B=-0.5"], ["--beta", "2"],
+                      ["--alpha", "0.5"], ["--m", "3"], ["--mu", "0.5"],
+                      ["--class", "M", "--beta", "2"], ["--class", "Sstar"]):
+            code, out, err = run_cli([*base, *extra], capsys)
+            assert code == 1, extra
+            assert out == ""
+            option = extra[0].partition("=")[0]
+            assert f"--kind {kind} takes only --gamma, got {option}" in err
 
     def test_csv_coefficients(self, capsys):
         code, out, _ = run_cli(
@@ -702,6 +712,24 @@ class TestOutputHelpers:
         value = complex(0.1, -2.5)
         text = f"{format_float(value.real)},{format_float(value.imag)}"
         assert parse_complex_pair(text) == value
+
+    def test_string_fast_path_matches_character_loop(self):
+        # the one-write path for plain ASCII must give the bytes the escaping
+        # loop gives, for every character up to 0x2FF alone and in mixtures
+        escapes = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+        chars = [chr(code) for code in range(0x300)]
+        texts = [*chars, "", "".join(chars), "case-ii", "polynomial_normalized",
+                 "a b~", 'say "hi"', "back\\slash", "tab\there", "del\x7f",
+                 "caf\u00e9", "nul\x00 end", "gamma \u03b3"]
+        texts += ["x" + ch + "y" for ch in chars]
+        for text in texts:
+            expected = "".join(
+                escapes.get(ch, f"\\u{ord(ch):04x}" if ord(ch) < 0x20 else ch)
+                for ch in text
+            )
+            assert fixed_json_dumps(text) == f'"{expected}"'
+            assert fixed_json_dumps({text: [text]}) == f'{{"{expected}":["{expected}"]}}'
+            assert json.loads(fixed_json_dumps(text)) == text
 
     def test_parse_complex_rejects_garbage(self):
         with pytest.raises(ValueError):

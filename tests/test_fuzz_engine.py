@@ -1,9 +1,11 @@
 """The batched fuzzer against the per-sample loop it replaced.
 
-The reference here builds and checks every Schwarz sample on its own,
+The reference here draws every Schwarz sample from its own
+np.random.default_rng streams, then builds and checks it on its own,
 through the series division and the log-derivative solve written out as
 1-D np.dot loops and the scalar quadratic inequality, the way fuzz_bounds
-worked before it built all samples as rows of one array.
+worked before it seeded all streams in one pass and built all samples as
+rows of one array.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from schlicht import (
     ClassParams,
+    ComplexSeries,
     coefficient_bound,
     fuzz_bounds,
     member_from_schwarz,
@@ -19,7 +22,13 @@ from schlicht import (
 )
 from schlicht.subordination import CONSTRUCTIONS, QUADRATIC_CHECK_LIMIT
 
-from conftest import draw_valid_params, reference_div, reference_log_derivative
+from conftest import (
+    draw_valid_params,
+    reference_div,
+    reference_draw,
+    reference_log_derivative,
+    reference_pick,
+)
 from test_acceptance import FUZZ_PARAMS
 
 
@@ -46,13 +55,6 @@ def reference_slack(coeffs, p: ClassParams, n: int) -> float:
     return (rhs - lhs) / max(1.0, lhs, abs(rhs))
 
 
-def reference_pick(seed: int, index: int) -> str:
-    u = np.random.default_rng((seed, index, 1)).random()
-    if u < 0.8:
-        return "polynomial_normalized"
-    return "rotation" if u < 0.9 else "monomial"
-
-
 def reference_fuzz(p, n_max, samples, seed, degree=4, rtol=1e-9) -> dict:
     indices = range(2, n_max + 1)
     bounds = {n: coefficient_bound(p, n) for n in indices}
@@ -64,7 +66,7 @@ def reference_fuzz(p, n_max, samples, seed, degree=4, rtol=1e-9) -> dict:
     for index in range(samples):
         construction = reference_pick(seed, index)
         counts[construction] += 1
-        sample = sample_schwarz((seed, index), degree, construction)
+        sample = ComplexSeries(reference_draw((seed, index), degree, construction))
         coeffs = [complex(c) for c in reference_member(sample, p, n_max)]
         for n in indices:
             value = abs(coeffs[n])

@@ -1,6 +1,7 @@
 """The batched spiral check against the per-sample loop it replaced.
 
-The reference builds and checks every Schwarz sample on its own: the
+The reference draws every Schwarz sample from its own
+np.random.default_rng stream, then builds and checks it on its own: the
 series divisions, the quadratic quotient recurrence k*p_k = [z^k](s*p^2)
 and the log-derivative solve written out as 1-D np.dot loops, then Horner
 evaluation at explicitly computed circle nodes, the way `jack --check
@@ -21,13 +22,17 @@ from schlicht import (
     build_gb_instance,
     build_spiral_instance,
     quotient_source_ratio,
-    sample_schwarz,
     winding_number,
 )
 from schlicht import jack
 from schlicht.jack import spiral_check
 
-from conftest import max_norm_error, reference_div, reference_log_derivative
+from conftest import (
+    max_norm_error,
+    reference_div,
+    reference_draw,
+    reference_log_derivative,
+)
 
 ORDER = 512
 RADIUS = 0.95
@@ -74,7 +79,7 @@ def test_batched_spiral_check_matches_per_sample_loop(seed, alpha):
     assert len(reports) == samples
     omegas = np.zeros((samples, ORDER), dtype=np.complex128)
     for i, rep in enumerate(reports):
-        omega = sample_schwarz((seed, i), 4)
+        omega = ComplexSeries(reference_draw((seed, i), 4, "polynomial_normalized"))
         omegas[i, : omega.order + 1] = omega.coeffs
         expected = reference_spiral_member(omega, alpha, ORDER)
         margin, winding = reference_margin(ComplexSeries(expected), alpha)
@@ -84,7 +89,7 @@ def test_batched_spiral_check_matches_per_sample_loop(seed, alpha):
         assert (rep.radius, rep.angles) == (RADIUS, ANGLES)
     members = jack._spiral_rows(omegas, alpha)
     for i in range(samples):
-        sample = sample_schwarz((seed, i), 4)
+        sample = ComplexSeries(reference_draw((seed, i), 4, "polynomial_normalized"))
         expected = reference_spiral_member(sample, alpha, ORDER)
         assert max_norm_error(members[i], expected) <= MAX_NORM_RTOL
         # a row of the batch rounds exactly as build_spiral_instance does
@@ -100,7 +105,7 @@ def test_blocks_do_not_change_reports(monkeypatch):
 
 @pytest.mark.parametrize("seed,alpha", CASES[:3])
 def test_one_instance_builders_match_reference(seed, alpha):
-    sample = sample_schwarz((seed, 0), 4)
+    sample = ComplexSeries(reference_draw((seed, 0), 4, "polynomial_normalized"))
     expected = reference_spiral_member(sample, alpha, ORDER)
     member = build_spiral_instance(sample, alpha, ORDER)
     assert max_norm_error(member.coeffs, expected) <= MAX_NORM_RTOL
