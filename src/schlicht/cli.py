@@ -20,17 +20,12 @@ from .bounds import bound_sweep, reduction_sweep
 from .errors import ParameterDomainError, SchlichtError
 from .extremals import (
     EXTREMAL_KINDS,
-    GAMMA_ONLY_PARAMS,
+    KIND_CLASS,
     ExtremalSpec,
     build_extremal,
     sharpness_record,
 )
-from .output import (
-    csv_rows,
-    fixed_json_dumps,
-    format_float,
-    parse_complex_pair,
-)
+from .output import fixed_json_dumps, format_float, parse_complex_pair
 from .params import (
     SUBCLASS_NAMES,
     CaseClassification,
@@ -60,23 +55,31 @@ def parse_index_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# dests of the class options, named as the reduce_subclass keywords, and
-# the options of the dests that differ from their option names
+# dests of the class options, named as the reduce_subclass keywords
 CLASS_KEYS = ("gamma", "lam", "a", "b", "beta", "alpha", "m", "mu")
-OPTION_NAMES = {"lam": "lambda", "a": "A", "b": "B"}
 
-# the options each jack --check needs, checked in this order; the key
-# order is the --check choice order
-JACK_NEEDS = {"spiral": ("alpha", "seed"), "gb": ("b",), "threshold": ("alpha",),
-              "growth": ("alpha",), "growth-extremal": ("beta",)}
+# the jack options each --check reads, each with its default, or None where
+# it is required; any other jack option is refused.  The key order is the
+# --check choice order.
+JACK_OPTIONS = {
+    "spiral": {"alpha": None, "seed": None, "samples": 200, "degree": 4, "order": 512,
+               "radius": jackmod.DEFAULT_RADIUS, "angles": jackmod.DEFAULT_ANGLES},
+    "gb": {"b": None, "input": None, "radius": jackmod.DEFAULT_RADIUS,
+           "angles": jackmod.DEFAULT_ANGLES},
+    "threshold": {"alpha": None},
+    "growth": {"alpha": None, "input": None},
+    "growth-extremal": {"beta": None, "order": 512},
+}
 
 
-def _reduction_from_args(args) -> Reduction:
-    given = {key: getattr(args, key) for key in CLASS_KEYS}
-    kw = {key: value for key, value in given.items() if value is not None}
-    if args.subclass == "S":
+def _reduction_from_args(args, subclass: str | None = None) -> Reduction:
+    """reduce_subclass of the class options given, in subclass or else
+    in --class."""
+    name = subclass or args.subclass
+    kw = {key: getattr(args, key) for key in CLASS_KEYS if getattr(args, key) is not None}
+    if name == "S":
         kw.setdefault("lam", 0.0)
-    return reduce_subclass(args.subclass, **kw)
+    return reduce_subclass(name, **kw)
 
 
 def _base_class(args) -> ClassParams:
@@ -111,7 +114,7 @@ def _emit_rows(args, header, widths, rows, doc) -> None:
     blank = "" if args.format == "csv" else "-"
     cells = [[blank if cell is None else str(cell) for cell in row] for row in rows]
     if args.format == "csv":
-        _emit(args, csv_rows(header, cells))
+        _emit(args, "".join(",".join(line) + "\n" for line in [header, *cells]))
         return
     titles = [name.rpartition("_")[2] for name in header]
     lines = [" ".join(map(str.rjust, line, widths)) for line in [titles, *cells]]
@@ -150,18 +153,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    if args.kind in GAMMA_ONLY_PARAMS:
-        # these kinds fix (lambda, A, B) themselves and take only gamma, so
-        # any other class option would be ignored: refuse it instead
-        given = [f"--{OPTION_NAMES.get(key, key)}" for key in CLASS_KEYS[1:]
-                 if getattr(args, key) is not None]
-        if args.subclass != "S":
-            given.insert(0, f"--class {args.subclass}")
-        _require(not given, f"--kind {args.kind} takes only --gamma, got {', '.join(given)}")
-        _require(args.gamma is not None, f"--gamma is required for {args.kind}")
-        red = Reduction(ClassParams(args.gamma, *GAMMA_ONLY_PARAMS[args.kind]))
-    else:
-        red = _reduction_from_args(args)
+    # a gamma-only kind builds in its own subclass, which refuses the class
+    # options it does not take
+    subclass = KIND_CLASS.get(args.kind)
+    _require(subclass is None or args.subclass == "S",
+             f"--kind {args.kind} builds in class {subclass}, got --class {args.subclass}")
+    red = _reduction_from_args(args, subclass)
     lo, hi = parse_index_range(args.n)
     _require(lo >= 2, f"index n must be >= 2, got {lo}")
     order = max(args.order, hi)
@@ -197,57 +194,60 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _jack_options(args) -> argparse.Namespace:
+    """The options args.check reads, with their defaults filled in.  A
+    required one left out, or any other jack option given, is refused."""
+    reads = JACK_OPTIONS[args.check]
+    given = {name: getattr(args, name) for options in JACK_OPTIONS.values()
+             for name in options if getattr(args, name) is not None}
+    missing = [f"--{name}" for name, default in reads.items()
+               if default is None and name not in given]
+    _require(not missing, f"--check {args.check} requires {', '.join(missing)}")
+    unread = [f"--{name}" for name in given if name not in reads]
+    _require(not unread, f"--check {args.check} does not read {', '.join(unread)}")
+    return argparse.Namespace(**{**reads, **given})
+
+
 def _cmd_jack(args) -> int:
-    grid = args.check in ("spiral", "gb")
-    _require(grid or (args.radius is None and args.angles is None),
-             "--radius and --angles apply only to --check spiral and gb")
-    for name in JACK_NEEDS[args.check]:
-        _require(getattr(args, name) is not None,
-                 f"--{name} is required for {args.check}")
-    radius = 0.95 if args.radius is None else args.radius
-    angles = jackmod.DEFAULT_ANGLES if args.angles is None else args.angles
+    opts = _jack_options(args)
     if args.check == "threshold":
-        value = jackmod.gb_spiral_threshold(args.alpha)
-        closed = jackmod.gb_threshold_closed_form(args.alpha)
+        value = jackmod.gb_spiral_threshold(opts.alpha)
+        closed = jackmod.gb_threshold_closed_form(opts.alpha)
         doc = {
             "check": "threshold",
-            "alpha": args.alpha,
+            "alpha": opts.alpha,
             "threshold": value,
             "closed_form": closed,
             "abs_error": abs(value - closed),
         }
     elif args.check == "spiral":
-        _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-        _require(args.samples >= 1, f"--samples must be >= 1, got {args.samples}")
-        # order 1 leaves only f = z, which passes without testing anything
-        _require(args.order >= 2, f"--order must be >= 2, got {args.order}")
-        reports = jackmod.spiral_check(args.alpha, args.seed, args.samples, args.degree,
-                                       args.order, radius, angles)
+        reports = jackmod.spiral_check(opts.alpha, opts.seed, opts.samples, opts.degree,
+                                       opts.order, opts.radius, opts.angles)
         margins = [rep.min_re for rep in reports]
         doc = {
             "check": "spiral",
-            "alpha": args.alpha,
-            "seed": args.seed,
-            "samples": args.samples,
-            "order": args.order,
-            "radius": radius,
+            "alpha": opts.alpha,
+            "seed": opts.seed,
+            "samples": opts.samples,
+            "order": opts.order,
+            "radius": opts.radius,
             "passed": sum(1 for rep in reports if rep.member),
             "min_margin": min(margins),
             "margins": margins,
         }
     elif args.check == "gb":
-        f = _load_series(args.input)
-        rep = jackmod.gb_membership(f, args.b, radius, angles)
-        doc = {"check": "gb", "b": args.b, **rep.to_json_dict()}
+        f = _load_series(opts.input)
+        rep = jackmod.gb_membership(f, opts.b, opts.radius, opts.angles)
+        doc = {"check": "gb", "b": opts.b, **rep.to_json_dict()}
     elif args.check == "growth":
-        f = _load_series(args.input)
-        growth = jackmod.growth_check(f, args.alpha).to_json_dict()
-        second = jackmod.second_coeff_check(f, args.alpha).to_json_dict()
+        f = _load_series(opts.input)
+        growth = jackmod.growth_check(f, opts.alpha).to_json_dict()
+        second = jackmod.second_coeff_check(f, opts.alpha).to_json_dict()
         doc = {"check": "growth", "growth": growth, "second_coefficient": second}
     else:  # growth-extremal
         doc = {
             "check": "growth-extremal",
-            **jackmod.growth_extremal_profile(args.beta, args.order),
+            **jackmod.growth_extremal_profile(opts.beta, opts.order),
         }
     _emit(args, fixed_json_dumps(doc) + "\n")
     return 0
@@ -290,8 +290,7 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterDomainError(message)
 
 
-def _load_series(path: str | None) -> ComplexSeries:
-    _require(path is not None, "--input (a series JSON file) is required")
+def _load_series(path: str) -> ComplexSeries:
     with open(path, encoding="utf-8") as handle:
         return ComplexSeries.from_json_dict(json.load(handle))
 
@@ -358,17 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", dest="n_max", type=int, default=10)
 
     jack = command("jack", _cmd_jack, [output], "disk criteria and growth checks")
-    jack.add_argument("--check", required=True, choices=tuple(JACK_NEEDS))
-    jack.add_argument("--alpha", type=float)
-    jack.add_argument("--beta", type=float)
-    jack.add_argument("--b", type=float)
-    jack.add_argument("--samples", type=int, default=200)
-    jack.add_argument("--degree", type=int, default=4)
-    jack.add_argument("--seed", type=int)
-    jack.add_argument("--order", type=int, default=512)
-    jack.add_argument("--radius", type=float, help="spiral and gb only")
-    jack.add_argument("--angles", type=int, help="spiral and gb only")
-    jack.add_argument("--input", help="series JSON file")
+    jack.add_argument("--check", required=True, choices=tuple(JACK_OPTIONS))
+    # no defaults here: each check fills in its own from JACK_OPTIONS
+    for name, kind in (("alpha", float), ("beta", float), ("b", float), ("samples", int),
+                       ("degree", int), ("seed", int), ("order", int), ("radius", float),
+                       ("angles", int), ("input", str)):
+        readers = [check for check, options in JACK_OPTIONS.items() if name in options]
+        jack.add_argument(f"--{name}", type=kind, help=f"read by {', '.join(readers)}")
 
     report = command("report", _cmd_report, [klass, index, output],
                      "consolidated dossier for one class")

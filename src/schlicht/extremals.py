@@ -12,18 +12,14 @@ from dataclasses import dataclass
 from . import series as srs
 from .bounds import BoundResult, cauchy_euler_factor, reduction_sweep
 from .errors import ParameterDomainError
-from .params import CauchyEulerParams, ClassParams, Reduction
+from .params import CauchyEulerParams, ClassParams, Reduction, reduce_subclass
 from .series import ComplexSeries
 from .subordination import member_from_schwarz
 
 EXTREMAL_KINDS = ("case-i", "case-ii", "koebe-gamma", "convex-gamma", "starlike-n")
 
-# (lambda, A, B) of the kinds that take only gamma from the class parameters
-GAMMA_ONLY_PARAMS = {
-    "koebe-gamma": (0.0, 1.0, -1.0),
-    "convex-gamma": (1.0, 1.0, -1.0),
-    "starlike-n": (0.0, 1.0, -1.0),
-}
+# the kinds that take only gamma, and the subclass each builds in
+KIND_CLASS = {"koebe-gamma": "Sstar", "convex-gamma": "C", "starlike-n": "Sstar"}
 
 # Relative tolerance for "the extremal attains the bound"; product chains of
 # length <= 50 in double precision stay far inside this.
@@ -35,7 +31,7 @@ class ExtremalSpec:
     """Which extremal to build, for which parameters, at which order.
 
     params are the parameters the extremal is built and certified with:
-    a gamma-only kind keeps gamma and sets its own (lambda, A, B).
+    a gamma-only kind keeps gamma and takes the rest from its KIND_CLASS.
     """
 
     kind: str
@@ -49,9 +45,9 @@ class ExtremalSpec:
             raise ParameterDomainError(
                 f"unknown extremal kind {self.kind!r}; expected one of {EXTREMAL_KINDS}"
             )
-        if self.kind in GAMMA_ONLY_PARAMS:
-            fixed = GAMMA_ONLY_PARAMS[self.kind]
-            object.__setattr__(self, "params", ClassParams(self.params.gamma, *fixed))
+        if self.kind in KIND_CLASS:
+            red = reduce_subclass(KIND_CLASS[self.kind], gamma=self.params.gamma)
+            object.__setattr__(self, "params", red.params)
         if self.kind in ("case-i", "starlike-n"):
             if self.n is None or self.n < 2:
                 raise ParameterDomainError(f"kind {self.kind!r} needs a target n >= 2")

@@ -31,6 +31,9 @@ from .subordination import _fit_rows, schwarz_rows
 
 SINGULARITY_FLOOR = 1e-12
 
+# the circle |z| = DEFAULT_RADIUS and its DEFAULT_ANGLES points of the
+# spiral and gb membership tests
+DEFAULT_RADIUS = 0.95
 DEFAULT_ANGLES = 2048
 
 # growth_check's grids: the growth bound is checked on GROWTH_RADII and the
@@ -155,7 +158,8 @@ def _ratio_reports(rows, rotation: complex, shift: float, radius, angles) -> lis
 
 
 def spiral_membership(
-    f: ComplexSeries, alpha: float, radius: float = 0.95, angles: int = DEFAULT_ANGLES
+    f: ComplexSeries, alpha: float, radius: float = DEFAULT_RADIUS,
+    angles: int = DEFAULT_ANGLES,
 ) -> SpiralReport:
     """Grid test of Re(exp(i*alpha) * z*f'/f) > 0, with winding(f) = 1."""
     rotation = cmath.exp(1j * SpiralParams(alpha).alpha)
@@ -172,7 +176,8 @@ def starlike_membership(
 
 
 def gb_membership(
-    f: ComplexSeries, b: float, radius: float = 0.95, angles: int = DEFAULT_ANGLES
+    f: ComplexSeries, b: float, radius: float = DEFAULT_RADIUS,
+    angles: int = DEFAULT_ANGLES,
 ) -> DeviationReport:
     """Grid test of |(1 + z*f''/f')/(z*f'/f) - 1| <= b.
 
@@ -286,9 +291,15 @@ def spiral_check(
 
     Sample i is sample_schwarz((seed, i), degree).  Blocks of samples are
     built and checked together as rows, which bounds the memory of the
-    (2*block, angles) grid of values.
+    (2*block, angles) grid of values.  samples < 1 and order < 2 are
+    refused here, a negative seed or degree < 1 by the sampler.
     """
     rotation = cmath.exp(1j * SpiralParams(alpha).alpha)
+    if samples < 1:
+        raise ParameterDomainError(f"samples must be >= 1, got {samples}")
+    # order 1 leaves only f = z, which passes without testing anything
+    if order < 2:
+        raise ParameterDomainError(f"order must be >= 2, got {order}")
     reports = []
     for lo in range(0, samples, SPIRAL_BLOCK):
         block = range(lo, min(samples, lo + SPIRAL_BLOCK))

@@ -7,7 +7,6 @@ that.  Negative zero is normalized away, and inf/nan are refused, since
 JSON has no token for them.
 """
 
-import io
 import math
 
 from .errors import NonFiniteOutput
@@ -31,42 +30,31 @@ def parse_complex_pair(text: str) -> complex:
 
 def fixed_json_dumps(obj) -> str:
     """JSON text with fixed float formatting and insertion field order."""
-    out = io.StringIO()
-    _emit(obj, out)
-    return out.getvalue()
+    return _json(obj)
 
 
-def _emit(obj, out) -> None:
+def _json(obj) -> str:
+    # recursing here rather than through fixed_json_dumps keeps one call of
+    # the public name per document, which is what perfbench's tracer counts
     if obj is None:
-        out.write("null")
-    elif obj is True:
-        out.write("true")
-    elif obj is False:
-        out.write("false")
-    elif isinstance(obj, str):
-        _emit_string(obj, out)
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(format_float(obj))
-    elif isinstance(obj, dict):
-        out.write("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.write(",")
-            _emit_string(str(key), out)
-            out.write(":")
-            _emit(value, out)
-        out.write("}")
-    elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.write(",")
-            _emit(value, out)
-        out.write("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, dict):
+        items = (f"{_json_string(str(key))}:{_json(value)}"
+                 for key, value in obj.items())
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_json, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 _ESCAPES = {
@@ -78,25 +66,10 @@ _ESCAPES = {
 }
 
 
-def _emit_string(text: str, out) -> None:
+def _json_string(text: str) -> str:
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         # nothing to escape: every key and most values
-        out.write(f'"{text}"')
-        return
-    out.write('"')
-    for ch in text:
-        if ch in _ESCAPES:
-            out.write(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.write(f"\\u{ord(ch):04x}")
-        else:
-            out.write(ch)
-    out.write('"')
-
-
-def csv_rows(header, rows) -> str:
-    """Tiny CSV writer: fields are pre-formatted strings, comma-joined."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        return f'"{text}"'
+    chars = (_ESCAPES.get(ch) or (f"\\u{ord(ch):04x}" if ord(ch) < 0x20 else ch)
+             for ch in text)
+    return '"' + "".join(chars) + '"'

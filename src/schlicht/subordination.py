@@ -471,14 +471,13 @@ def fuzz_bounds(
         raise ParameterDomainError(f"n_max must be >= 2, got {n_max}")
     if samples < 1:
         raise ParameterDomainError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ParameterDomainError("seed must be a nonnegative integer")
+    # omega's coefficients c_0..c_{n_max-1} fix the member through a_{n_max};
+    # the sampler refuses a negative seed and degree < 1
+    constructions, omegas = schwarz_rows(seed, range(samples), degree, n_max)
+
     indices = range(2, n_max + 1)
     bounds = bound_sweep(p, 2, n_max)
     check_to = min(n_max, QUADRATIC_CHECK_LIMIT)
-
-    # omega's coefficients c_0..c_{n_max-1} fix the member through a_{n_max}
-    constructions, omegas = schwarz_rows(seed, range(samples), degree, n_max)
 
     moduli = _moduli(_member_rows(omegas, p)[:, 2:])
     limits = np.array([b.value for b in bounds]) * (1.0 + VIOLATION_RTOL)

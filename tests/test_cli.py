@@ -261,17 +261,28 @@ class TestExtremalCommand:
 
     @pytest.mark.parametrize("kind", ["koebe-gamma", "convex-gamma", "starlike-n"])
     def test_refuses_class_options_it_would_ignore(self, kind, capsys):
+        # the kind builds in its subclass, which takes gamma alone
+        subclass = "C" if kind == "convex-gamma" else "Sstar"
         base = ["extremal", "--kind", kind, "--gamma", "1,0"]
         code, _, _ = run_cli([*base, "--class", "S"], capsys)
         assert code == 0
-        for extra in (["--lambda", "0.2"], ["--A", "0.5"], ["--B=-0.5"], ["--beta", "2"],
-                      ["--alpha", "0.5"], ["--m", "3"], ["--mu", "0.5"],
-                      ["--class", "M", "--beta", "2"], ["--class", "Sstar"]):
+        for extra, refusal in (
+            (["--lambda", "0.2"], f"subclass '{subclass}' does not take 'lam'"),
+            (["--A", "0.5"], f"subclass '{subclass}' does not take 'a'"),
+            (["--B=-0.5"], f"subclass '{subclass}' does not take 'b'"),
+            (["--beta", "2"], f"subclass '{subclass}' does not take 'beta'"),
+            (["--alpha", "0.5"], f"subclass '{subclass}' does not take 'alpha'"),
+            (["--m", "3"], f"subclass '{subclass}' does not take 'm'"),
+            (["--mu", "0.5"], f"subclass '{subclass}' does not take 'mu'"),
+            (["--class", "M", "--beta", "2"],
+             f"--kind {kind} builds in class {subclass}, got --class M"),
+            (["--class", "Sstar"],
+             f"--kind {kind} builds in class {subclass}, got --class Sstar"),
+        ):
             code, out, err = run_cli([*base, *extra], capsys)
             assert code == 1, extra
             assert out == ""
-            option = extra[0].partition("=")[0]
-            assert f"--kind {kind} takes only --gamma, got {option}" in err
+            assert refusal in err
 
     def test_csv_coefficients(self, capsys):
         code, out, _ = run_cli(
@@ -464,7 +475,7 @@ class TestJackCommand:
         code, out, err = run_cli(["jack", "--check", check, *args, *extra], capsys)
         assert code == 1
         assert out == ""
-        assert "--radius and --angles apply only" in err
+        assert f"--check {check} does not read {', '.join(extra[::2])}" in err
 
     def test_spiral_negative_seed_refused(self, capsys):
         code, out, err = run_cli(
@@ -518,38 +529,75 @@ def _finite_numbers(doc) -> bool:
     return not isinstance(doc, float) or math.isfinite(doc)
 
 
+# the jack options each --check reads, written out here to pin cli.JACK_OPTIONS
+JACK_READS = {
+    "spiral": ("alpha", "seed", "samples", "degree", "order", "radius", "angles"),
+    "gb": ("b", "input", "radius", "angles"),
+    "threshold": ("alpha",),
+    "growth": ("alpha", "input"),
+    "growth-extremal": ("beta", "order"),
+}
+JACK_REQUIRED = {
+    "spiral": ["--alpha", "0.4", "--seed", "2"],
+    "gb": ["--b", "0.5", "--input", None],
+    "threshold": ["--alpha", "0.5"],
+    "growth": ["--alpha", "0.25", "--input", None],
+    "growth-extremal": ["--beta", "1"],
+}
+JACK_VALUES = {"alpha": "0.5", "beta": "1", "b": "0.5", "samples": "2", "degree": "3",
+               "seed": "4", "order": "8", "radius": "0.5", "angles": "64", "input": None}
+UNREAD = [(check, name) for check, reads in JACK_READS.items()
+          for name in JACK_VALUES if name not in reads]
+
+
+@pytest.mark.parametrize(("check", "option"), UNREAD)
+def test_jack_refuses_options_its_check_does_not_read(check, option, series_file, capsys):
+    args = [series_file if arg is None else arg for arg in JACK_REQUIRED[check]]
+    value = JACK_VALUES[option] or series_file
+    code, out, err = run_cli(["jack", "--check", check, *args, f"--{option}", value],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert f"--check {check} does not read --{option}" in err
+
+
+_JACK_DRAWS = {
+    "alpha": st.floats(-2.0, 2.0),
+    "beta": st.floats(-2.0, 2.0),
+    "b": st.floats(-2.0, 2.0),
+    "order": st.integers(-1, 24),
+    "samples": st.integers(-1, 3),
+    "degree": st.integers(-1, 5),
+    "seed": st.integers(-1, 3),
+    "radius": st.floats(-2.0, 2.0),
+    "angles": st.integers(-2, 64),
+    "input": st.just(None),  # the series file
+}
+
+
+@st.composite
+def _jack_options(draw):
+    """A --check and any subset of the jack options, or, in half the draws,
+    any subset of the options that check reads; each option is present by
+    its own draw."""
+    check = draw(st.sampled_from(sorted(JACK_READS)))
+    names = JACK_READS[check] if draw(st.booleans()) else _JACK_DRAWS
+    optional = {name: _JACK_DRAWS[name] for name in names}
+    return check, draw(st.fixed_dictionaries({}, optional=optional))
+
+
 @settings(max_examples=150, deadline=None)
-@example(  # escaped main as an IndexError
-    check="growth-extremal", order=0, samples=1, angles=8, radius=0.5, value=1.0,
-    seed=0, with_input=False, with_grid=False,
-)
+@example(drawn=("growth-extremal", {"order": 0, "beta": 1.0}))  # escaped main as an IndexError
 @example(  # overflowing coefficients leaked RuntimeWarnings
-    check="growth-extremal", order=24, samples=1, angles=8, radius=0.5,
-    value=1e-300, seed=0, with_input=False, with_grid=False,
+    drawn=("growth-extremal", {"order": 24, "beta": 1e-300}),
 )
-@given(
-    check=st.sampled_from(["spiral", "gb", "threshold", "growth", "growth-extremal"]),
-    order=st.integers(-1, 24),
-    samples=st.integers(-1, 3),
-    angles=st.integers(-2, 64),
-    radius=st.floats(-2.0, 2.0),
-    value=st.floats(-2.0, 2.0),
-    seed=st.integers(-1, 3),
-    with_input=st.booleans(),
-    with_grid=st.booleans(),
-)
-def test_jack_cli_contract(
-    series_file, check, order, samples, angles, radius, value, seed, with_input,
-    with_grid,
-):
+@given(drawn=_jack_options())
+def test_jack_cli_contract(series_file, drawn):
     """Any jack argv exits 0, 1 or 2, and exit 0 prints JSON with finite numbers."""
-    argv = ["jack", "--check", check, f"--alpha={value!r}", f"--beta={value!r}",
-            f"--b={value!r}", f"--order={order}", f"--samples={samples}",
-            f"--seed={seed}"]
-    if with_grid:
-        argv += [f"--angles={angles}", f"--radius={radius!r}"]
-    if with_input:
-        argv.append(f"--input={series_file}")
+    check, options = drawn
+    argv = ["jack", "--check", check]
+    argv += [f"--{name}={series_file if value is None else repr(value)}"
+             for name, value in options.items()]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

@@ -21,8 +21,8 @@ from schlicht import (
 )
 from schlicht.bounds import reduction_sweep
 from schlicht.errors import NormalizationError, ParameterDomainError
-from schlicht.extremals import sharpness_record
-from schlicht.params import Reduction
+from schlicht.extremals import KIND_CLASS, sharpness_record
+from schlicht.params import Reduction, reduce_subclass
 
 from conftest import (
     draw_case_i_params,
@@ -158,6 +158,13 @@ class TestCertification:
         cor = build_extremal(ExtremalSpec("starlike-n", base, 8, n=4))
         direct_cor = extremal_case_i(ClassParams(gamma, 0, 1, -1), 4, 8)
         assert cor == direct_cor
+
+    @pytest.mark.parametrize("gamma", [1.0, -0.5, 0.6 - 0.2j, 2j])
+    @pytest.mark.parametrize("kind", ["koebe-gamma", "convex-gamma", "starlike-n"])
+    def test_gamma_only_kind_builds_in_its_subclass(self, kind, gamma):
+        # lambda, A and B of the given params are replaced by the subclass's
+        spec = ExtremalSpec(kind, ClassParams(gamma, 0.3, 0.5, -0.5), 8, n=4)
+        assert spec.params == reduce_subclass(KIND_CLASS[kind], gamma=gamma).params
 
 
 class TestSharpnessInvariants:
