@@ -8,10 +8,13 @@ maximum principle the largest test radius is the binding one.
 
 Instances that satisfy the quotient criteria are constructed forward:
 given a source s with s(0) = 0, z*p' = s*p^2 with p(0) = 1 is linear in
-1/p, so p is the series division 1/(1 - sum_k s_k z^k/k), and z*f'/f = p
-then determines the member.  Constructing forward avoids inverting the
+1/p, so p is the reciprocal 1/(1 - sum_k s_k z^k/k), and z*f'/f = p then
+determines the member.  Constructing forward avoids inverting the
 non-univalent target of the criterion, and exercises the implication in
-the direction it is actually used.
+the direction it is actually used.  The builders run series' whole-order
+Newton kernels (reciprocal, FFT product, log-derivative solve), not the
+exact recurrences: their instances have order 512 and more, where one
+Python step per coefficient dominated the cost.
 """
 
 import cmath
@@ -119,10 +122,16 @@ class SecondCoeffReport(_Report):
     limit: float
 
 
+def _windings(values: np.ndarray) -> list:
+    """Winding around 0 of each row of a (rows, angles) array of samples of
+    closed curves: the sum of its phase steps over 2*pi, rounded."""
+    steps = np.angle(np.roll(values, -1, axis=1) / values)
+    return np.rint(np.sum(steps, axis=1) / (2.0 * math.pi)).astype(int).tolist()
+
+
 def winding_number(values: np.ndarray) -> int:
     """Winding of a sampled closed curve around 0 (sum of phase steps)."""
-    shifted = np.roll(values, -1)
-    return int(round(float(np.sum(np.angle(shifted / values))) / (2.0 * math.pi)))
+    return _windings(np.asarray(values)[None, :])[0]
 
 
 def _grid_values(rows: np.ndarray, radius: float, angles: int, second: bool = False):
@@ -140,7 +149,7 @@ def _grid_values(rows: np.ndarray, radius: float, angles: int, second: bool = Fa
         raise EvaluationSingularity(
             f"|f| or |f'| < {SINGULARITY_FLOOR} on the radius-{radius} grid"
         )
-    return vals, [winding_number(row) for row in vals[0]]
+    return vals, _windings(vals[0])
 
 
 def _ratio_reports(rows, rotation: complex, shift: float, radius, angles) -> list:
@@ -238,15 +247,15 @@ def gb_threshold_closed_form(alpha: float) -> float:
 def _ratio_rows(sources: np.ndarray) -> np.ndarray:
     """Rows p with z*p' = s*p^2 and p(0) = 1 for source rows s with s(0) = 0.
 
-    1/p solves z*(1/p)' = -s, so p = 1/(1 - sum_k s_k z^k/k): one division.
+    1/p solves z*(1/p)' = -s, so p = 1/(1 - sum_k s_k z^k/k): one Newton
+    reciprocal.
     """
     if np.any(np.abs(sources[:, 0]) > srs.UNIT_TOLERANCE):
         raise ParameterDomainError("quotient source must vanish at the origin")
-    unit = np.zeros(sources.shape, dtype=np.complex128)
-    unit[:, 0] = 1.0
-    denom = unit.copy()
+    denom = np.zeros(sources.shape, dtype=np.complex128)
+    denom[:, 0] = 1.0
     denom[:, 1:] = sources[:, 1:] / -np.arange(1.0, sources.shape[1])
-    return srs._row_div(unit, denom)
+    return srs._row_reciprocal(denom)
 
 
 def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
@@ -258,14 +267,16 @@ def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
     """Members a_0..a_N for rows of Schwarz coefficients c_0..c_{N-1}.
 
     Pushes each row through the spiral criterion's target
-    h(w) = (A+1)*w/(1+A*w)^2 and solves the two recurrences.
+    h(w) = (A+1)*w/(1+A*w)^2, as (A+1)*omega*r*r with r = 1/(1 + A*omega),
+    then solves for the quotient ratio and the member.
     """
     a = SpiralParams(alpha).a_spiral
-    one = np.zeros(omegas.shape[1], dtype=np.complex128)
-    one[0] = 1.0
-    v = one + omegas * a
-    source = srs._row_div(srs._row_div(omegas * (a + 1.0), v), v)
-    return srs._row_log_derivative(_ratio_rows(source))
+    width = omegas.shape[1]
+    v = omegas * a
+    v[:, 0] += 1.0
+    r = srs._row_reciprocal(v)
+    source = srs._row_mul(srs._row_mul(omegas * (a + 1.0), r, width), r, width)
+    return srs._row_log_derivative_newton(_ratio_rows(source))
 
 
 def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
@@ -280,7 +291,7 @@ def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:
     if not 0.0 < b <= 1.0:
         raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
     sources = _fit_rows([omega.coeffs], max(order, 1)) * complex(b)
-    return ComplexSeries(srs._row_log_derivative(_ratio_rows(sources))[0])
+    return ComplexSeries(srs._row_log_derivative_newton(_ratio_rows(sources))[0])
 
 
 def spiral_check(

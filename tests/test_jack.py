@@ -28,7 +28,9 @@ from schlicht import (
     solve_log_derivative,
     spiral_membership,
     starlike_membership,
+    winding_number,
 )
+from schlicht import jack
 from schlicht.errors import (
     EvaluationSingularity,
     ParameterDomainError,
@@ -70,6 +72,21 @@ class TestSpiralMembership:
         rep = spiral_membership(f, 0.0, 0.9, 1024)
         assert not rep.member
         assert rep.winding == 2
+
+    def test_row_windings_match_the_one_curve_formula(self):
+        # _grid_values takes every row's winding in one pass; each integer
+        # must be the one the per-curve phase-step sum gives
+        rng = np.random.default_rng(6)
+        theta = 2.0 * np.pi * np.arange(512) / 512
+        turns = np.arange(-3, 5)
+        noise = rng.standard_normal((turns.size, 512)) * 0.3
+        curves = np.exp(1j * turns[:, None] * theta) * (1.0 + noise)
+        expected = [
+            int(round(float(np.sum(np.angle(np.roll(c, -1) / c))) / (2.0 * math.pi)))
+            for c in curves
+        ]
+        assert jack._windings(curves) == expected
+        assert [winding_number(c) for c in curves] == expected
 
     def test_zero_of_f_on_grid_detected(self):
         # f = z - 2z^2 vanishes at z = 0.5, which the theta=0 grid node hits

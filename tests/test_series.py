@@ -1,6 +1,6 @@
 """Series value type: division examples, round trips, evaluation, the two
-row kernels against 1-D reference loops, and the traced product, log,
-exponential and power."""
+row kernels against 1-D reference loops, the Newton kernels against the row
+kernels, and the traced product, log, exponential and power."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,18 @@ from schlicht import ComplexSeries, constant, identity, monomial, solve_log_deri
 from schlicht.errors import (
     BranchPointAtOrigin,
     DivisionByNonUnit,
+    NormalizationError,
     ParameterDomainError,
     RadiusOutOfRange,
 )
-from schlicht.series import _row_div, _row_log_derivative, circle_values
+from schlicht.series import (
+    _row_div,
+    _row_log_derivative,
+    _row_log_derivative_newton,
+    _row_mul,
+    _row_reciprocal,
+    circle_values,
+)
 
 from conftest import (
     binomial_series,
@@ -329,6 +337,102 @@ class TestRecurrencesMatchOneDimensionalLoops:
     def test_exp0_within_max_norm(self, order):
         w = decaying_series(np.random.default_rng(order + 2), order, constant_term=0.0)
         assert max_norm_error(w.exp0().coeffs, reference_exp0(w.coeffs)) <= 1e-15
+
+
+def schwarz_like_rows(rng, rows: int, width: int, scale: float) -> np.ndarray:
+    """Rows scale*z*(c_0 + ... + c_3 z^3) truncated to width, with
+    sum_j |c_j| = 1, so every row is bounded by scale on the closed disk."""
+    out = np.zeros((rows, width), dtype=np.complex128)
+    c = rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
+    c *= scale / np.sum(np.abs(c), axis=1, keepdims=True)
+    out[:, 1:5] = c[:, : width - 1]
+    return out
+
+
+def newton_divisors(kind: str, rows: int, width: int) -> np.ndarray:
+    """Divisor rows with constant term 1, seeded by the shape.
+
+    spiral: 1 + a*omega with |a| = 1 and |omega| <= 0.9 on the disk, the
+    divisor of the spiral source.  ratio: 1 - sum_k b*omega_k z^k/k, the
+    quotient ratio's denominator, whose reciprocal decays like (b*rho)^k
+    and so passes through the subnormal range before width 513.
+    """
+    rng = np.random.default_rng((width, rows, len(kind)))
+    if kind == "spiral":
+        d = schwarz_like_rows(rng, rows, width, 0.9) * np.exp(-2j * rng.uniform(-1.2, 1.2))
+    else:
+        d = schwarz_like_rows(rng, rows, width, rng.uniform(0.015, 0.03))
+        d[:, 1:] /= -np.arange(1.0, width)
+    d[:, 0] = 1.0
+    return d
+
+
+def unit_rows(rows: int, width: int) -> np.ndarray:
+    unit = np.zeros((rows, width), dtype=np.complex128)
+    unit[:, 0] = 1.0
+    return unit
+
+
+class TestNewtonKernelsMatchRowKernels:
+    """The whole-order kernels against the exact recurrences they stand in
+    for: max-norm relative error at most NEWTON_RTOL per row, and every row
+    of a batch bit-equal to its one-row call."""
+
+    NEWTON_RTOL = 1e-14
+
+    @pytest.mark.parametrize("width", [1, 2, 17, 65, 513])
+    @pytest.mark.parametrize("rows", [1, 10])
+    @pytest.mark.parametrize("kind", ["spiral", "ratio"])
+    def test_reciprocal(self, kind, rows, width):
+        d = newton_divisors(kind, rows, width)
+        loop = _row_div(unit_rows(rows, width), d)
+        newton = _row_reciprocal(d)
+        for got, expected in zip(newton, loop):
+            assert max_norm_error(got, expected) <= self.NEWTON_RTOL
+        assert np.array_equal(_row_reciprocal(d[-1:])[0], newton[-1])
+
+    @pytest.mark.parametrize("width", [1, 2, 17, 65, 513])
+    @pytest.mark.parametrize("rows", [1, 10])
+    @pytest.mark.parametrize("kind", ["spiral", "ratio"])
+    def test_log_derivative(self, kind, rows, width):
+        # the sources are the reciprocals: quotient ratios for "ratio"
+        q = _row_div(unit_rows(rows, width), newton_divisors(kind, rows, width))
+        loop = _row_log_derivative(q)
+        newton = _row_log_derivative_newton(q)
+        assert newton.shape == (rows, width + 1)
+        for got, expected in zip(newton, loop):
+            assert max_norm_error(got, expected) <= self.NEWTON_RTOL
+        assert np.array_equal(_row_log_derivative_newton(q[-1:])[0], newton[-1])
+
+    def test_ratio_rows_reach_subnormals(self):
+        # the "ratio" cases above really exercise subnormal tails
+        tiny = np.finfo(np.float64).tiny
+        for rows in (1, 10):
+            d = newton_divisors("ratio", rows, 513)
+            loop = np.abs(_row_log_derivative(_row_div(unit_rows(rows, 513), d)))
+            assert np.all(np.any((loop > 0.0) & (loop < tiny), axis=1))
+
+    @pytest.mark.parametrize("width", [1, 2, 17, 65, 513])
+    def test_row_product_matches_convolution(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.standard_normal((3, width)) + 1j * rng.standard_normal((3, width))
+        b = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        got = _row_mul(a, b, width)
+        assert got.shape == (3, width)
+        for row, x, y in zip(got, a, b):
+            assert max_norm_error(row, np.convolve(x, y)[:width]) <= 1e-15
+
+    def test_reciprocal_refuses_a_non_unit_divisor(self):
+        d = newton_divisors("spiral", 3, 17)
+        d[1, 0] = 1e-15
+        with pytest.raises(DivisionByNonUnit):
+            _row_reciprocal(d)
+
+    def test_log_derivative_refuses_an_unnormalized_source(self):
+        q = newton_divisors("spiral", 3, 17)
+        q[2, 0] = 0.5
+        with pytest.raises(NormalizationError):
+            _row_log_derivative_newton(q)
 
 
 class TestSerialization:

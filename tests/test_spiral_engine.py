@@ -6,9 +6,13 @@ series divisions, the quadratic quotient recurrence k*p_k = [z^k](s*p^2)
 and the log-derivative solve written out as 1-D np.dot loops, then Horner
 evaluation at explicitly computed circle nodes, the way `jack --check
 spiral` worked before it built all samples as rows of one array.  The
-package now solves the quotient equation as one division,
-p = 1/(1 - sum_k s_k z^k/k), which sums in another order, so members and
-ratios agree with the reference to 1e-14 in max norm, not bit for bit.
+package now builds members with whole-order Newton kernels: one reciprocal
+r = 1/(1 + A*omega) and two FFT products for the source, the quotient
+equation as the reciprocal p = 1/(1 - sum_k s_k z^k/k), and the member by
+a Newton exponential.  These sum in another order, so members and ratios
+agree with the reference to 1e-14 in max norm, not bit for bit; a batched
+row is still bit-equal to its one-row build, since every FFT works row by
+row.
 """
 
 import cmath
