@@ -40,7 +40,6 @@ class BoundResult:
     case_tag: str
     crossover_k: int | None
     sharp: str
-    formula_id: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,13 +79,11 @@ def _bound_row(
     ii[m] = prod_{j<m} |gamma*(A-B) - j*B|/(j+1) and iii[m] the same over
     max(j, 1)."""
     if case_tag == "I":
-        return BoundResult(n, case_i_value(p, n), "I", None, SHARP, "case-i")
+        return BoundResult(n, case_i_value(p, n), "I", None, SHARP)
     weight = 1.0 + p.lam * (n - 1)
     if case_tag == "II":
-        return BoundResult(n, ii[n - 1] / weight, "II", None, SHARP, "case-ii")
-    return BoundResult(
-        n, iii[k] / ((n - 1) * weight), "III", k, SHARP_UNKNOWN, "case-iii"
-    )
+        return BoundResult(n, ii[n - 1] / weight, "II", None, SHARP)
+    return BoundResult(n, iii[k] / ((n - 1) * weight), "III", k, SHARP_UNKNOWN)
 
 
 def case_ii_value(p: ClassParams, n: int) -> float:
@@ -137,7 +134,6 @@ def _transferred(inner: BoundResult, ce: CauchyEulerParams) -> BoundResult:
         inner.case_tag,
         inner.crossover_k,
         inner.sharp,
-        inner.formula_id + "+cauchy-euler",
     )
 
 

@@ -291,8 +291,14 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _load_series(path: str) -> ComplexSeries:
+    """An unreadable --input file is an OSError, one that is not JSON a parameter error."""
     with open(path, encoding="utf-8") as handle:
-        return ComplexSeries.from_json_dict(json.load(handle))
+        text = handle.read()
+    try:
+        doc = json.loads(text)
+    except ValueError as err:
+        raise ParameterDomainError(f"--input is not JSON: {err}") from None
+    return ComplexSeries.from_json_dict(doc)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -98,7 +98,7 @@ def transfer_cauchy_euler(g: ComplexSeries, ce: CauchyEulerParams) -> ComplexSer
     identically 1 at n = 1, so normalization survives the transfer.
     """
     srs.require_normalized(g)
-    out = np.array(g.coeffs, dtype=np.complex128)
+    out = np.array(g._c)
     for n in range(2, len(out)):
         out[n] *= cauchy_euler_factor(ce, n)
     return ComplexSeries(out)

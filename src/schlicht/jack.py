@@ -46,8 +46,10 @@ GROWTH_ANGLES = 1024
 GROWTH_MEMBERSHIP_RADIUS = 0.75
 GROWTH_TOLERANCE = 1e-9
 
-# points of the dense grid that gb_spiral_threshold searches before refining
-THRESHOLD_GRID = 100_000
+# gb_spiral_threshold samples THRESHOLD_POINTS points of its bracket per
+# pass; THRESHOLD_PASSES passes shrink it from half-width pi to pi/16^8
+THRESHOLD_POINTS = 33
+THRESHOLD_PASSES = 8
 
 # samples built and checked together by spiral_check
 SPIRAL_BLOCK = 64
@@ -172,7 +174,7 @@ def spiral_membership(
 ) -> SpiralReport:
     """Grid test of Re(exp(i*alpha) * z*f'/f) > 0, with winding(f) = 1."""
     rotation = cmath.exp(1j * SpiralParams(alpha).alpha)
-    return _ratio_reports(np.array([f.coeffs]), rotation, 0.0, radius, angles)[0]
+    return _ratio_reports(f._c[None, :], rotation, 0.0, radius, angles)[0]
 
 
 def starlike_membership(
@@ -181,7 +183,7 @@ def starlike_membership(
     """Grid test of Re(z*f'/f) > order_alpha; min_re reports the margin."""
     if not 0.0 <= order_alpha < 1.0:
         raise ParameterDomainError(f"order must be in [0, 1), got {order_alpha}")
-    return _ratio_reports(np.array([f.coeffs]), 1.0, order_alpha, radius, angles)[0]
+    return _ratio_reports(f._c[None, :], 1.0, order_alpha, radius, angles)[0]
 
 
 def gb_membership(
@@ -196,7 +198,7 @@ def gb_membership(
     """
     if not 0.0 < b <= 1.0:
         raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
-    vals, (winding,) = _grid_values(np.array([f.coeffs]), radius, angles, True)
+    vals, (winding,) = _grid_values(f._c[None, :], radius, angles, True)
     f_vals, zfp, zzfpp = vals[:, 0]
     max_dev = float(np.max(np.abs((1.0 + zzfpp / zfp) / (zfp / f_vals) - 1.0)))
     member = max_dev <= b and winding == 1 and winding_number(zfp) == 1
@@ -206,37 +208,22 @@ def gb_membership(
 def gb_spiral_threshold(alpha: float) -> float:
     """Largest quotient deviation b certified to imply spiral-likeness.
 
-    Minimizes |(1+A)e^{i*t}/(1+A*e^{i*t})^2| over t for A = exp(-2i*alpha)
-    on a grid of THRESHOLD_GRID points, then sharpens with golden-section
-    search.  The value equals |1 + A|/4.
+    Minimizes m(t) = |(1+A)e^{i*t}/(1+A*e^{i*t})^2| for A = exp(-2i*alpha)
+    on a zooming grid.  m has one minimum per period (|1 + A*e^{i*t}| peaks
+    only at t = 2*alpha), within one grid step of the sampled argmin, so
+    each pass recenters there and shrinks the half-width to that step; m is
+    periodic, so a bracket may cross t = 0.  m is quadratic at its minimum,
+    so the last value is exact to rounding.  It equals |1 + A|/4.
     """
     a = SpiralParams(alpha).a_spiral
-
-    def objective(t: float) -> float:
-        w = cmath.exp(1j * t)
-        return abs((1.0 + a) * w / (1.0 + a * w) ** 2)
-
-    ts = np.linspace(0.0, 2.0 * math.pi, THRESHOLD_GRID, endpoint=False)
-    ws = np.exp(1j * ts)
-    vals = np.abs((1.0 + a) * ws / (1.0 + a * ws) ** 2)
-    best = int(np.argmin(vals))
-    step = 2.0 * math.pi / THRESHOLD_GRID
-    lo, hi = ts[best] - step, ts[best] + step
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(80):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = objective(x2)
-    return min(f1, f2, float(vals[best]))
+    center, half = 0.0, math.pi
+    for _ in range(THRESHOLD_PASSES):
+        ts = np.linspace(center - half, center + half, THRESHOLD_POINTS)
+        ws = np.exp(1j * ts)
+        vals = np.abs((1.0 + a) * ws / (1.0 + a * ws) ** 2)
+        best = int(np.argmin(vals))
+        center, half = ts[best], ts[1] - ts[0]
+    return float(vals[best])
 
 
 def gb_threshold_closed_form(alpha: float) -> float:
@@ -260,7 +247,7 @@ def _ratio_rows(sources: np.ndarray) -> np.ndarray:
 
 def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
     """Solve z*p' = source * p^2 with p(0) = 1 (source(0) must vanish)."""
-    return ComplexSeries(_ratio_rows(_fit_rows([source.coeffs], order + 1))[0])
+    return ComplexSeries(_ratio_rows(_fit_rows([source._c], order + 1))[0])
 
 
 def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
@@ -282,7 +269,7 @@ def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
 def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
     """Member built to satisfy the spiral quotient criterion exactly; it is
     spiral-like with angle alpha by the criterion."""
-    rows = _fit_rows([omega.coeffs], max(order, 1))
+    rows = _fit_rows([omega._c], max(order, 1))
     return ComplexSeries(_spiral_rows(rows, alpha)[0])
 
 
@@ -290,7 +277,7 @@ def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:
     """Member of the quotient-deviation class with deviation b*omega."""
     if not 0.0 < b <= 1.0:
         raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
-    sources = _fit_rows([omega.coeffs], max(order, 1)) * complex(b)
+    sources = _fit_rows([omega._c], max(order, 1)) * complex(b)
     return ComplexSeries(srs._row_log_derivative_newton(_ratio_rows(sources))[0])
 
 
@@ -362,8 +349,8 @@ def growth_extremal(beta: float, order: int) -> ComplexSeries:
     """The function z*(1+z)^{-1/beta} as a series: the solution of
     z*f'/f = q = 1 - (1/beta)*z/(1+z), so q_k = -(1/beta)*(-1)^(k-1) for
     k >= 1, through order."""
-    if beta <= 0.0:
-        raise ParameterDomainError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ParameterDomainError(f"beta must be finite and positive, got {beta}")
     if order < 2:
         raise ParameterDomainError(f"order must be >= 2, got {order}")
     q = np.ones(order, dtype=np.complex128)
@@ -376,8 +363,8 @@ def growth_extremal(beta: float, order: int) -> ComplexSeries:
 def growth_extremal_starlike_order(beta: float) -> float:
     """Starlikeness order of z*(1+z)^{-1/beta}: its z*f'/f maps the disk
     onto the half-plane Re w > 1 - 1/(2*beta)."""
-    if beta <= 0.0:
-        raise ParameterDomainError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ParameterDomainError(f"beta must be finite and positive, got {beta}")
     return 1.0 - 1.0 / (2.0 * beta)
 
 

@@ -33,7 +33,7 @@ operations are pure functions, so series can be shared freely between
 concurrent tasks.
 """
 
-import cmath
+from itertools import chain
 
 import numpy as np
 
@@ -169,13 +169,25 @@ class ComplexSeries:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ComplexSeries":
-        coeffs = [complex(re, im) for re, im in doc["coeffs"]]
-        if len(coeffs) != int(doc["order"]) + 1:
-            raise ValueError("coefficient count does not match declared order")
-        if not all(cmath.isfinite(c) for c in coeffs):
+    def from_json_dict(cls, doc) -> "ComplexSeries":
+        """The series of a to_json_dict document, {"order": n, "coeffs": [[re,
+        im] x (n+1)]} with finite numbers; ParameterDomainError otherwise."""
+        order = doc.get("order") if isinstance(doc, dict) else None
+        pairs = doc.get("coeffs") if isinstance(doc, dict) else None
+        if not (type(order) is int and type(pairs) is list and 0 <= order == len(pairs) - 1
+                and set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}):
+            raise ParameterDomainError('a series document is {"order": n, "coeffs": '
+                                       "[[re, im] x (n+1)]}")
+        parts = list(chain.from_iterable(pairs))
+        if not set(map(type, parts)) <= {int, float}:
+            raise ParameterDomainError("series coefficients must be numbers")
+        try:
+            values = np.array(parts, dtype=np.float64)
+        except OverflowError:  # an integer beyond the double range
+            values = np.array([np.inf])
+        if not np.all(np.isfinite(values)):
             raise ParameterDomainError("series coefficients must be finite")
-        return cls(coeffs)
+        return cls(values.view(np.complex128))
 
 
 def constant(value: complex, order: int) -> ComplexSeries:

@@ -277,7 +277,7 @@ def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:
     """
     if order < 1:
         raise ParameterDomainError("order must be at least 1")
-    rows = _fit_rows([omega.coeffs], order)
+    rows = _fit_rows([omega._c], order)
     if abs(rows[0, 0]) > srs.UNIT_TOLERANCE:
         raise ParameterDomainError("omega must vanish at the origin")
     return ComplexSeries(_member_rows(rows, p)[0])
@@ -326,8 +326,7 @@ def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> ComplexSeries:
     series has order f.order - 1.
     """
     srs.require_normalized(f)
-    coeffs = np.asarray(f.coeffs, dtype=np.complex128)
-    big_f = coeffs * _weights(coeffs.size, p.lam)
+    big_f = f._c * _weights(f._c.size, p.lam)
     u = ComplexSeries(big_f[1:])  # F/z, a unit series
     z_u_prime = u.z_derivative()
     ratio = z_u_prime.div(u).scale(1.0 / p.gamma)  # (1/gamma)*(zF'/F - 1)
@@ -367,8 +366,7 @@ def quadratic_sum_slack(f: ComplexSeries, p: ClassParams, n: int) -> float:
     """
     if n < 2 or n > f.order:
         raise ParameterDomainError(f"need 2 <= n <= {f.order}, got {n}")
-    coeffs = np.asarray(f.coeffs[2 : n + 1], dtype=np.complex128)
-    return float(_quadratic_slacks(_moduli(coeffs[None, :]), p)[0, -1])
+    return float(_quadratic_slacks(_moduli(f._c[None, 2 : n + 1]), p)[0, -1])
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:

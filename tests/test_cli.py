@@ -419,9 +419,28 @@ class TestJackCommand:
         assert out == ""
         assert "parameter error" in err
 
-    def test_non_finite_series_file_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize(("text", "reason"), [
+        pytest.param('{"order": 2, "coeffs": [[0, 0], [1, 0], [NaN, 0]]}', "finite",
+                     id="nan"),
+        pytest.param("[[0, 0], [1, 0]]", "series document", id="array"),
+        pytest.param('{"coeffs": [[0, 0], [1, 0]]}', "series document", id="no-order"),
+        pytest.param('{"order": 1.5, "coeffs": [[0, 0], [1, 0]]}', "series document",
+                     id="float-order"),
+        pytest.param('{"order": "2", "coeffs": [[0, 0], [1, 0], [0, 0]]}',
+                     "series document", id="string-order"),
+        pytest.param('{"order": 2, "coeffs": [[0, 0], [1, 0]]}', "series document",
+                     id="count"),
+        pytest.param('{"order": 1, "coeffs": [[0, 0], [0.1, 0, 5]]}', "series document",
+                     id="triple"),
+        pytest.param('{"order": 1, "coeffs": [[0, 0], ["0.1", 0]]}', "numbers",
+                     id="string-part"),
+        pytest.param('{"order": 1, "coeffs": [[0, 0], [true, 0]]}', "numbers",
+                     id="bool-part"),
+        pytest.param("order 1", "not JSON", id="not-json"),
+    ])
+    def test_non_finite_series_file_refused(self, text, reason, tmp_path, capsys):
         path = tmp_path / "series.json"
-        path.write_text('{"order": 2, "coeffs": [[0, 0], [1, 0], [NaN, 0]]}')
+        path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(
@@ -429,7 +448,9 @@ class TestJackCommand:
             )
         assert code == 1
         assert out == ""
-        assert "finite" in err
+        assert err.startswith("parameter error") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert reason in err
 
     def test_growth_from_file(self, tmp_path, capsys):
         from schlicht import ClassParams, identity, member_from_schwarz
@@ -496,6 +517,16 @@ class TestJackCommand:
         assert code == 1
         assert out == ""
         assert "parameter error" in err
+
+    @pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])
+    def test_growth_extremal_beta_outside_domain_refused(self, beta, capsys):
+        code, out, err = run_cli(
+            ["jack", "--check", "growth-extremal", "--beta", beta, "--order", "8"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "parameter error: beta must be finite and positive" in err
 
     def test_growth_extremal_overflow_exits_two(self, capsys):
         # (1+z)^(-1/beta) overflows for tiny beta; no inf reaches stdout

@@ -148,6 +148,27 @@ class TestThreshold:
             abs(1 + cmath.exp(-3j)) / 4, abs=1e-15
         )
 
+    def test_matches_closed_form_to_rounding(self):
+        # the zooming grid's last bracket is narrow enough that the minimum is
+        # exact to rounding; the bracket crosses t = 0 = 2*pi near alpha = 0
+        alphas = [*np.linspace(-1.5707963, 1.5707963, 401), 0.0, 1e-12, -1e-12]
+        for alpha in alphas:
+            assert gb_spiral_threshold(float(alpha)) == pytest.approx(
+                gb_threshold_closed_form(float(alpha)), rel=2e-15, abs=0.0
+            )
+
+    def test_evaluates_at_most_300_points(self, monkeypatch):
+        points = []
+        exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            points.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        gb_spiral_threshold(0.7)
+        assert 0 < sum(points) <= 300
+
     def test_matches_closed_form_50_angles(self):
         for alpha in np.linspace(-1.5, 1.5, 50):
             assert gb_spiral_threshold(float(alpha)) == pytest.approx(
