@@ -14,6 +14,8 @@ III bounds carry sharpness "unknown", which is the honest status: no
 attaining member is known and none is claimed.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
@@ -178,14 +180,9 @@ def telescoping_identity_residual(p: ClassParams, m: int) -> float:
 
 
 def spiral_product_bound(beta: float, a: float, b: float, n: int) -> float:
-    """prod_{j=0}^{n-2} |(A-B)*exp(-i*beta)*cos(beta) - j*B| / (j+1)."""
-    import cmath
-    import math
-
-    if not abs(beta) < math.pi / 2:
-        raise ParameterDomainError(f"need |beta| < pi/2, got {beta}")
-    if not -1.0 <= b < a <= 1.0:
-        raise ParameterDomainError(f"need -1 <= B < A <= 1, got A={a}, B={b}")
+    """prod_{j=0}^{n-2} |(A-B)*exp(-i*beta)*cos(beta) - j*B| / (j+1); beta,
+    A and B as ClassParams(spiral_gamma(beta), 0, A, B) takes them."""
+    ClassParams(spiral_gamma(beta), 0.0, a, b)
     if n < 2:
         raise ParameterDomainError(f"index n must be >= 2, got {n}")
     seed = (a - b) * cmath.exp(-1j * beta) * math.cos(beta)

@@ -20,6 +20,7 @@ from .bounds import bound_sweep, reduction_sweep
 from .errors import ParameterDomainError, SchlichtError
 from .extremals import (
     EXTREMAL_KINDS,
+    INDEXED_KINDS,
     KIND_CLASS,
     ExtremalSpec,
     build_extremal,
@@ -166,7 +167,7 @@ def _cmd_extremal(args) -> int:
         kind=args.kind,
         params=red.params,
         order=order,
-        n=hi if args.kind in ("case-i", "starlike-n") else None,
+        n=hi if args.kind in INDEXED_KINDS else None,
         cauchy_euler=red.cauchy_euler,
     )
     f = build_extremal(spec)

@@ -29,7 +29,7 @@ class InversionSingular(SchlichtError, ZeroDivisionError):
     """Recovering a Schwarz function hit a singular Moebius inversion."""
 
 
-class NormalizationError(SchlichtError, ValueError):
+class NormalizationError(ParameterDomainError):
     """A series expected to be normalized (c0 = 0, c1 = 1) is not."""
 
 

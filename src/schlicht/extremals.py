@@ -12,11 +12,15 @@ from dataclasses import dataclass
 from . import series as srs
 from .bounds import BoundResult, cauchy_euler_factor, reduction_sweep
 from .errors import ParameterDomainError
+from .output import JsonFields
 from .params import CauchyEulerParams, ClassParams, Reduction, reduce_subclass
 from .series import ComplexSeries
 from .subordination import member_from_schwarz
 
 EXTREMAL_KINDS = ("case-i", "case-ii", "koebe-gamma", "convex-gamma", "starlike-n")
+
+# the kinds built for one target index n, the member of omega = z^(n-1)
+INDEXED_KINDS = ("case-i", "starlike-n")
 
 # the kinds that take only gamma, and the subclass each builds in
 KIND_CLASS = {"koebe-gamma": "Sstar", "convex-gamma": "C", "starlike-n": "Sstar"}
@@ -48,7 +52,7 @@ class ExtremalSpec:
         if self.kind in KIND_CLASS:
             red = reduce_subclass(KIND_CLASS[self.kind], gamma=self.params.gamma)
             object.__setattr__(self, "params", red.params)
-        if self.kind in ("case-i", "starlike-n"):
+        if self.kind in INDEXED_KINDS:
             if self.n is None or self.n < 2:
                 raise ParameterDomainError(f"kind {self.kind!r} needs a target n >= 2")
             if self.order < self.n:
@@ -56,7 +60,7 @@ class ExtremalSpec:
 
 
 @dataclass(frozen=True)
-class SharpnessRecord:
+class SharpnessRecord(JsonFields):
     """Gap between a bound and the |a_n| its candidate extremal achieves."""
 
     n: int
@@ -64,15 +68,6 @@ class SharpnessRecord:
     observed: float
     gap: float
     attained: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "bound": self.bound,
-            "observed": self.observed,
-            "gap": self.gap,
-            "attained": self.attained,
-        }
 
 
 def extremal_case_i(p: ClassParams, n: int, order: int) -> ComplexSeries:
@@ -106,7 +101,7 @@ def transfer_cauchy_euler(g: ComplexSeries, ce: CauchyEulerParams) -> ComplexSer
 
 def build_extremal(spec: ExtremalSpec) -> ComplexSeries:
     """Construct the series an ExtremalSpec describes."""
-    if spec.kind in ("case-i", "starlike-n"):
+    if spec.kind in INDEXED_KINDS:
         f = extremal_case_i(spec.params, spec.n, spec.order)
     else:
         f = extremal_case_ii(spec.params, spec.order)

@@ -19,7 +19,7 @@ Python step per coefficient dominated the cost.
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .errors import (
     ParameterDomainError,
     PreconditionNotVerified,
 )
+from .output import JsonFields
 from .series import ComplexSeries
-from .subordination import _fit_rows, schwarz_rows
+from .subordination import schwarz_rows
 
 SINGULARITY_FLOOR = 1e-12
 
@@ -84,13 +85,8 @@ class SpiralParams:
         return 1.0 / (2.0 * (1.0 - self.alpha))
 
 
-class _Report:
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass(frozen=True)
-class SpiralReport(_Report):
+class SpiralReport(JsonFields):
     member: bool
     min_re: float
     radius: float
@@ -99,7 +95,7 @@ class SpiralReport(_Report):
 
 
 @dataclass(frozen=True)
-class DeviationReport(_Report):
+class DeviationReport(JsonFields):
     member: bool
     max_dev: float
     radius: float
@@ -108,7 +104,7 @@ class DeviationReport(_Report):
 
 
 @dataclass(frozen=True)
-class GrowthReport(_Report):
+class GrowthReport(JsonFields):
     ok: bool
     worst_slack: float
     alpha: float
@@ -118,7 +114,7 @@ class GrowthReport(_Report):
 
 
 @dataclass(frozen=True)
-class SecondCoeffReport(_Report):
+class SecondCoeffReport(JsonFields):
     ok: bool
     value: float
     limit: float
@@ -141,9 +137,8 @@ def _grid_values(rows: np.ndarray, radius: float, angles: int, second: bool = Fa
     shaped (2 or 3, rows, angles), from one circle_values call, and the
     winding of each f.  The criteria divide by f, and with second by f'."""
     ks = np.arange(rows.shape[1])
-    parts = [rows, rows * ks] + ([rows * (ks * (ks - 1))] if second else [])
-    vals = srs.circle_values(np.concatenate(parts), radius, angles)
-    vals = vals.reshape(len(parts), len(rows), angles)
+    factors = np.stack([np.ones_like(ks), ks] + ([ks * (ks - 1)] if second else []))
+    vals = srs.circle_values(rows * factors[:, None, :], radius, angles)
     floor = float(np.min(np.abs(vals[0])))
     if second:  # |f'| = |z*f'|/r on the circle
         floor = min(floor, float(np.min(np.abs(vals[1]))) / radius)
@@ -247,7 +242,7 @@ def _ratio_rows(sources: np.ndarray) -> np.ndarray:
 
 def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
     """Solve z*p' = source * p^2 with p(0) = 1 (source(0) must vanish)."""
-    return ComplexSeries(_ratio_rows(_fit_rows([source._c], order + 1))[0])
+    return ComplexSeries(_ratio_rows(srs.fit_row(source, order + 1))[0])
 
 
 def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
@@ -269,15 +264,14 @@ def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
 def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
     """Member built to satisfy the spiral quotient criterion exactly; it is
     spiral-like with angle alpha by the criterion."""
-    rows = _fit_rows([omega._c], max(order, 1))
-    return ComplexSeries(_spiral_rows(rows, alpha)[0])
+    return ComplexSeries(_spiral_rows(srs.fit_row(omega, order), alpha)[0])
 
 
 def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:
     """Member of the quotient-deviation class with deviation b*omega."""
     if not 0.0 < b <= 1.0:
         raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
-    sources = _fit_rows([omega._c], max(order, 1)) * complex(b)
+    sources = srs.fit_row(omega, order) * complex(b)
     return ComplexSeries(srs._row_log_derivative_newton(_ratio_rows(sources))[0])
 
 
@@ -310,14 +304,16 @@ def spiral_check(
 def growth_check(f: ComplexSeries, alpha: float) -> GrowthReport:
     """Check |f(z)| <= |z|/(1-|z|)^{1/beta} for a starlike f of order alpha.
 
+    f must be normalized and of order 2 at least (require_normalized).
     Membership (Re(z*f'/f) > alpha on |z| = GROWTH_MEMBERSHIP_RADIUS, 0.75)
-    is verified first and a failure raises PreconditionNotVerified rather
+    is verified next and a failure raises PreconditionNotVerified rather
     than reporting a bogus growth violation.  worst_slack is min of
     bound(|z|) - |f(z)| over the circles |z| in GROWTH_RADII (0.3, 0.5,
     0.6); ok means it stays above -GROWTH_TOLERANCE.  Every circle has
     GROWTH_ANGLES (1024) points.
     """
     beta = SpiralParams(alpha).beta_for_growth
+    srs.require_normalized(f, 2)
     radius = GROWTH_MEMBERSHIP_RADIUS
     membership = starlike_membership(f, alpha, radius, GROWTH_ANGLES)
     if not membership.member:
@@ -339,8 +335,10 @@ def growth_check(f: ComplexSeries, alpha: float) -> GrowthReport:
 
 
 def second_coeff_check(f: ComplexSeries, alpha: float) -> SecondCoeffReport:
-    """Check |f''(0)| <= 2/beta for the growth exponent tied to alpha."""
+    """Check |f''(0)| <= 2/beta for the growth exponent tied to alpha, for f
+    normalized and of order 2 at least."""
     limit = 2.0 / SpiralParams(alpha).beta_for_growth
+    srs.require_normalized(f, 2)
     value = 2.0 * abs(f.coefficient(2))
     return SecondCoeffReport(value <= limit + GROWTH_TOLERANCE, value, limit)
 

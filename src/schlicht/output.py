@@ -8,8 +8,16 @@ JSON has no token for them.
 """
 
 import math
+from dataclasses import asdict
 
 from .errors import NonFiniteOutput
+
+
+class JsonFields:
+    """Mixin for a dataclass whose JSON document is its fields, in order."""
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 def format_float(x: float) -> str:

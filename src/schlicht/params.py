@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
+from .output import JsonFields
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class ClassParams:
 
 
 @dataclass(frozen=True)
-class CauchyEulerParams:
+class CauchyEulerParams(JsonFields):
     """Order m >= 2 and shift mu > -1 of the Cauchy-Euler transfer."""
 
     m: int
@@ -88,9 +89,6 @@ class CauchyEulerParams:
         object.__setattr__(self, "mu", float(self.mu))
         if not math.isfinite(self.mu) or self.mu <= -1.0:
             raise ParameterDomainError(f"mu must be > -1, got {self.mu}")
-
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "mu": self.mu}
 
 
 @dataclass(frozen=True)

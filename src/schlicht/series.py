@@ -21,7 +21,8 @@ pin the recurrences bit for bit at order 512, and at the fuzzer's shapes
 No logarithm or fractional power of a series is taken: a power such as
 z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose coefficients
 are those of the principal branch, so the package needs no branch
-convention.  circle_values is the one circle evaluator.
+convention.  circle_values is the one circle evaluator, and fit_row the
+one rule that fits a series to a row of given width.
 
 mul, log1, exp0 and powc stay only because the benchmark's tracer
 (perfbench/tracing.py) wraps them by name; no package code calls them.
@@ -142,8 +143,6 @@ class ComplexSeries:
         """Principal-branch power (1 + u)^alpha for a series 1 + u."""
         if abs(self._c[0] - 1.0) > UNIT_TOLERANCE:
             raise BranchPointAtOrigin(f"powc needs constant term 1, got {self._c[0]}")
-        if complex(alpha) == 0:
-            return constant(1.0, self.order)
         return self.log1().scale(alpha).exp0()
 
     # -- evaluation ------------------------------------------------------------
@@ -158,7 +157,7 @@ class ComplexSeries:
 
     def eval_on_circle(self, radius: float, num_angles: int) -> np.ndarray:
         """Values on the circle of given radius at equispaced angles."""
-        return circle_values(self._c[None, :], radius, num_angles)[0]
+        return circle_values(self._c, radius, num_angles)
 
     # -- serialization -----------------------------------------------------
 
@@ -190,6 +189,16 @@ class ComplexSeries:
         return cls(values.view(np.complex128))
 
 
+def fit_row(s: ComplexSeries, width: int) -> np.ndarray:
+    """The coefficients c_0..c_{width-1} of s as a (1, width) row, zero-padded
+    or truncated: the one order rule of the one-series builders."""
+    if width < 1:
+        raise ParameterDomainError(f"a series row needs width >= 1, got {width}")
+    row = np.zeros((1, width), dtype=np.complex128)
+    row[0, : min(width, s._c.size)] = s._c[:width]
+    return row
+
+
 def constant(value: complex, order: int) -> ComplexSeries:
     out = np.zeros(order + 1, dtype=np.complex128)
     out[0] = complex(value)
@@ -209,23 +218,24 @@ def identity(order: int) -> ComplexSeries:
     return monomial(1.0, 1, order)
 
 
-def circle_values(rows: np.ndarray, radius: float, angles: int) -> np.ndarray:
+def circle_values(coeffs: np.ndarray, radius: float, angles: int) -> np.ndarray:
     """Values of each coefficient row at radius*exp(2*pi*i*j/angles), j < angles.
 
     sum_k c_k r^k w^(jk) with w = exp(2*pi*i/angles) depends on k only mod
     angles, so one inverse FFT of the scaled rows folded mod angles gives
-    every value (Trefethen & Weideman, SIAM Review 56, 2014).  This is the
-    one place that checks the circle's domain.
+    every value (Trefethen & Weideman, SIAM Review 56, 2014).  The rows lie
+    along the last axis of coeffs, of any leading shape.  This is the one
+    place that checks the circle's domain.
     """
     if not 0.0 < radius < 1.0:
         raise RadiusOutOfRange(f"radius {radius} not in (0, 1)")
     if angles < 1:
         raise ParameterDomainError(f"angles must be >= 1, got {angles}")
-    count, width = rows.shape
-    scaled = np.zeros((count, -(-width // angles) * angles), dtype=np.complex128)
-    scaled[:, :width] = rows * radius ** np.arange(width)
-    folded = scaled.reshape(count, -1, angles).sum(axis=1)
-    return np.fft.ifft(folded, axis=1, norm="forward")
+    width = coeffs.shape[-1]
+    scaled = coeffs * radius ** np.arange(width)
+    for lo in range(angles, width, angles):  # fold into the first block
+        scaled[..., : min(angles, width - lo)] += scaled[..., lo : lo + angles]
+    return np.fft.ifft(scaled[..., :angles], angles, axis=-1, norm="forward")
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -361,10 +371,11 @@ def solve_log_derivative(q: ComplexSeries) -> ComplexSeries:
     return ComplexSeries(_row_log_derivative(q._c[None, :])[0])
 
 
-def require_normalized(f: ComplexSeries) -> None:
-    """Check f(0)=0 and f'(0)=1 up to NORMALIZATION_TOLERANCE."""
-    if f.order < 1:
-        raise NormalizationError("series order must be at least 1")
+def require_normalized(f: ComplexSeries, min_order: int = 1) -> None:
+    """Check f(0)=0 and f'(0)=1 up to NORMALIZATION_TOLERANCE, and that f has
+    order min_order at least."""
+    if f.order < min_order:
+        raise NormalizationError(f"series order {f.order} is below {min_order}")
     c0, c1 = f.coefficient(0), f.coefficient(1)
     if abs(c0) > NORMALIZATION_TOLERANCE or abs(c1 - 1.0) > NORMALIZATION_TOLERANCE:
         raise NormalizationError(f"series is not normalized: c0={c0}, c1={c1}")

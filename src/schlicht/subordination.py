@@ -275,22 +275,10 @@ def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:
     omega must have zero constant term; it is treated as an exact
     polynomial and zero-padded as needed.
     """
-    if order < 1:
-        raise ParameterDomainError("order must be at least 1")
-    rows = _fit_rows([omega._c], order)
+    rows = srs.fit_row(omega, order)
     if abs(rows[0, 0]) > srs.UNIT_TOLERANCE:
         raise ParameterDomainError("omega must vanish at the origin")
     return ComplexSeries(_member_rows(rows, p)[0])
-
-
-def _fit_rows(coeff_rows, width: int) -> np.ndarray:
-    """Coefficient vectors as the rows of one array, each zero-padded or
-    truncated to width."""
-    rows = np.zeros((len(coeff_rows), width), dtype=np.complex128)
-    for row, coeffs in zip(rows, coeff_rows):
-        coeffs = np.asarray(coeffs)[:width]
-        row[: coeffs.size] = coeffs
-    return rows
 
 
 def _weights(width: int, lam: float) -> np.ndarray:
@@ -304,18 +292,15 @@ def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
     Row for row this is Q = 1 + base*omega/(1 + B*omega), then
     series.solve_log_derivative(Q), then the weights divided out, with the
     same floating-point operations in the same order as the series
-    methods; the recurrences step over k with all rows at once.  With
-    B = 0 the division is skipped.
+    methods; the recurrences step over k with all rows at once.  A
+    coefficient that leaves the double range raises FloatingPointError.
     """
     one = np.zeros(omegas.shape[1], dtype=np.complex128)
     one[0] = 1.0
-    num = omegas * complex(p.product_base())
-    if p.b != 0.0:
-        # with B = 0 the divisor is the constant 1, and the quotient is num
-        # up to the signs of zero parts
-        num = srs._row_div(num, one + omegas * complex(p.b))
-    big_f = srs._row_log_derivative(one + num)
-    return big_f / _weights(big_f.shape[1], p.lam)
+    with np.errstate(over="raise", invalid="raise"):  # a huge gamma overflows
+        num = srs._row_div(omegas * complex(p.product_base()), one + omegas * complex(p.b))
+        big_f = srs._row_log_derivative(one + num)
+        return big_f / _weights(big_f.shape[1], p.lam)
 
 
 def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> ComplexSeries:

@@ -311,6 +311,17 @@ def test_malformed_index_range_exits_one(command, n, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [["verify", "--seed", "0"], ["report", "--seed", "0"],
+                                     ["extremal"]])
+def test_overflowing_member_exits_two(command, capsys):
+    # gamma = 1e200 overflows the member recurrences: one error line, and no
+    # numpy warning reaches stderr
+    code, out, err = run_cli([*command, "--gamma=1e200,0", "--A", "1", "--B", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parser_is_built_once_and_reused(extremal_builds, capsys):
     argvs = [
         ["bound", *STARLIKE_ARGS, "--n", "2:12", "--format", "json"],
@@ -446,6 +457,24 @@ class TestJackCommand:
             code, out, err = run_cli(
                 ["jack", "--check", "gb", "--b", "0.5", "--input", str(path)], capsys
             )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parameter error") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert reason in err
+
+    @pytest.mark.parametrize(("coeffs", "reason"), [
+        ([[0, 0], [1, 0]], "series order 1 is below 2"),
+        ([[0, 0], [5, 0], [0, 0]], "series is not normalized"),
+    ], ids=["order-1", "5z"])
+    def test_growth_input_outside_the_hypothesis_refused(self, coeffs, reason, tmp_path,
+                                                          capsys):
+        # the growth bounds hold for normalized f; a_2 needs order 2
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": len(coeffs) - 1, "coeffs": coeffs}))
+        code, out, err = run_cli(
+            ["jack", "--check", "growth", "--alpha", "0.2", "--input", str(path)], capsys
+        )
         assert code == 1
         assert out == ""
         assert err.startswith("parameter error") and err.count("\n") == 1

@@ -217,6 +217,17 @@ class TestForwardInstances:
             rep = spiral_membership(f, alpha, 0.95, 2048)
             assert rep.member, (alpha, i, rep.min_re)
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_spiral_instance(identity(1), 0.3, 0),
+        lambda: build_gb_instance(identity(1), 0.5, 0),
+        lambda: quotient_source_ratio(constant(0, 6), -1),
+        lambda: member_from_schwarz(identity(1), STARLIKE, 0),
+    ], ids=["spiral", "gb", "ratio", "member"])
+    def test_empty_row_refused(self, build):
+        # every one-series builder fits its input with series.fit_row
+        with pytest.raises(ParameterDomainError, match="width >= 1"):
+            build()
+
     def test_gb_instance_deviation_within_b(self):
         sample = sample_schwarz((41, 0), 3)
         b = 0.4
