@@ -53,7 +53,7 @@ from .params import (
     reduce_subclass,
     spiral_gamma,
 )
-from .series import ComplexSeries, constant, identity, monomial, solve_log_derivative
+from .series import ComplexSeries, identity, monomial, solve_log_derivative
 from .subordination import (
     fuzz_bounds,
     is_member,
@@ -84,7 +84,6 @@ __all__ = [
     "classify_case",
     "coefficient_bound",
     "coefficient_bound_cauchy_euler",
-    "constant",
     "errors",
     "extremal_case_i",
     "extremal_case_ii",
@@ -112,7 +111,7 @@ __all__ = [
     "spiral_membership",
     "spiral_product_bound",
     "starlike_membership",
-    "winding_number",
     "telescoping_identity_residual",
     "transfer_cauchy_euler",
+    "winding_number",
 ]

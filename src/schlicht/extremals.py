@@ -94,8 +94,7 @@ def transfer_cauchy_euler(g: ComplexSeries, ce: CauchyEulerParams) -> ComplexSer
     """
     srs.require_normalized(g)
     out = np.array(g._c)
-    for n in range(2, len(out)):
-        out[n] *= cauchy_euler_factor(ce, n)
+    out[2:] *= cauchy_euler_factor(ce, np.arange(2, out.size))
     return ComplexSeries(out)
 
 

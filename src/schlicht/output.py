@@ -9,6 +9,7 @@ JSON has no token for them.
 
 import math
 from dataclasses import asdict
+from json.encoder import encode_basestring
 
 from .errors import NonFiniteOutput
 
@@ -51,33 +52,15 @@ def _json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return _json_string(obj)
+        return encode_basestring(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):
-        items = (f"{_json_string(str(key))}:{_json(value)}"
+        items = (f"{encode_basestring(str(key))}:{_json(value)}"
                  for key, value in obj.items())
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(_json, obj)) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
-
-def _json_string(text: str) -> str:
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        # nothing to escape: every key and most values
-        return f'"{text}"'
-    chars = (_ESCAPES.get(ch) or (f"\\u{ord(ch):04x}" if ord(ch) < 0x20 else ch)
-             for ch in text)
-    return '"' + "".join(chars) + '"'

@@ -69,11 +69,6 @@ class ClassParams:
             "B": self.b,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ClassParams":
-        re, im = doc["gamma"]
-        return cls(complex(re, im), doc["lambda"], doc["A"], doc["B"])
-
 
 @dataclass(frozen=True)
 class CauchyEulerParams(JsonFields):

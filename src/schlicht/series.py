@@ -199,12 +199,6 @@ def fit_row(s: ComplexSeries, width: int) -> np.ndarray:
     return row
 
 
-def constant(value: complex, order: int) -> ComplexSeries:
-    out = np.zeros(order + 1, dtype=np.complex128)
-    out[0] = complex(value)
-    return ComplexSeries(out)
-
-
 def monomial(coefficient: complex, degree: int, order: int) -> ComplexSeries:
     if not 0 <= degree <= order:
         raise ValueError("degree must lie in 0..order")

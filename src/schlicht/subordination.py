@@ -32,13 +32,15 @@ import numpy as np
 from . import series as srs
 from .bounds import bound_sweep
 from .errors import InversionSingular, ParameterDomainError
+from .output import JsonFields
 from .params import ClassParams
 from .series import ComplexSeries
 
 CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
 
-# Largest index the per-sample quadratic-sum inequality is checked at; the
-# check needs all lower coefficients, so cost grows quadratically with it.
+# Largest index the per-sample quadratic-sum inequality is checked at.  The
+# slack is a running sum over n, so a larger limit would cost little, but it
+# would change the verify and report bytes.
 QUADRATIC_CHECK_LIMIT = 10
 
 # A fuzzed |a_n| violates its bound when it exceeds bound*(1+VIOLATION_RTOL);
@@ -66,17 +68,11 @@ _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(JsonFields):
     member: bool
     margin: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "margin": self.margin,
-            "radius": MEMBERSHIP_RADIUS,
-            "angles": MEMBERSHIP_ANGLES,
-        }
+    radius: float = MEMBERSHIP_RADIUS
+    angles: int = MEMBERSHIP_ANGLES
 
 
 def _entropy_words(entropy) -> list:

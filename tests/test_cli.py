@@ -780,6 +780,16 @@ class TestReportCommand:
         assert doc["membership"][0]["margin"] == pytest.approx(0.01, abs=1e-8)
         assert doc["fuzz"]["total_violations"] == 0
 
+    def test_membership_entry_fields(self, capsys):
+        code, out, _ = run_cli(["report", *STARLIKE_ARGS, "--n", "2:4", "--samples", "5",
+                                "--seed", "1", "--order", "16"], capsys)
+        assert code == 0
+        (entry,) = json.loads(out)["membership"]
+        assert list(entry) == ["extremal_kind", "member", "margin", "radius", "angles"]
+        assert (entry["extremal_kind"], entry["member"]) == ("case-ii", True)
+        assert (entry["radius"], entry["angles"]) == (0.99, 2048)
+        assert '"radius":9.90000000000000e-01,"angles":2048}' in out
+
     def test_case_ii_extremal_is_built_once(self, extremal_builds, capsys):
         # gamma = -1/2 puts n = 3..5 in case I, each with its own extremal
         args = ["report", "--gamma=-0.5,0", "--lambda", "0", "--A", "1", "--B", "-1",
@@ -821,10 +831,12 @@ class TestOutputHelpers:
         text = f"{format_float(value.real)},{format_float(value.imag)}"
         assert parse_complex_pair(text) == value
 
-    def test_string_fast_path_matches_character_loop(self):
-        # the one-write path for plain ASCII must give the bytes the escaping
-        # loop gives, for every character up to 0x2FF alone and in mixtures
-        escapes = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    def test_strings_escape_quote_backslash_and_control_characters(self):
+        # every character up to 0x2FF, alone and in mixtures, is written as
+        # itself except the quote, the backslash and the controls below 0x20,
+        # which get their short JSON escape or \u00xx
+        escapes = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                   "\b": "\\b", "\f": "\\f"}
         chars = [chr(code) for code in range(0x300)]
         texts = [*chars, "", "".join(chars), "case-ii", "polynomial_normalized",
                  "a b~", 'say "hi"', "back\\slash", "tab\there", "del\x7f",

@@ -123,7 +123,8 @@ def test_member_matches_one_row_recurrences(rng):
 
 @pytest.mark.parametrize("order", [10, 64, 512])
 def test_b_zero_member_equals_the_division_form(rng, order):
-    # with B = 0 the member skips the division by 1 + 0*omega
+    # with B = 0 the divisor 1 + 0*omega is the constant 1; the member still
+    # divides by it, and must match the reference's division bit for bit
     for i, construction in enumerate(CONSTRUCTIONS):
         gamma = complex(*rng.uniform(-2, 2, 2))
         p = ClassParams(gamma, rng.uniform(), rng.uniform(0.1, 1), 0.0)

@@ -12,7 +12,6 @@ from schlicht import (
     SpiralParams,
     build_gb_instance,
     build_spiral_instance,
-    constant,
     gb_membership,
     gb_spiral_threshold,
     gb_threshold_closed_form,
@@ -22,6 +21,7 @@ from schlicht import (
     growth_extremal_starlike_order,
     identity,
     member_from_schwarz,
+    monomial,
     quotient_source_ratio,
     sample_schwarz,
     second_coeff_check,
@@ -178,8 +178,8 @@ class TestThreshold:
 
 class TestForwardInstances:
     def test_zero_source_gives_identity(self):
-        p = quotient_source_ratio(constant(0, 6), 6)
-        assert p == constant(1, 6)
+        p = quotient_source_ratio(monomial(0, 0, 6), 6)
+        assert p == monomial(1, 0, 6)
         assert solve_log_derivative(p) == identity(7)
 
     def test_identity_omega_alpha_zero_gives_koebe(self):
@@ -220,7 +220,7 @@ class TestForwardInstances:
     @pytest.mark.parametrize("build", [
         lambda: build_spiral_instance(identity(1), 0.3, 0),
         lambda: build_gb_instance(identity(1), 0.5, 0),
-        lambda: quotient_source_ratio(constant(0, 6), -1),
+        lambda: quotient_source_ratio(monomial(0, 0, 6), -1),
         lambda: member_from_schwarz(identity(1), STARLIKE, 0),
     ], ids=["spiral", "gb", "ratio", "member"])
     def test_empty_row_refused(self, build):

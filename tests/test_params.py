@@ -17,6 +17,7 @@ from schlicht import (
     spiral_gamma,
 )
 from schlicht.errors import ParameterDomainError
+from schlicht.output import fixed_json_dumps
 from schlicht.params import SUBCLASS_NAMES, SUBCLASS_PARAMS
 from conftest import draw_valid_params, spiral_gamma_closed_form
 
@@ -52,9 +53,15 @@ class TestValidation:
         ce = CauchyEulerParams(2, 0.0)
         assert (ce.m, ce.mu) == (2, 0.0)
 
-    def test_json_round_trip(self):
+    def test_json_document(self):
         p = ClassParams(0.5 - 0.25j, 0.75, 0.8, -0.6)
-        assert ClassParams.from_json_dict(p.to_json_dict()) == p
+        doc = p.to_json_dict()
+        assert doc == {"gamma": [0.5, -0.25], "lambda": 0.75, "A": 0.8, "B": -0.6}
+        assert fixed_json_dumps(doc) == (
+            '{"gamma":[5.00000000000000e-01,-2.50000000000000e-01],'
+            '"lambda":7.50000000000000e-01,"A":8.00000000000000e-01,'
+            '"B":-6.00000000000000e-01}'
+        )
 
 
 class TestMarginSequence:

@@ -6,11 +6,11 @@ import pytest
 from schlicht import (
     ClassParams,
     ComplexSeries,
-    constant,
     fuzz_bounds,
     identity,
     is_member,
     member_from_schwarz,
+    monomial,
     quadratic_sum_slack,
     sample_schwarz,
     schwarz_from_member,
@@ -95,7 +95,7 @@ class TestMemberConstruction:
             assert f.coefficient(n) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_zero_sample(self):
-        f = member_from_schwarz(constant(0, 4), STARLIKE, 6)
+        f = member_from_schwarz(monomial(0, 0, 4), STARLIKE, 6)
         assert f == identity(6)
 
     def test_functional_equation_for_random_samples(self, rng):
