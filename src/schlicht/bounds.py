@@ -166,16 +166,13 @@ def telescoping_identity_residual(p: ClassParams, m: int) -> float:
         raise HypothesisViolated(
             f"|gamma*(A-B) - B*(m-2)| >= m-2 fails for m={m}"
         )
-    lhs = abs(base) ** 2
-    # running = prod_{j=0}^{k-2} |base - j*B|^2 / ((k-1)!)^2, maintained per k
-    running = abs(base) ** 2
-    for k in range(2, m):
-        x_k = abs(base - p.b * (k - 1))
-        lhs += abs(x_k**2 - (k - 1) ** 2) * running
-        running *= (x_k / k) ** 2
-    rhs = abs(base) ** 2
-    for j in range(1, m - 1):
-        rhs *= (abs(base - j * p.b) / j) ** 2
+    # ii[k-1]**2 = prod_{j=0}^{k-2} |base - j*B|^2 / ((k-1)!)^2, the
+    # products the case-II bounds print
+    ii = _modulus_products(base, p.b, m - 2, 1)
+    terms = (abs(abs(base - p.b * (k - 1)) ** 2 - (k - 1) ** 2) * ii[k - 1] ** 2
+             for k in range(2, m))
+    lhs = sum(terms, abs(base) ** 2)
+    rhs = _modulus_products(base, p.b, m - 1, 0)[-1] ** 2
     return abs(lhs - rhs) / abs(rhs)
 
 

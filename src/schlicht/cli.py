@@ -130,9 +130,9 @@ def _cmd_bound(args) -> int:
             for r in results)
     header = ("n", "case", "crossover_k", "bound", "sharp")
     _emit_rows(args, header, (4, 4, 4, 22, 8), rows, lambda: {
-        "params": red.params.to_json_dict(),
-        "cauchy_euler": red.cauchy_euler.to_json_dict() if red.cauchy_euler else None,
-        "results": [r.to_json_dict() for r in results],
+        "params": red.params,
+        "cauchy_euler": red.cauchy_euler,
+        "results": results,
     })
     return 0
 
@@ -147,7 +147,7 @@ def _cmd_classify(args) -> int:
         (n, CaseClassification(tag, k, tuple(margins[: n - 2]))) for n, tag, k in rows
     )
     _emit_rows(args, ("n", "case", "k"), (4, 4, 4), rows, lambda: {
-        "params": red.params.to_json_dict(),
+        "params": red.params,
         "classification": [{"n": n, **c.to_json_dict()} for n, c in classes],
     })
     return 0
@@ -179,11 +179,11 @@ def _cmd_extremal(args) -> int:
             for k, c in enumerate(f.coeffs))
     _emit_rows(args, ("k", "re", "im"), None, rows, lambda: {
         "kind": args.kind,
-        "params": spec.params.to_json_dict(),
-        "cauchy_euler": red.cauchy_euler.to_json_dict() if red.cauchy_euler else None,
+        "params": spec.params,
+        "cauchy_euler": red.cauchy_euler,
         "order": order,
-        "series": f.to_json_dict(),
-        "certification": [c.to_json_dict() for c in certs],
+        "series": f,
+        "certification": certs,
     })
     return 0
 
@@ -191,7 +191,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_verify(args) -> int:
     report = fuzz_bounds(_base_class(args), n_max=args.n_max, samples=args.samples,
                          seed=args.seed, degree=args.degree)
-    _emit(args, fixed_json_dumps(report.to_json_dict()) + "\n")
+    _emit(args, fixed_json_dumps(report) + "\n")
     return 0
 
 
@@ -242,9 +242,8 @@ def _cmd_jack(args) -> int:
         doc = {"check": "gb", "b": opts.b, **rep.to_json_dict()}
     elif args.check == "growth":
         f = _load_series(opts.input)
-        growth = jackmod.growth_check(f, opts.alpha).to_json_dict()
-        second = jackmod.second_coeff_check(f, opts.alpha).to_json_dict()
-        doc = {"check": "growth", "growth": growth, "second_coefficient": second}
+        doc = {"check": "growth", "growth": jackmod.growth_check(f, opts.alpha),
+               "second_coefficient": jackmod.second_coeff_check(f, opts.alpha)}
     else:  # growth-extremal
         doc = {
             "check": "growth-extremal",
@@ -276,11 +275,11 @@ def _cmd_report(args) -> int:
         p, n_max=hi, samples=args.samples, seed=args.seed, degree=args.degree
     )
     doc = {
-        "params": p.to_json_dict(),
-        "bounds": [b.to_json_dict() for b in bounds],
+        "params": p,
+        "bounds": bounds,
         "sharpness": sharpness,
         "membership": [{"extremal_kind": "case-ii", **membership.to_json_dict()}],
-        "fuzz": fuzz.to_json_dict(),
+        "fuzz": fuzz,
     }
     _emit(args, fixed_json_dumps(doc) + "\n")
     return 0

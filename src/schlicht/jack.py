@@ -374,5 +374,5 @@ def growth_extremal_profile(beta: float, order: int) -> dict:
         "beta": beta,
         "starlike_order": star_order,
         "not_univalent_expected": star_order < 0.0,
-        "series": f.to_json_dict(),
+        "series": f,
     }

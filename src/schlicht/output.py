@@ -8,17 +8,20 @@ JSON has no token for them.
 """
 
 import math
-from dataclasses import asdict
+from dataclasses import fields
 from json.encoder import encode_basestring
 
 from .errors import NonFiniteOutput
 
 
 class JsonFields:
-    """Mixin for a dataclass whose JSON document is its fields, in order."""
+    """Mixin for a dataclass whose JSON document is its fields, in order.
+
+    A field that holds a report is written as that report's document.
+    """
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def format_float(x: float) -> str:
@@ -38,7 +41,10 @@ def parse_complex_pair(text: str) -> complex:
 
 
 def fixed_json_dumps(obj) -> str:
-    """JSON text with fixed float formatting and insertion field order."""
+    """JSON text with fixed float formatting and insertion field order.
+
+    An object with a to_json_dict method is written as that document.
+    """
     return _json(obj)
 
 
@@ -63,4 +69,6 @@ def _json(obj) -> str:
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(_json, obj)) + "]"
+    if hasattr(obj, "to_json_dict"):
+        return _json(obj.to_json_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -87,23 +87,16 @@ class CauchyEulerParams(JsonFields):
 
 
 @dataclass(frozen=True)
-class CaseClassification:
+class CaseClassification(JsonFields):
     """Which bound regime applies at index n.
 
     margins holds A_2..A_{n-1}; crossover_k is set only for case III and
     is the largest k with A_k >= 0 (so A_{k+1} < 0).
     """
 
-    case_tag: str
+    case: str
     crossover_k: int | None
     margins: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case_tag,
-            "crossover_k": self.crossover_k,
-            "margins": list(self.margins),
-        }
 
 
 def case_margin_sequence(p: ClassParams, n: int) -> list[float]:

@@ -380,59 +380,34 @@ def _quadratic_slacks(moduli: np.ndarray, p: ClassParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FuzzIndexStats:
+class FuzzIndexStats(JsonFields):
     n: int
     bound: float
-    case_tag: str
+    case: str
     max_observed: float
     argmax_index: int | None
     argmax_seed: tuple | None
     violations: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "bound": self.bound,
-            "case": self.case_tag,
-            "max_observed": self.max_observed,
-            "argmax_index": self.argmax_index,
-            "argmax_seed": list(self.argmax_seed) if self.argmax_seed else None,
-            "violations": self.violations,
-        }
+
+@dataclass(frozen=True)
+class QuadraticCheck(JsonFields):
+    checked_to: int
+    violations: int
+    min_slack: float
 
 
 @dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(JsonFields):
     params: ClassParams
     seed: int
     samples: int
     degree: int
     n_max: int
     constructions: dict
-    per_index: tuple
-    quadratic_checked_to: int
-    quadratic_violations: int
-    quadratic_min_slack: float
-
-    def total_violations(self) -> int:
-        return sum(row.violations for row in self.per_index)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_json_dict(),
-            "seed": self.seed,
-            "samples": self.samples,
-            "degree": self.degree,
-            "n_max": self.n_max,
-            "constructions": {k: self.constructions[k] for k in CONSTRUCTIONS},
-            "per_n": [row.to_json_dict() for row in self.per_index],
-            "quadratic_inequality": {
-                "checked_to": self.quadratic_checked_to,
-                "violations": self.quadratic_violations,
-                "min_slack": self.quadratic_min_slack,
-            },
-            "total_violations": self.total_violations(),
-        }
+    per_n: tuple
+    quadratic_inequality: QuadraticCheck
+    total_violations: int
 
 
 def fuzz_bounds(
@@ -469,7 +444,7 @@ def fuzz_bounds(
     ]
     min_slacks = _quadratic_slacks(moduli[:, : check_to - 1], p).min(axis=1)
 
-    per_index = tuple(
+    per_n = tuple(
         FuzzIndexStats(
             n,
             bound.value,
@@ -488,8 +463,11 @@ def fuzz_bounds(
         degree=degree,
         n_max=n_max,
         constructions={name: constructions.count(name) for name in CONSTRUCTIONS},
-        per_index=per_index,
-        quadratic_checked_to=check_to,
-        quadratic_violations=int(np.count_nonzero(min_slacks < -VIOLATION_RTOL)),
-        quadratic_min_slack=float(min_slacks.min()),
+        per_n=per_n,
+        quadratic_inequality=QuadraticCheck(
+            check_to,
+            int(np.count_nonzero(min_slacks < -VIOLATION_RTOL)),
+            float(min_slacks.min()),
+        ),
+        total_violations=sum(row.violations for row in per_n),
     )

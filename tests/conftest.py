@@ -46,7 +46,7 @@ def draw_case_ii_params(rng, n: int, max_tries: int = 10_000) -> ClassParams:
         phi = float(rng.uniform(-0.6, 0.6))
         lam = float(rng.uniform(0.0, 1.0))
         p = ClassParams(rho * np.exp(1j * phi), lam, a, b)
-        if classify_case(p, n).case_tag == "II":
+        if classify_case(p, n).case == "II":
             return p
     raise AssertionError("case-II rejection sampling exhausted")
 
@@ -87,7 +87,7 @@ def draw_spiral_case_ii(rng, max_tries: int = 10_000):
         a = float(rng.uniform(max(b + 0.5, 0.4), 1.0))
         n = int(rng.integers(2, 13))
         p = ClassParams(spiral_gamma(beta), 0.0, a, b)
-        if classify_case(p, n).case_tag == "II":
+        if classify_case(p, n).case == "II":
             return beta, a, b, n
     raise AssertionError("spiral case-II rejection sampling exhausted")
 

@@ -145,9 +145,9 @@ def test_criterion_05_fuzz_soundness():
     tags = set()
     for i, p in enumerate(FUZZ_PARAMS):
         report = fuzz_bounds(p, n_max=10, samples=1000, seed=1000 + i)
-        ok &= report.total_violations() == 0
-        ok &= report.quadratic_violations == 0
-        tags.update(row.case_tag for row in report.per_index)
+        ok &= report.total_violations == 0
+        ok &= report.quadratic_inequality.violations == 0
+        tags.update(row.case for row in report.per_n)
     elapsed = time.perf_counter() - start
     ok &= tags == {"I", "II", "III"}
     ok &= elapsed < 60.0
@@ -252,5 +252,5 @@ def test_all_fuzz_params_are_valid_and_span_cases():
     # guard for the gate's own fixture: the ten sets really span I/II/III
     from schlicht import classify_case
 
-    tags = {classify_case(p, 10).case_tag for p in FUZZ_PARAMS}
+    tags = {classify_case(p, 10).case for p in FUZZ_PARAMS}
     assert tags == {"I", "II", "III"}

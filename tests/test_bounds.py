@@ -207,3 +207,19 @@ class TestCaseBoundaryContinuity:
         assert case_iii_value(p, 6, 3) == pytest.approx(
             case_iii_value(p, 6, 2), rel=1e-14
         )
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: case_iii_value(STARLIKE, 5, 0), "crossover k=0 outside 1..4",
+                 id="k-low"),
+    pytest.param(lambda: case_iii_value(STARLIKE, 5, 5), "crossover k=5 outside 1..4",
+                 id="k-high"),
+    pytest.param(lambda: telescoping_identity_residual(STARLIKE, 1),
+                 "m must be >= 2, got 1", id="telescoping-m"),
+    pytest.param(lambda: spiral_product_bound(0.3, 1.0, -1.0, 1),
+                 "index n must be >= 2, got 1", id="spiral-n"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ParameterDomainError) as info:
+        call()
+    assert type(info.value) is ParameterDomainError and message in str(info.value)

@@ -322,6 +322,26 @@ def test_overflowing_member_exits_two(command, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["bound", "--gamma", "1,0", "--lambda", "nan", "--A", "1", "--B", "-1"], 1,
+                 "parameter error: parameters must be finite", id="bound-nan"),
+    pytest.param(["verify", "--class", "K", *STARLIKE_ARGS, "--m", "2", "--mu", "0",
+                  "--seed", "1"], 1,
+                 "parameter error: verify covers the base class", id="verify-transfer"),
+    pytest.param(["report", "--class", "K", *STARLIKE_ARGS, "--m", "2", "--mu", "0",
+                  "--seed", "1"], 1,
+                 "parameter error: report covers the base class", id="report-transfer"),
+    # A - B*P(0) = A - B is below the inversion's unit tolerance
+    pytest.param(["report", "--gamma", "1,0", "--A", "0.5", "--B", "0.4999999999999999",
+                  "--n", "2:3", "--samples", "3", "--seed", "1"], 2,
+                 "error: Moebius inversion is singular", id="report-singular"),
+])
+def test_refusals(argv, code, message, capsys):
+    status, out, err = run_cli(argv, capsys)
+    assert (status, out) == (code, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_parser_is_built_once_and_reused(extremal_builds, capsys):
     argvs = [
         ["bound", *STARLIKE_ARGS, "--n", "2:12", "--format", "json"],
@@ -365,6 +385,20 @@ class TestVerifyCommand:
         doc = json.loads(out_a)
         assert doc["total_violations"] == 0
         assert doc["seed"] == 7
+
+    def test_document_key_order(self, capsys):
+        # the field order of FuzzReport, QuadraticCheck and FuzzIndexStats
+        code, out, _ = run_cli(["verify", *STARLIKE_ARGS, "--samples", "20", "--seed", "7",
+                                "--n-max", "4"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["params", "seed", "samples", "degree", "n_max", "constructions",
+                             "per_n", "quadratic_inequality", "total_violations"]
+        assert list(doc["constructions"]) == ["polynomial_normalized", "rotation", "monomial"]
+        assert list(doc["quadratic_inequality"]) == ["checked_to", "violations", "min_slack"]
+        assert [list(row) for row in doc["per_n"]] == 3 * [[
+            "n", "bound", "case", "max_observed", "argmax_index", "argmax_seed", "violations"
+        ]]
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -566,6 +600,23 @@ class TestJackCommand:
         assert code == 2
         assert out == ""
         assert "overflow" in err
+
+    @pytest.mark.parametrize("b, member", [("1", True), ("0.5", False)])
+    def test_gb_on_the_growth_extremal(self, b, member, tmp_path, capsys):
+        # z/(1+z), the beta = 1 growth extremal, deviates by up to 0.95 on
+        # the default circle: inside b = 1, outside b = 0.5
+        code, out, _ = run_cli(["jack", "--check", "growth-extremal", "--beta", "1",
+                                "--order", "512"], capsys)
+        assert code == 0
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(json.loads(out)["series"]))
+        code, out, err = run_cli(["jack", "--check", "gb", "--b", b, "--input", str(path)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert list(doc) == ["check", "b", "member", "max_dev", "radius", "angles", "winding"]
+        assert (doc["member"], doc["winding"]) == (member, 1)
+        assert '"max_dev":9.50003925724047e-01,' in out
 
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(["jack", "--check", "threshold"], capsys)

@@ -84,7 +84,7 @@ def reference_fuzz(p, n_max, samples, seed, degree=4, rtol=1e-9) -> dict:
             "case": bounds[n].case_tag,
             "max_observed": best[n][0],
             "argmax_index": best[n][1],
-            "argmax_seed": None if best[n][1] is None else [seed, best[n][1]],
+            "argmax_seed": None if best[n][1] is None else (seed, best[n][1]),
             "violations": violations[n],
         }
         for n in indices
@@ -101,16 +101,16 @@ def reference_fuzz(p, n_max, samples, seed, degree=4, rtol=1e-9) -> dict:
 @pytest.mark.parametrize("n_max", [10, 20])
 @pytest.mark.parametrize("p", FUZZ_PARAMS, ids=[f"set{i}" for i in range(10)])
 def test_batched_report_matches_per_sample_loop(p, n_max):
-    report = fuzz_bounds(p, n_max=n_max, samples=200, seed=0).to_json_dict()
+    report = fuzz_bounds(p, n_max=n_max, samples=200, seed=0)
     expected = reference_fuzz(p, n_max, 200, seed=0)
     # exact: case-II rotation samples tie at the bound to the last bit, so
     # argmax_index is decided by rounding
-    assert report["per_n"] == expected["per_n"]
-    assert report["constructions"] == expected["constructions"]
-    quadratic = report["quadratic_inequality"]
-    assert quadratic["checked_to"] == expected["checked_to"]
-    assert quadratic["violations"] == expected["violations"]
-    assert quadratic["min_slack"] == pytest.approx(expected["min_slack"], abs=1e-12)
+    assert [row.to_json_dict() for row in report.per_n] == expected["per_n"]
+    assert report.constructions == expected["constructions"]
+    quadratic = report.quadratic_inequality
+    assert quadratic.checked_to == expected["checked_to"]
+    assert quadratic.violations == expected["violations"]
+    assert quadratic.min_slack == pytest.approx(expected["min_slack"], abs=1e-12)
 
 
 def test_member_matches_one_row_recurrences(rng):

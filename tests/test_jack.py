@@ -339,3 +339,23 @@ class TestHalfPlaneBallEquivalence:
             half_plane = vals.real > alpha
             ball = np.abs(2.0 * alpha / vals - 1.0) < 1.0
             assert np.array_equal(half_plane, ball)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: build_gb_instance(identity(1), 0.0, 8),
+                 "need 0 < b <= 1, got 0.0", id="gb-b-zero"),
+    pytest.param(lambda: build_gb_instance(identity(1), 1.5, 8),
+                 "need 0 < b <= 1, got 1.5", id="gb-b-large"),
+    pytest.param(lambda: starlike_membership(identity(8), 1.0, 0.5, 64),
+                 "order must be in [0, 1), got 1.0", id="starlike-order"),
+    pytest.param(lambda: quotient_source_ratio(ComplexSeries([0.5, 1.0]), 8),
+                 "quotient source must vanish at the origin", id="source0"),
+    pytest.param(lambda: SpiralParams(-0.1).beta_for_growth,
+                 "growth exponent needs 0 <= alpha < 1, got -0.1", id="beta-for-growth"),
+    pytest.param(lambda: growth_extremal_starlike_order(0),
+                 "beta must be finite and positive, got 0", id="starlike-order-beta"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ParameterDomainError) as info:
+        call()
+    assert type(info.value) is ParameterDomainError and message in str(info.value)

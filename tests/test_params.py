@@ -85,26 +85,26 @@ class TestMarginSequence:
 class TestClassification:
     def test_all_positive_is_case_ii(self):
         cls = classify_case(ClassParams(1, 0, 1, -1), 10)
-        assert cls.case_tag == "II" and cls.crossover_k is None
+        assert cls.case == "II" and cls.crossover_k is None
 
     def test_first_negative_is_case_i(self):
         cls = classify_case(ClassParams(-0.5, 0, 1, -1), 5)
-        assert cls.case_tag == "I"
+        assert cls.case == "I"
 
     def test_crossover_case_iii(self):
         cls = classify_case(ClassParams(2j, 0, 1, 0), 6)
-        assert cls.case_tag == "III"
+        assert cls.case == "III"
         assert cls.crossover_k == 3  # margin zero at k=3, negative at k=4
 
     def test_zero_margin_counts_nonnegative(self):
         # gamma*(A-B) = i: margins 1-(k-1) start at exactly zero
         cls = classify_case(ClassParams(1j, 0, 1, 0), 6)
-        assert cls.case_tag == "III"
+        assert cls.case == "III"
         assert cls.crossover_k == 2
 
     def test_n_two_is_case_ii(self):
         cls = classify_case(ClassParams(-0.5, 0, 1, -1), 2)
-        assert cls.case_tag == "II"
+        assert cls.case == "II"
 
     def test_sign_prefix_property_1000_draws(self):
         rng = np.random.default_rng(13)
@@ -137,9 +137,9 @@ class TestClassification:
         n = 12
         cls = classify_case(p, n)
         margins = case_margin_sequence(p, n)
-        if cls.case_tag == "II":
+        if cls.case == "II":
             assert margins[-1] >= 0.0
-        elif cls.case_tag == "I":
+        elif cls.case == "I":
             assert margins[0] < 0.0
         else:
             k = cls.crossover_k
@@ -239,3 +239,17 @@ class TestReductions:
         beta = 0.7
         gamma = spiral_gamma(beta)
         assert abs(gamma - cmath.exp(-1j * beta) * math.cos(beta)) < 1e-15
+
+
+@pytest.mark.parametrize("gamma, lam, a, b", [
+    (complex(math.inf, 0), 0.0, 1.0, -1.0),
+    (complex(1, math.nan), 0.0, 1.0, -1.0),
+    (1.0, math.nan, 1.0, -1.0),
+    (1.0, 0.0, math.inf, -1.0),
+    (1.0, 0.0, 1.0, -math.inf),
+])
+def test_non_finite_parameters_refused(gamma, lam, a, b):
+    with pytest.raises(ParameterDomainError) as info:
+        ClassParams(gamma, lam, a, b)
+    assert type(info.value) is ParameterDomainError
+    assert "parameters must be finite" in str(info.value)

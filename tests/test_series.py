@@ -445,3 +445,22 @@ class TestSerialization:
     def test_json_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ComplexSeries.from_json_dict({"order": 3, "coeffs": [[0, 0], [1, 0]]})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: solve_log_derivative(ComplexSeries([2.0, 1.0])),
+                 NormalizationError, "source constant term must be 1", id="source-q0"),
+    pytest.param(lambda: ComplexSeries([]), ValueError,
+                 "coefficients must form a non-empty 1-d sequence", id="empty"),
+    pytest.param(lambda: ComplexSeries([0.0, 1.0]).coefficient(2), IndexError,
+                 "coefficient index 2 outside 0..1", id="coefficient-index"),
+    pytest.param(lambda: monomial(1.0, 3, 2), ValueError,
+                 "degree must lie in 0..order", id="monomial-degree"),
+    pytest.param(
+        lambda: ComplexSeries.from_json_dict({"order": 1, "coeffs": [[0, 0], [10**400, 0]]}),
+        ParameterDomainError, "series coefficients must be finite", id="huge-integer"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and message in str(info.value)

@@ -171,9 +171,9 @@ class TestQuadraticInequality:
 class TestFuzzer:
     def test_starlike_fuzz_statistics(self):
         report = fuzz_bounds(STARLIKE, n_max=10, samples=1000, seed=7)
-        assert report.total_violations() == 0
-        assert report.quadratic_violations == 0
-        first = report.per_index[0]
+        assert report.total_violations == 0
+        assert report.quadratic_inequality.violations == 0
+        first = report.per_n[0]
         assert first.n == 2
         assert first.max_observed >= 1.9  # rotation samples reach the bound
         assert first.max_observed <= first.bound * (1 + 1e-9)
@@ -181,16 +181,16 @@ class TestFuzzer:
     def test_case_i_fuzz(self):
         p = ClassParams(-0.5, 0, 1, -1)
         report = fuzz_bounds(p, n_max=8, samples=500, seed=11)
-        assert report.total_violations() == 0
-        for row in report.per_index:
+        assert report.total_violations == 0
+        for row in report.per_n:
             assert row.bound == pytest.approx(1.0 / (row.n - 1), rel=1e-12)
 
     def test_case_iii_fuzz_gap_positive(self):
         p = ClassParams(1j, 0, 1, 0)
         report = fuzz_bounds(p, n_max=8, samples=500, seed=13)
-        assert report.total_violations() == 0
-        for row in report.per_index:
-            if row.case_tag == "III":
+        assert report.total_violations == 0
+        for row in report.per_n:
+            if row.case == "III":
                 assert row.max_observed < row.bound
 
     def test_determinism_bytes(self):
@@ -201,3 +201,19 @@ class TestFuzzer:
     def test_seed_validation(self):
         with pytest.raises(ParameterDomainError):
             fuzz_bounds(STARLIKE, n_max=6, samples=10, seed=-1)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: member_from_schwarz(ComplexSeries([0.5, 0.5]), STARLIKE, 5),
+                 "omega must vanish at the origin", id="omega0"),
+    pytest.param(lambda: quadratic_sum_slack(member_from_schwarz(identity(1), STARLIKE, 5),
+                                             STARLIKE, 1),
+                 "need 2 <= n <= 5, got 1", id="slack-n-low"),
+    pytest.param(lambda: quadratic_sum_slack(member_from_schwarz(identity(1), STARLIKE, 5),
+                                             STARLIKE, 6),
+                 "need 2 <= n <= 5, got 6", id="slack-n-high"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ParameterDomainError) as info:
+        call()
+    assert type(info.value) is ParameterDomainError and message in str(info.value)
