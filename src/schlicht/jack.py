@@ -14,7 +14,10 @@ non-univalent target of the criterion, and exercises the implication in
 the direction it is actually used.  The builders run series' whole-order
 Newton kernels (reciprocal, FFT product, log-derivative solve), not the
 exact recurrences: their instances have order 512 and more, where one
-Python step per coefficient dominated the cost.
+Python step per coefficient dominated the cost.  Their max-norm relative
+error grows with the member's coefficients, which for omega = e^{i*theta}*z
+grow like n^cos(2*alpha): 2e-13 to 1.9e-8 at order 512, and 1.8e-12 to
+8.8e-4 at 2048, as alpha goes from +-1.2 to 0.
 """
 
 import cmath
@@ -135,7 +138,10 @@ def winding_number(values: np.ndarray) -> int:
 def _grid_values(rows: np.ndarray, radius: float, angles: int, second: bool = False):
     """f, z*f' and, with second, z^2*f'' of each coefficient row on |z| = radius,
     shaped (2 or 3, rows, angles), from one circle_values call, and the
-    winding of each f.  The criteria divide by f, and with second by f'."""
+    winding of each f.  The criteria divide by f, and with second by f'.
+    The phase steps of two or fewer samples cancel, so angles >= 3."""
+    if angles < 3:
+        raise ParameterDomainError(f"a winding needs angles >= 3, got {angles}")
     ks = np.arange(rows.shape[1])
     factors = np.stack([np.ones_like(ks), ks] + ([ks * (ks - 1)] if second else []))
     vals = srs.circle_values(rows * factors[:, None, :], radius, angles)
@@ -230,10 +236,10 @@ def _ratio_rows(sources: np.ndarray) -> np.ndarray:
     """Rows p with z*p' = s*p^2 and p(0) = 1 for source rows s with s(0) = 0.
 
     1/p solves z*(1/p)' = -s, so p = 1/(1 - sum_k s_k z^k/k): one Newton
-    reciprocal.
+    reciprocal.  Only the columns s_1.. are read: series.fit_row holds the
+    builders' inputs to s(0) = 0, and the FFT products of _spiral_rows
+    leave rounding noise at z^0, which is not tested.
     """
-    if np.any(np.abs(sources[:, 0]) > srs.UNIT_TOLERANCE):
-        raise ParameterDomainError("quotient source must vanish at the origin")
     denom = np.zeros(sources.shape, dtype=np.complex128)
     denom[:, 0] = 1.0
     denom[:, 1:] = sources[:, 1:] / -np.arange(1.0, sources.shape[1])

@@ -11,18 +11,23 @@ do not determine.
 
 The Newton kernels _row_reciprocal and _row_log_derivative_newton, with the
 FFT row product _row_mul, compute the same series in O(N log N) per row
-instead of O(N^2), to within 1e-14 in max norm but not bit for bit.  Only
-the spiral and quotient-class builders of jack run them; the value type and
-the member recurrences of subordination (fuzzing, extremals, reports) run
-the exact recurrences.  The choice is by caller, not by shape: the tests
-pin the recurrences bit for bit at order 512, and at the fuzzer's shapes
+instead of O(N^2), not bit for bit, and lose digits as the coefficients
+grow: 4e-16 off the recurrences on sampled Schwarz rows, but 1.9e-8 (order
+512) and 8.8e-4 (2048) off the Koebe function, which the recurrences reach
+to 1e-16.  Only the spiral and quotient-class builders of jack run them;
+the value type and the member recurrences of subordination (fuzzing,
+extremals, reports) run the exact recurrences.  The choice is by caller,
+not by shape, because of accuracy: Newton on the one 513-wide member row
+of an order-512 extremal is 7.4e-9 to 7.5e-8 off, past extremals' 1e-8
+attainment tolerance, and a rho^k dilation only adds error.  The tests pin
+the recurrences bit for bit at order 512, and at the fuzzer's shapes
 (hundreds of rows of width 11-21) the loop is 5-10x faster.
 
 No logarithm or fractional power of a series is taken: a power such as
 z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose coefficients
 are those of the principal branch, so the package needs no branch
 convention.  circle_values is the one circle evaluator, and fit_row the
-one rule that fits a series to a row of given width.
+one rule that fits a series vanishing at 0 to a row of given width.
 
 mul, log1, exp0 and powc stay only because the benchmark's tracer
 (perfbench/tracing.py) wraps them by name; no package code calls them.
@@ -191,9 +196,12 @@ class ComplexSeries:
 
 def fit_row(s: ComplexSeries, width: int) -> np.ndarray:
     """The coefficients c_0..c_{width-1} of s as a (1, width) row, zero-padded
-    or truncated: the one order rule of the one-series builders."""
+    or truncated: the one order and origin rule of the one-series builders,
+    whose inputs (a Schwarz function or a quotient source) vanish at 0."""
     if width < 1:
         raise ParameterDomainError(f"a series row needs width >= 1, got {width}")
+    if abs(s._c[0]) > UNIT_TOLERANCE:
+        raise ParameterDomainError("the series must vanish at the origin")
     row = np.zeros((1, width), dtype=np.complex128)
     row[0, : min(width, s._c.size)] = s._c[:width]
     return row

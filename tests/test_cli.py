@@ -451,6 +451,17 @@ class TestJackCommand:
         assert doc["passed"] == 5
         assert doc["min_margin"] > 0.0
 
+    def test_spiral_unimodular_samples_pass(self, capsys):
+        # --degree 1 draws omega = e^{i*theta}*z on the circle's edge; the
+        # built sources' FFT noise at z^0 must not refuse them
+        code, out, _ = run_cli(
+            ["jack", "--check", "spiral", "--alpha", "0.4", "--samples", "64",
+             "--seed", "0", "--degree", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] == 64
+
     @pytest.mark.parametrize(
         "extra", [["--samples", "0"], ["--order", "0"], ["--order", "1"]]
     )
@@ -533,7 +544,7 @@ class TestJackCommand:
     @pytest.mark.parametrize(
         "extra",
         [["--radius", r] for r in ("0", "1", "1.5", "-0.5")]
-        + [["--angles", m] for m in ("0", "-1")],
+        + [["--angles", m] for m in ("0", "-1", "1", "2")],
     )
     @pytest.mark.parametrize("check", ["spiral", "gb"])
     def test_circle_domain_refused(self, check, extra, series_file, capsys):

@@ -228,6 +228,13 @@ class TestForwardInstances:
         with pytest.raises(ParameterDomainError, match="width >= 1"):
             build()
 
+    def test_unimodular_omega_builds_a_member(self):
+        # r = 1/(1 + A*z) never decays, and the FFT products leave noise at
+        # z^0 of the source; only the builder's input is held to omega(0) = 0
+        f = build_spiral_instance(identity(511), 0.4, 512)
+        assert f.order == 512
+        assert spiral_membership(f, 0.4).member
+
     def test_gb_instance_deviation_within_b(self):
         sample = sample_schwarz((41, 0), 3)
         b = 0.4
@@ -235,6 +242,56 @@ class TestForwardInstances:
         rep = gb_membership(f, b, 0.95, 1024)
         assert rep.member
         assert rep.max_dev <= b * grid_sup(sample) / 0.99 + 1e-6
+
+
+def spiral_closed_form(alpha: float, theta: float, order: int) -> np.ndarray:
+    """a_0..a_order of the alpha-spiral member of omega = e^{i*theta}*z, which
+    is z/(1 - e^{i*theta}*z)^c with c = 2*cos(alpha)*e^{-i*alpha}, by the
+    one-term recurrence a_{n+1} = a_n*e^{i*theta}*(n - 1 + c)/n."""
+    c = 2.0 * math.cos(alpha) * cmath.exp(-1j * alpha)
+    u = cmath.exp(1j * theta)
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[1] = 1.0
+    for n in range(1, order):
+        out[n + 1] = out[n] * u * (n - 1 + c) / n
+    return out
+
+
+class TestBuildersMatchClosedForms:
+    """The Newton builders on unimodular omega = e^{i*theta}*z, where nothing
+    decays.  Each tolerance is under 10x the error measured with numpy 2.4.
+    The member's coefficients grow like n^{cos(2*alpha)}, and where they grow
+    (alpha = 0 and 0.4) the kernels lose digits with the order: ROADMAP
+    item 1.  The exact recurrences reach the same closed form to 1e-11."""
+
+    @pytest.mark.parametrize("alpha, theta, order, tol", [
+        (0.0, 0.0, 512, 1.5e-7),
+        (0.0, 0.0, 2048, 8e-3),
+        (0.4, 0.0, 512, 1.5e-9),
+        (0.4, 0.0, 2048, 1e-5),
+        (0.4, 1.0, 512, 3e-9),
+        (0.4, 1.0, 2048, 5e-6),
+        (-1.2, 0.3, 512, 4e-13),
+        (-1.2, 0.3, 2048, 1.5e-11),
+        (1.2, 2.0, 512, 1.5e-12),
+        (1.2, 2.0, 2048, 1e-11),
+    ])
+    def test_spiral(self, alpha, theta, order, tol):
+        f = build_spiral_instance(monomial(cmath.exp(1j * theta), 1, 1), alpha, order)
+        assert max_norm_error(f.coeffs, spiral_closed_form(alpha, theta, order)) <= tol
+
+    @pytest.mark.parametrize("theta, order, tol", [
+        (0.0, 512, 5e-13),
+        (0.0, 2048, 2e-12),
+        (1.0, 512, 2.5e-13),
+        (1.0, 2048, 2e-12),
+    ])
+    def test_gb(self, theta, order, tol):
+        # deviation 1*omega: the ratio is 1/(1 - u*z), so a_n = u^(n-1)
+        u = cmath.exp(1j * theta)
+        f = build_gb_instance(monomial(u, 1, 1), 1.0, order)
+        expected = np.concatenate([[0.0], u ** np.arange(order)])
+        assert max_norm_error(f.coeffs, expected) <= tol
 
 
 class TestGrowth:
@@ -349,7 +406,11 @@ class TestHalfPlaneBallEquivalence:
     pytest.param(lambda: starlike_membership(identity(8), 1.0, 0.5, 64),
                  "order must be in [0, 1), got 1.0", id="starlike-order"),
     pytest.param(lambda: quotient_source_ratio(ComplexSeries([0.5, 1.0]), 8),
-                 "quotient source must vanish at the origin", id="source0"),
+                 "the series must vanish at the origin", id="source0"),
+    pytest.param(lambda: build_spiral_instance(ComplexSeries([0.5, 1.0]), 0.3, 8),
+                 "the series must vanish at the origin", id="spiral-omega0"),
+    pytest.param(lambda: build_gb_instance(ComplexSeries([0.5, 1.0]), 0.5, 8),
+                 "the series must vanish at the origin", id="gb-omega0"),
     pytest.param(lambda: SpiralParams(-0.1).beta_for_growth,
                  "growth exponent needs 0 <= alpha < 1, got -0.1", id="beta-for-growth"),
     pytest.param(lambda: growth_extremal_starlike_order(0),

@@ -205,7 +205,7 @@ class TestFuzzer:
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: member_from_schwarz(ComplexSeries([0.5, 0.5]), STARLIKE, 5),
-                 "omega must vanish at the origin", id="omega0"),
+                 "the series must vanish at the origin", id="omega0"),
     pytest.param(lambda: quadratic_sum_slack(member_from_schwarz(identity(1), STARLIKE, 5),
                                              STARLIKE, 1),
                  "need 2 <= n <= 5, got 1", id="slack-n-low"),
