@@ -7,7 +7,7 @@ stderr, never to the data stream.
 
 Exit codes: 0 success, 1 parameter-domain or usage error, 2
 numerical/internal error in an otherwise well-formed invocation,
-including a result that is not finite.
+including a result that is not finite or does not fit in memory.
 """
 
 import argparse
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except ParameterDomainError as err:
         print(f"parameter error: {err}", file=sys.stderr)
         return 1
-    except (SchlichtError, ArithmeticError, ValueError, OSError) as err:
+    except (SchlichtError, ArithmeticError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -187,6 +187,11 @@ def starlike_membership(
     return _ratio_reports(f._c[None, :], 1.0, order_alpha, radius, angles)[0]
 
 
+def _check_deviation(b: float) -> None:
+    if not 0.0 < b <= 1.0:
+        raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
+
+
 def gb_membership(
     f: ComplexSeries, b: float, radius: float = DEFAULT_RADIUS,
     angles: int = DEFAULT_ANGLES,
@@ -197,8 +202,7 @@ def gb_membership(
     stray zeros of f inside, same guard as the spiral test) and a
     zero-free f' there, i.e. winding(z*f') = 1.
     """
-    if not 0.0 < b <= 1.0:
-        raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
+    _check_deviation(b)
     vals, (winding,) = _grid_values(f._c[None, :], radius, angles, True)
     f_vals, zfp, zzfpp = vals[:, 0]
     max_dev = float(np.max(np.abs((1.0 + zzfpp / zfp) / (zfp / f_vals) - 1.0)))
@@ -275,8 +279,7 @@ def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
 
 def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:
     """Member of the quotient-deviation class with deviation b*omega."""
-    if not 0.0 < b <= 1.0:
-        raise ParameterDomainError(f"need 0 < b <= 1, got {b}")
+    _check_deviation(b)
     sources = srs.fit_row(omega, order) * complex(b)
     return ComplexSeries(srs._row_log_derivative_newton(_ratio_rows(sources))[0])
 
@@ -349,26 +352,29 @@ def second_coeff_check(f: ComplexSeries, alpha: float) -> SecondCoeffReport:
     return SecondCoeffReport(value <= limit + GROWTH_TOLERANCE, value, limit)
 
 
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < math.inf:
+        raise ParameterDomainError(f"beta must be finite and positive, got {beta}")
+
+
 def growth_extremal(beta: float, order: int) -> ComplexSeries:
     """The function z*(1+z)^{-1/beta} as a series: the solution of
     z*f'/f = q = 1 - (1/beta)*z/(1+z), so q_k = -(1/beta)*(-1)^(k-1) for
     k >= 1, through order."""
-    if not 0.0 < beta < math.inf:
-        raise ParameterDomainError(f"beta must be finite and positive, got {beta}")
+    _check_beta(beta)
     if order < 2:
         raise ParameterDomainError(f"order must be >= 2, got {order}")
     q = np.ones(order, dtype=np.complex128)
     q[2::2] = -1.0
     with np.errstate(over="raise", invalid="raise"):  # tiny beta overflows
         q[1:] *= -1.0 / beta
-        return srs.solve_log_derivative(ComplexSeries(q))
+        return ComplexSeries(srs._row_log_derivative(q[None, :])[0])
 
 
 def growth_extremal_starlike_order(beta: float) -> float:
     """Starlikeness order of z*(1+z)^{-1/beta}: its z*f'/f maps the disk
     onto the half-plane Re w > 1 - 1/(2*beta)."""
-    if not 0.0 < beta < math.inf:
-        raise ParameterDomainError(f"beta must be finite and positive, got {beta}")
+    _check_beta(beta)
     return 1.0 - 1.0 / (2.0 * beta)
 
 

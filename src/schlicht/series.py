@@ -4,10 +4,8 @@ Every higher-level computation in this package runs on Taylor polynomials
 c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  The exact
 coefficient recurrences are _row_div (series quotient) and
 _row_log_derivative (the normalized F with z*F' = F*q); both step over k
-with every row of a 2-D array at once, and ComplexSeries.div and
-solve_log_derivative are their one-row calls.  A quotient truncates to the
-smaller operand order, so it never contains coefficients that both inputs
-do not determine.
+with every row of a 2-D array at once, and subordination's member
+construction and inversion and jack's growth extremal call them on rows.
 
 The Newton kernels _row_reciprocal and _row_log_derivative_newton, with the
 FFT row product _row_mul, compute the same series in O(N log N) per row
@@ -15,8 +13,8 @@ instead of O(N^2), not bit for bit, and lose digits as the coefficients
 grow: 4e-16 off the recurrences on sampled Schwarz rows, but 1.9e-8 (order
 512) and 8.8e-4 (2048) off the Koebe function, which the recurrences reach
 to 1e-16.  Only the spiral and quotient-class builders of jack run them;
-the value type and the member recurrences of subordination (fuzzing,
-extremals, reports) run the exact recurrences.  The choice is by caller,
+the member recurrences of subordination (fuzzing, extremals, reports) and
+its inversion run the exact recurrences.  The choice is by caller,
 not by shape, because of accuracy: Newton on the one 513-wide member row
 of an order-512 extremal is 7.4e-9 to 7.5e-8 off, past extremals' 1e-8
 attainment tolerance, and a rho^k dilation only adds error.  The tests pin
@@ -29,10 +27,12 @@ are those of the principal branch, so the package needs no branch
 convention.  circle_values is the one circle evaluator, and fit_row the
 one rule that fits a series vanishing at 0 to a row of given width.
 
-mul, log1, exp0 and powc stay only because the benchmark's tracer
+ComplexSeries holds construction, coefficients, circle evaluation and
+JSON.  Its div, mul, log1, exp0, powc and eval_at, with
+solve_log_derivative, stay only because the benchmark's tracer
 (perfbench/tracing.py) wraps them by name; no package code calls them.
-powc is exp(alpha*log(.)) of a series with constant term 1, so its branch
-is the principal one.
+div truncates to the smaller operand order, and powc is exp(alpha*log(.))
+of a series with constant term 1, so its branch is the principal one.
 
 Instances are immutable (the backing array is marked read-only) and all
 operations are pure functions, so series can be shared freely between
@@ -99,27 +99,12 @@ class ComplexSeries:
             return NotImplemented
         return self.order == other.order and bool(np.all(self._c == other._c))
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- traced by the benchmark, called by no package code -------------------
 
     def div(self, other: "ComplexSeries") -> "ComplexSeries":
         """Series quotient; the divisor constant term must be a unit."""
         width = min(self.order, other.order) + 1
         return ComplexSeries(_row_div(self._c[None, :width], other._c[None, :width])[0])
-
-    def scale(self, factor: complex) -> "ComplexSeries":
-        return ComplexSeries(self._c * complex(factor))
-
-    def __add__(self, other):
-        """The series plus a scalar, which moves only the constant term."""
-        out = np.array(self._c)
-        out[0] += complex(other)
-        return ComplexSeries(out)
-
-    def z_derivative(self) -> "ComplexSeries":
-        """The series z * d/dz of self (same order, coefficient k*c_k)."""
-        return ComplexSeries(self._c * np.arange(self._c.size))
-
-    # -- traced by the benchmark, called by no package code -------------------
 
     def mul(self, other: "ComplexSeries") -> "ComplexSeries":
         n = min(self.order, other.order)
@@ -146,11 +131,7 @@ class ComplexSeries:
 
     def powc(self, alpha: complex) -> "ComplexSeries":
         """Principal-branch power (1 + u)^alpha for a series 1 + u."""
-        if abs(self._c[0] - 1.0) > UNIT_TOLERANCE:
-            raise BranchPointAtOrigin(f"powc needs constant term 1, got {self._c[0]}")
-        return self.log1().scale(alpha).exp0()
-
-    # -- evaluation ------------------------------------------------------------
+        return ComplexSeries(self.log1()._c * complex(alpha)).exp0()
 
     def eval_at(self, points) -> np.ndarray:
         """Horner evaluation at arbitrary complex points."""
@@ -159,6 +140,8 @@ class ComplexSeries:
         for k in range(self.order - 1, -1, -1):
             vals = vals * pts + self._c[k]
         return vals
+
+    # -- evaluation ------------------------------------------------------------
 
     def eval_on_circle(self, radius: float, num_angles: int) -> np.ndarray:
         """Values on the circle of given radius at equispaced angles."""
@@ -364,7 +347,8 @@ def _row_log_derivative_newton(q: np.ndarray) -> np.ndarray:
 
 
 def solve_log_derivative(q: ComplexSeries) -> ComplexSeries:
-    """Normalized series F (F(0)=0, F'(0)=1) with z*F' = F*q.
+    """Normalized series F (F(0)=0, F'(0)=1) with z*F' = F*q; traced by the
+    benchmark, called by no package code.
 
     The source q must have constant term 1; coefficients follow the
     recurrence (k-1)*F_k = sum_{j=1}^{k-1} F_j q_{k-j}, so q of order M

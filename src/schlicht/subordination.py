@@ -282,11 +282,10 @@ def _weights(width: int, lam: float) -> np.ndarray:
 def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
     """Members a_0..a_N generated by each row of Schwarz coefficients c_0..c_{N-1}.
 
-    Row for row this is Q = 1 + base*omega/(1 + B*omega), then
-    series.solve_log_derivative(Q), then the weights divided out, with the
-    same floating-point operations in the same order as the series
-    methods; the recurrences step over k with all rows at once.  A
-    coefficient that leaves the double range raises FloatingPointError.
+    Row for row this is Q = 1 + base*omega/(1 + B*omega), then the solve
+    of z*F' = F*Q, then the weights divided out; the recurrences step over
+    k with all rows at once.  A coefficient that leaves the double range
+    raises FloatingPointError.
     """
     one = np.zeros(omegas.shape[1], dtype=np.complex128)
     one[0] = 1.0
@@ -304,14 +303,14 @@ def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> ComplexSeries:
     series has order f.order - 1.
     """
     srs.require_normalized(f)
-    big_f = f._c * _weights(f._c.size, p.lam)
-    u = ComplexSeries(big_f[1:])  # F/z, a unit series
-    z_u_prime = u.z_derivative()
-    ratio = z_u_prime.div(u).scale(1.0 / p.gamma)  # (1/gamma)*(zF'/F - 1)
-    denom = ratio.scale(-p.b) + (p.a - p.b)  # A - B*P
-    if abs(denom.coefficient(0)) <= srs.UNIT_TOLERANCE:
+    u = (f._c * _weights(f._c.size, p.lam))[None, 1:]  # F/z, a unit series
+    z_u_prime = u * np.arange(u.shape[1])
+    ratio = srs._row_div(z_u_prime, u) * complex(1.0 / p.gamma)  # (1/gamma)*(zF'/F - 1)
+    denom = ratio * complex(-p.b)  # A - B*P
+    denom[:, 0] += p.a - p.b
+    if abs(denom[0, 0]) <= srs.UNIT_TOLERANCE:
         raise InversionSingular("Moebius inversion is singular: A - B*P(0) ~ 0")
-    return ratio.div(denom)
+    return ComplexSeries(srs._row_div(ratio, denom)[0])
 
 
 def is_member(f: ComplexSeries, p: ClassParams) -> MembershipReport:

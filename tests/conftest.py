@@ -7,7 +7,8 @@ distance from B*(m-2).  Case-II draws use rejection from a biased region.
 
 The reference recurrences write the series division, the log-derivative
 solve and the exponential out as 1-D np.dot loops over k, independent of
-the package's row kernels; binomial_series is the term recurrence of
+the package's row kernels, and reference_schwarz chains the division into
+the Moebius inversion of a member; binomial_series is the term recurrence of
 (1 + s*z)^alpha; the extremal reference is the closed form of the member
 of omega = z^m, and grid_sup evaluates by np.polyval.  The bound
 references evaluate one index n at a time: the margin list and its max
@@ -142,6 +143,18 @@ def reference_div(s, t) -> np.ndarray:
     for k in range(1, out.size):
         out[k] = (s[k] - np.dot(out[:k], t[k:0:-1])) / t[0]
     return out
+
+
+def reference_schwarz(f, p) -> np.ndarray:
+    """omega = (P-1)/(A - B*P) of a member f, as the chain of one-series steps
+    on reference_div: u = F/z, ratio = (z*u'/u)/gamma, denom = A - B*(1 + ratio)
+    with -B*ratio formed first, then ratio/denom."""
+    c = np.asarray(f.coeffs)
+    u = (c * [1.0 + p.lam * max(k - 1, 0) for k in range(c.size)])[1:]
+    ratio = reference_div(u * np.arange(u.size), u) * complex(1.0 / p.gamma)
+    denom = ratio * complex(-p.b)
+    denom[0] += complex(p.a - p.b)
+    return reference_div(ratio, denom)
 
 
 def reference_log_derivative(q) -> np.ndarray:

@@ -322,6 +322,20 @@ def test_overflowing_member_exits_two(command, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_memory_error_exits_two(monkeypatch, capsys):
+    # a grid too large to allocate (say --angles 100000000000) raises
+    # MemoryError; the stand-in raises it without allocating
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 1.5 PiB")
+
+    monkeypatch.setattr(cli.jackmod, "spiral_check", no_memory)
+    code, out, err = run_cli(["jack", "--check", "spiral", "--alpha", "0.4", "--seed", "1",
+                              "--samples", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, code, message", [
     pytest.param(["bound", "--gamma", "1,0", "--lambda", "nan", "--A", "1", "--B", "-1"], 1,
                  "parameter error: parameters must be finite", id="bound-nan"),
@@ -451,9 +465,10 @@ class TestJackCommand:
         assert doc["passed"] == 5
         assert doc["min_margin"] > 0.0
 
-    def test_spiral_unimodular_samples_pass(self, capsys):
-        # --degree 1 draws omega = e^{i*theta}*z on the circle's edge; the
-        # built sources' FFT noise at z^0 must not refuse them
+    def test_spiral_degree_one_samples_pass(self, capsys):
+        # --degree 1 draws omega = rho*e^{i*theta}*z with rho in (0, 1], some
+        # near the circle's edge; the built sources' FFT noise at z^0 must
+        # not refuse them
         code, out, _ = run_cli(
             ["jack", "--check", "spiral", "--alpha", "0.4", "--samples", "64",
              "--seed", "0", "--degree", "1"],

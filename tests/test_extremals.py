@@ -17,6 +17,7 @@ from schlicht import (
     extremal_case_ii,
     identity,
     is_member,
+    monomial,
     transfer_cauchy_euler,
 )
 from schlicht.bounds import reduction_sweep
@@ -117,7 +118,7 @@ class TestTransfer:
 
     def test_requires_normalized_input(self):
         with pytest.raises(NormalizationError):
-            transfer_cauchy_euler(identity(4).scale(2.0), CauchyEulerParams(2, 0.0))
+            transfer_cauchy_euler(monomial(2.0, 1, 4), CauchyEulerParams(2, 0.0))
 
 
 class TestCertification:

@@ -72,7 +72,8 @@ def reference_spiral_member(omega: ComplexSeries, alpha: float, order: int):
 def reference_margin(f: ComplexSeries, alpha: float) -> tuple:
     nodes = RADIUS * np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
     f_vals = f.eval_at(nodes)
-    ratio = f.z_derivative().eval_at(nodes) / f_vals
+    zfp = ComplexSeries(np.arange(f.order + 1) * np.array(f.coeffs))
+    ratio = zfp.eval_at(nodes) / f_vals
     return float(np.min((cmath.exp(1j * alpha) * ratio).real)), winding_number(f_vals)
 
 
@@ -116,8 +117,9 @@ def test_one_instance_builders_match_reference(seed, alpha):
 
     b = 0.4
     # both zero-pad the degree-4 source to the ratio's order
-    ratio = reference_ratio(sample.scale(b), ORDER - 1)
-    actual = quotient_source_ratio(sample.scale(b), ORDER - 1)
+    source = ComplexSeries(np.array(sample.coeffs) * b)
+    ratio = reference_ratio(source, ORDER - 1)
+    actual = quotient_source_ratio(source, ORDER - 1)
     assert max_norm_error(actual.coeffs, ratio) <= MAX_NORM_RTOL
     expected_gb = reference_log_derivative(ratio)
     member_gb = build_gb_instance(sample, b, ORDER)

@@ -6,6 +6,7 @@ import pytest
 from schlicht import (
     ClassParams,
     ComplexSeries,
+    extremal_case_ii,
     fuzz_bounds,
     identity,
     is_member,
@@ -18,7 +19,7 @@ from schlicht import (
 from schlicht.errors import ParameterDomainError
 from schlicht.output import fixed_json_dumps
 
-from conftest import draw_valid_params, grid_sup
+from conftest import draw_valid_params, grid_sup, reference_schwarz
 
 STARLIKE = ClassParams(1, 0, 1, -1)
 CONVEX = ClassParams(1, 1, 1, -1)
@@ -125,6 +126,19 @@ class TestSchwarzRecovery:
             diff = np.max(np.abs(np.array(f.coeffs) - np.array(back.coeffs)))
             assert diff < 1e-10
 
+    def test_inversion_is_bit_equal_to_series_chain(self, rng):
+        for i in range(50):
+            p = draw_valid_params(rng)
+            order = int(rng.integers(4, 80))
+            f = member_from_schwarz(sample_schwarz((9, i), 4), p, order)
+            omega = schwarz_from_member(f, p)
+            assert np.array_equal(omega.coeffs, reference_schwarz(f, p))
+
+    @pytest.mark.parametrize("p", [STARLIKE, CONVEX, ClassParams(1j, 0.5, 1, 0)])
+    def test_extremal_inversion_is_bit_equal_to_series_chain(self, p):
+        f = extremal_case_ii(p, 64)
+        assert np.array_equal(schwarz_from_member(f, p).coeffs, reference_schwarz(f, p))
+
     def test_omega_round_trip(self, rng):
         for i in range(50):
             p = draw_valid_params(rng)
@@ -164,7 +178,7 @@ class TestQuadraticInequality:
             assert abs(slack) < 1e-12
 
     def test_strict_members_have_positive_slack(self):
-        f = member_from_schwarz(identity(1).scale(0.5), STARLIKE, 8)
+        f = member_from_schwarz(monomial(0.5, 1, 1), STARLIKE, 8)
         assert quadratic_sum_slack(f, STARLIKE, 5) > 0.0
 
 
