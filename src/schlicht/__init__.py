@@ -28,7 +28,6 @@ from .extremals import (
     transfer_cauchy_euler,
 )
 from .jack import (
-    SpiralParams,
     build_gb_instance,
     build_spiral_instance,
     gb_membership,
@@ -71,7 +70,6 @@ __all__ = [
     "ComplexSeries",
     "ExtremalSpec",
     "Reduction",
-    "SpiralParams",
     "build_extremal",
     "build_gb_instance",
     "build_spiral_instance",

@@ -26,6 +26,7 @@ from .params import (
     ClassParams,
     Reduction,
     case_sweep,
+    check_index,
     spiral_gamma,
 )
 
@@ -180,8 +181,7 @@ def spiral_product_bound(beta: float, a: float, b: float, n: int) -> float:
     """prod_{j=0}^{n-2} |(A-B)*exp(-i*beta)*cos(beta) - j*B| / (j+1); beta,
     A and B as ClassParams(spiral_gamma(beta), 0, A, B) takes them."""
     ClassParams(spiral_gamma(beta), 0.0, a, b)
-    if n < 2:
-        raise ParameterDomainError(f"index n must be >= 2, got {n}")
+    check_index(n)
     seed = (a - b) * cmath.exp(-1j * beta) * math.cos(beta)
     return _modulus_products(seed, b, n - 1, 1)[-1]
 

@@ -33,6 +33,8 @@ from .params import (
     ClassParams,
     Reduction,
     case_sweep,
+    check_index,
+    check_order,
     reduce_subclass,
 )
 from .series import ComplexSeries
@@ -161,7 +163,8 @@ def _cmd_extremal(args) -> int:
              f"--kind {args.kind} builds in class {subclass}, got --class {args.subclass}")
     red = _reduction_from_args(args, subclass)
     lo, hi = parse_index_range(args.n)
-    _require(lo >= 2, f"index n must be >= 2, got {lo}")
+    check_index(lo)
+    check_order(args.order)
     order = max(args.order, hi)
     spec = ExtremalSpec(
         kind=args.kind,
@@ -256,6 +259,7 @@ def _cmd_jack(args) -> int:
 def _cmd_report(args) -> int:
     p = _base_class(args)
     lo, hi = parse_index_range(args.n)
+    check_order(args.order)
     order = max(args.order, hi)
     bounds = bound_sweep(p, lo, hi)
 

@@ -13,7 +13,7 @@ from . import series as srs
 from .bounds import BoundResult, cauchy_euler_factor, reduction_sweep
 from .errors import ParameterDomainError
 from .output import JsonFields
-from .params import CauchyEulerParams, ClassParams, Reduction, reduce_subclass
+from .params import CauchyEulerParams, ClassParams, Reduction, check_index, reduce_subclass
 from .series import ComplexSeries
 from .subordination import member_from_schwarz
 
@@ -53,10 +53,16 @@ class ExtremalSpec:
             red = reduce_subclass(KIND_CLASS[self.kind], gamma=self.params.gamma)
             object.__setattr__(self, "params", red.params)
         if self.kind in INDEXED_KINDS:
-            if self.n is None or self.n < 2:
-                raise ParameterDomainError(f"kind {self.kind!r} needs a target n >= 2")
-            if self.order < self.n:
-                raise ParameterDomainError("order must be at least the target index n")
+            if self.n is None:
+                raise ParameterDomainError(f"kind {self.kind!r} needs a target n")
+            _check_target(self.n, self.order)
+
+
+def _check_target(n: int, order: int) -> None:
+    """Refuse a target index n below 2 or above the extremal's order."""
+    check_index(n)
+    if order < n:
+        raise ParameterDomainError(f"extremal order {order} does not reach index {n}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,7 @@ class SharpnessRecord(JsonFields):
 def extremal_case_i(p: ClassParams, n: int, order: int) -> ComplexSeries:
     """Member whose |a_n| equals the case-I bound at the single index n:
     the member of omega = z^(n-1)."""
-    if n < 2:
-        raise ParameterDomainError(f"index n must be >= 2, got {n}")
-    if order < n:
-        raise ParameterDomainError(f"order {order} is below the target index {n}")
+    _check_target(n, order)
     return member_from_schwarz(srs.monomial(1.0, n - 1, n - 1), p, order)
 
 
@@ -118,12 +121,7 @@ def certify_sharpness(
     For case III parameters the gap is expected to stay positive; the
     record reports it without claiming anything about true sharpness.
     """
-    if n < 2:
-        raise ParameterDomainError("certification needs a target index n >= 2")
-    if n > spec.order:
-        raise ParameterDomainError(
-            f"extremal order {spec.order} does not reach index {n}"
-        )
+    _check_target(n, spec.order)
     (bound,) = reduction_sweep(Reduction(spec.params, spec.cauchy_euler), n, n)
     return sharpness_record(bound, series)
 

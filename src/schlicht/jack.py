@@ -33,6 +33,7 @@ from .errors import (
     PreconditionNotVerified,
 )
 from .output import JsonFields
+from .params import check_angle, check_order
 from .series import ComplexSeries
 from .subordination import schwarz_rows
 
@@ -57,35 +58,6 @@ THRESHOLD_PASSES = 8
 
 # samples built and checked together by spiral_check
 SPIRAL_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class SpiralParams:
-    """Rotation angle alpha with |alpha| < pi/2.
-
-    a_spiral is the unimodular constant exp(-2i*alpha) of the Moebius
-    target.  When the same alpha is reused as a starlikeness order
-    (0 <= alpha < 1) the growth exponent satisfies 1/beta = 2*(1-alpha);
-    beta_for_growth exposes that value.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not abs(self.alpha) < math.pi / 2:
-            raise ParameterDomainError(f"need |alpha| < pi/2, got {self.alpha}")
-
-    @property
-    def a_spiral(self) -> complex:
-        return cmath.exp(-2j * self.alpha)
-
-    @property
-    def beta_for_growth(self) -> float:
-        if not 0.0 <= self.alpha < 1.0:
-            raise ParameterDomainError(
-                f"growth exponent needs 0 <= alpha < 1, got {self.alpha}"
-            )
-        return 1.0 / (2.0 * (1.0 - self.alpha))
 
 
 @dataclass(frozen=True)
@@ -174,16 +146,23 @@ def spiral_membership(
     angles: int = DEFAULT_ANGLES,
 ) -> SpiralReport:
     """Grid test of Re(exp(i*alpha) * z*f'/f) > 0, with winding(f) = 1."""
-    rotation = cmath.exp(1j * SpiralParams(alpha).alpha)
-    return _ratio_reports(f._c[None, :], rotation, 0.0, radius, angles)[0]
+    check_angle(alpha, "alpha")
+    return _ratio_reports(f._c[None, :], cmath.exp(1j * alpha), 0.0, radius, angles)[0]
+
+
+def _growth_beta(alpha: float) -> float:
+    """The growth exponent beta = 1/(2*(1-alpha)) of a starlikeness order
+    alpha, which must lie in [0, 1)."""
+    if not 0.0 <= alpha < 1.0:
+        raise ParameterDomainError(f"starlike order alpha must be in [0, 1), got {alpha}")
+    return 1.0 / (2.0 * (1.0 - alpha))
 
 
 def starlike_membership(
     f: ComplexSeries, order_alpha: float, radius: float, angles: int
 ) -> SpiralReport:
     """Grid test of Re(z*f'/f) > order_alpha; min_re reports the margin."""
-    if not 0.0 <= order_alpha < 1.0:
-        raise ParameterDomainError(f"order must be in [0, 1), got {order_alpha}")
+    _growth_beta(order_alpha)  # for its refusal of an order outside [0, 1)
     return _ratio_reports(f._c[None, :], 1.0, order_alpha, radius, angles)[0]
 
 
@@ -220,7 +199,8 @@ def gb_spiral_threshold(alpha: float) -> float:
     periodic, so a bracket may cross t = 0.  m is quadratic at its minimum,
     so the last value is exact to rounding.  It equals |1 + A|/4.
     """
-    a = SpiralParams(alpha).a_spiral
+    check_angle(alpha, "alpha")
+    a = cmath.exp(-2j * alpha)
     center, half = 0.0, math.pi
     for _ in range(THRESHOLD_PASSES):
         ts = np.linspace(center - half, center + half, THRESHOLD_POINTS)
@@ -233,7 +213,8 @@ def gb_spiral_threshold(alpha: float) -> float:
 
 def gb_threshold_closed_form(alpha: float) -> float:
     """The grid-minimized threshold in closed form: |1 + exp(-2i*alpha)|/4."""
-    return abs(1.0 + SpiralParams(alpha).a_spiral) / 4.0
+    check_angle(alpha, "alpha")
+    return abs(1.0 + cmath.exp(-2j * alpha)) / 4.0
 
 
 def _ratio_rows(sources: np.ndarray) -> np.ndarray:
@@ -259,10 +240,11 @@ def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
     """Members a_0..a_N for rows of Schwarz coefficients c_0..c_{N-1}.
 
     Pushes each row through the spiral criterion's target
-    h(w) = (A+1)*w/(1+A*w)^2, as (A+1)*omega*r*r with r = 1/(1 + A*omega),
-    then solves for the quotient ratio and the member.
+    h(w) = (A+1)*w/(1+A*w)^2, A = exp(-2i*alpha), as (A+1)*omega*r*r with
+    r = 1/(1 + A*omega), then solves for the quotient ratio and the member.
+    The callers check alpha, once per call.
     """
-    a = SpiralParams(alpha).a_spiral
+    a = cmath.exp(-2j * alpha)
     width = omegas.shape[1]
     v = omegas * a
     v[:, 0] += 1.0
@@ -274,6 +256,7 @@ def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
 def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
     """Member built to satisfy the spiral quotient criterion exactly; it is
     spiral-like with angle alpha by the criterion."""
+    check_angle(alpha, "alpha")
     return ComplexSeries(_spiral_rows(srs.fit_row(omega, order), alpha)[0])
 
 
@@ -295,12 +278,11 @@ def spiral_check(
     (2*block, angles) grid of values.  samples < 1 and order < 2 are
     refused here, a negative seed or degree < 1 by the sampler.
     """
-    rotation = cmath.exp(1j * SpiralParams(alpha).alpha)
+    check_angle(alpha, "alpha")
+    rotation = cmath.exp(1j * alpha)
     if samples < 1:
         raise ParameterDomainError(f"samples must be >= 1, got {samples}")
-    # order 1 leaves only f = z, which passes without testing anything
-    if order < 2:
-        raise ParameterDomainError(f"order must be >= 2, got {order}")
+    check_order(order)
     reports = []
     for lo in range(0, samples, SPIRAL_BLOCK):
         block = range(lo, min(samples, lo + SPIRAL_BLOCK))
@@ -321,7 +303,7 @@ def growth_check(f: ComplexSeries, alpha: float) -> GrowthReport:
     0.6); ok means it stays above -GROWTH_TOLERANCE.  Every circle has
     GROWTH_ANGLES (1024) points.
     """
-    beta = SpiralParams(alpha).beta_for_growth
+    beta = _growth_beta(alpha)
     srs.require_normalized(f, 2)
     radius = GROWTH_MEMBERSHIP_RADIUS
     membership = starlike_membership(f, alpha, radius, GROWTH_ANGLES)
@@ -346,7 +328,7 @@ def growth_check(f: ComplexSeries, alpha: float) -> GrowthReport:
 def second_coeff_check(f: ComplexSeries, alpha: float) -> SecondCoeffReport:
     """Check |f''(0)| <= 2/beta for the growth exponent tied to alpha, for f
     normalized and of order 2 at least."""
-    limit = 2.0 / SpiralParams(alpha).beta_for_growth
+    limit = 2.0 / _growth_beta(alpha)
     srs.require_normalized(f, 2)
     value = 2.0 * abs(f.coefficient(2))
     return SecondCoeffReport(value <= limit + GROWTH_TOLERANCE, value, limit)
@@ -362,8 +344,7 @@ def growth_extremal(beta: float, order: int) -> ComplexSeries:
     z*f'/f = q = 1 - (1/beta)*z/(1+z), so q_k = -(1/beta)*(-1)^(k-1) for
     k >= 1, through order."""
     _check_beta(beta)
-    if order < 2:
-        raise ParameterDomainError(f"order must be >= 2, got {order}")
+    check_order(order)
     q = np.ones(order, dtype=np.complex128)
     q[2::2] = -1.0
     with np.errstate(over="raise", invalid="raise"):  # tiny beta overflows

@@ -99,10 +99,21 @@ class CaseClassification(JsonFields):
     margins: tuple[float, ...]
 
 
+def check_index(n: int, name: str = "index n") -> None:
+    """Refuse an index below 2: a_0 = 0 and a_1 = 1 fix the first two."""
+    if n < 2:
+        raise ParameterDomainError(f"{name} must be >= 2, got {n}")
+
+
+def check_order(order: int) -> None:
+    """Refuse a truncation order below 2, which leaves only f = z."""
+    if order < 2:
+        raise ParameterDomainError(f"order must be >= 2, got {order}")
+
+
 def case_margin_sequence(p: ClassParams, n: int) -> list[float]:
     """Margins A_k = |gamma*(A-B) - B*(k-1)| - (k-1) for k = 2..n-1."""
-    if n < 2:
-        raise ParameterDomainError(f"index n must be >= 2, got {n}")
+    check_index(n)
     base = p.product_base()
     return [abs(base - p.b * (k - 1)) - (k - 1) for k in range(2, n)]
 
@@ -116,8 +127,7 @@ def case_sweep(
     k < n with A_k >= 0, kept as the last such k seen so far, so the
     margins need not be sign-monotone.
     """
-    if lo < 2:
-        raise ParameterDomainError(f"index n must be >= 2, got {lo}")
+    check_index(lo)
     margins = case_margin_sequence(p, hi)
     cases = []
     last_nonnegative = None
@@ -224,12 +234,17 @@ def reduce_subclass(name: str, **kw) -> Reduction:
             raise ParameterDomainError(f"{name} needs beta > 1, got {beta}")
         return Reduction(ClassParams(1.0 - beta, float(name == "N"), 1.0, -1.0))
     # Sbeta, or SP with beta = alpha
-    beta = float(kw["beta" if name == "Sbeta" else "alpha"])
-    return Reduction(ClassParams(spiral_gamma(beta), 0.0, kw["a"], kw["b"]))
+    key = "beta" if name == "Sbeta" else "alpha"
+    return Reduction(ClassParams(spiral_gamma(float(kw[key]), key), 0.0, kw["a"], kw["b"]))
 
 
-def spiral_gamma(beta: float) -> complex:
+def check_angle(value: float, name: str) -> None:
+    """Refuse a spiral angle outside (-pi/2, pi/2), naming it as name."""
+    if not abs(value) < math.pi / 2:
+        raise ParameterDomainError(f"angle {name} must be in (-pi/2, pi/2), got {value}")
+
+
+def spiral_gamma(beta: float, name: str = "beta") -> complex:
     """The reduction gamma = 1/(1+i*tan(beta)); equals exp(-i*beta)*cos(beta)."""
-    if not abs(beta) < math.pi / 2:
-        raise ParameterDomainError(f"need |beta| < pi/2, got {beta}")
+    check_angle(beta, name)
     return 1.0 / (1.0 + 1j * math.tan(beta))

@@ -33,7 +33,7 @@ from . import series as srs
 from .bounds import bound_sweep
 from .errors import InversionSingular, ParameterDomainError
 from .output import JsonFields
-from .params import ClassParams
+from .params import ClassParams, check_index
 from .series import ComplexSeries
 
 CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
@@ -341,8 +341,9 @@ def quadratic_sum_slack(f: ComplexSeries, p: ClassParams, n: int) -> float:
     at the extremal members, so the slack is scaled before comparing it
     against a fixed tolerance.  Nonnegative up to rounding for members.
     """
-    if n < 2 or n > f.order:
-        raise ParameterDomainError(f"need 2 <= n <= {f.order}, got {n}")
+    check_index(n)
+    if n > f.order:
+        raise ParameterDomainError(f"index n must be <= {f.order}, got {n}")
     return float(_quadratic_slacks(_moduli(f._c[None, 2 : n + 1]), p)[0, -1])
 
 
@@ -417,8 +418,7 @@ def fuzz_bounds(
     Sample i draws from the streams (seed, i) and (seed, i, 1) only, and
     all samples are then built and checked together as rows of one array.
     """
-    if n_max < 2:
-        raise ParameterDomainError(f"n_max must be >= 2, got {n_max}")
+    check_index(n_max, "n_max")
     if samples < 1:
         raise ParameterDomainError(f"samples must be >= 1, got {samples}")
     # omega's coefficients c_0..c_{n_max-1} fix the member through a_{n_max};

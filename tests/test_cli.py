@@ -336,6 +336,11 @@ def test_memory_error_exits_two(monkeypatch, capsys):
     assert err.startswith("error: ")
 
 
+ANGLE_1_6 = "parameter error: angle alpha must be in (-pi/2, pi/2), got 1.6"
+
+
+# --alpha is a spiral angle for spiral, threshold and SP, and a starlikeness
+# order for growth; None in an argv stands for the series file
 @pytest.mark.parametrize("argv, code, message", [
     pytest.param(["bound", "--gamma", "1,0", "--lambda", "nan", "--A", "1", "--B", "-1"], 1,
                  "parameter error: parameters must be finite", id="bound-nan"),
@@ -349,8 +354,28 @@ def test_memory_error_exits_two(monkeypatch, capsys):
     pytest.param(["report", "--gamma", "1,0", "--A", "0.5", "--B", "0.4999999999999999",
                   "--n", "2:3", "--samples", "3", "--seed", "1"], 2,
                  "error: Moebius inversion is singular", id="report-singular"),
+    pytest.param(["jack", "--check", "spiral", "--alpha", "1.6", "--seed", "1"], 1, ANGLE_1_6,
+                 id="spiral-angle"),
+    pytest.param(["jack", "--check", "threshold", "--alpha", "1.6"], 1, ANGLE_1_6,
+                 id="threshold-angle"),
+    pytest.param(["jack", "--check", "growth", "--alpha", "1.6", "--input", None], 1,
+                 "parameter error: starlike order alpha must be in [0, 1), got 1.6",
+                 id="growth-order-1.6"),
+    pytest.param(["jack", "--check", "growth", "--alpha", "1.2", "--input", None], 1,
+                 "parameter error: starlike order alpha must be in [0, 1), got 1.2",
+                 id="growth-order-1.2"),
+    pytest.param(["bound", "--class", "SP", "--alpha", "2", "--A", "1", "--B", "-1"], 1,
+                 "parameter error: angle alpha must be in (-pi/2, pi/2), got 2.0",
+                 id="sp-angle"),
+    pytest.param(["extremal", *STARLIKE_ARGS, "--n", "2:5", "--order", "0"], 1,
+                 "parameter error: order must be >= 2, got 0", id="extremal-order"),
+    pytest.param(["extremal", *STARLIKE_ARGS, "--n", "2:5", "--order", "-3"], 1,
+                 "parameter error: order must be >= 2, got -3", id="extremal-negative-order"),
+    pytest.param(["report", *STARLIKE_ARGS, "--n", "2:5", "--seed", "1", "--order", "1"], 1,
+                 "parameter error: order must be >= 2, got 1", id="report-order"),
 ])
-def test_refusals(argv, code, message, capsys):
+def test_refusals(argv, code, message, series_file, capsys):
+    argv = [series_file if arg is None else arg for arg in argv]
     status, out, err = run_cli(argv, capsys)
     assert (status, out) == (code, "")
     assert err.startswith(message) and err.count("\n") == 1

@@ -241,12 +241,12 @@ class TestSharpnessInvariants:
     pytest.param(lambda: ExtremalSpec("nope", STARLIKE, 5),
                  "unknown extremal kind 'nope'", id="kind"),
     pytest.param(lambda: ExtremalSpec("case-i", STARLIKE, 5, n=1),
-                 "kind 'case-i' needs a target n >= 2", id="n"),
+                 "index n must be >= 2, got 1", id="n"),
     pytest.param(lambda: ExtremalSpec("case-i", STARLIKE, 5, n=6),
-                 "order must be at least the target index n", id="order"),
+                 "extremal order 5 does not reach index 6", id="order"),
     pytest.param(lambda: certify_sharpness(ExtremalSpec("case-ii", STARLIKE, 5),
                                            extremal_case_ii(STARLIKE, 5), 1),
-                 "certification needs a target index n >= 2", id="certify-n-low"),
+                 "index n must be >= 2, got 1", id="certify-n-low"),
     pytest.param(lambda: certify_sharpness(ExtremalSpec("case-ii", STARLIKE, 5),
                                            extremal_case_ii(STARLIKE, 5), 6),
                  "extremal order 5 does not reach index 6", id="certify-n-high"),

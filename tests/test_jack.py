@@ -9,7 +9,6 @@ import pytest
 from schlicht import (
     ClassParams,
     ComplexSeries,
-    SpiralParams,
     build_gb_instance,
     build_spiral_instance,
     gb_membership,
@@ -190,11 +189,11 @@ class TestForwardInstances:
             assert f.coefficient(n) == pytest.approx(n, abs=1e-10)
 
     def test_ratio_is_half_plane_map_for_identity_omega(self):
-        sp = SpiralParams(0.0)
+        a = cmath.exp(-2j * 0.0)
         om = np.array(identity(256).coeffs)
-        v = om * sp.a_spiral
+        v = om * a
         v[0] += 1.0
-        source = reference_div(reference_div(om * (sp.a_spiral + 1.0), v), v)
+        source = reference_div(reference_div(om * (a + 1.0), v), v)
         p = quotient_source_ratio(ComplexSeries(source), 256)
         assert np.allclose(p.coeffs[:8], [1, 2, 2, 2, 2, 2, 2, 2], atol=1e-12)
         vals = p.eval_on_circle(0.95, 512)
@@ -406,15 +405,15 @@ class TestHalfPlaneBallEquivalence:
     pytest.param(lambda: build_gb_instance(identity(1), 1.5, 8),
                  "need 0 < b <= 1, got 1.5", id="gb-b-large"),
     pytest.param(lambda: starlike_membership(identity(8), 1.0, 0.5, 64),
-                 "order must be in [0, 1), got 1.0", id="starlike-order"),
+                 "starlike order alpha must be in [0, 1), got 1.0", id="starlike-order"),
     pytest.param(lambda: quotient_source_ratio(ComplexSeries([0.5, 1.0]), 8),
                  "the series must vanish at the origin", id="source0"),
     pytest.param(lambda: build_spiral_instance(ComplexSeries([0.5, 1.0]), 0.3, 8),
                  "the series must vanish at the origin", id="spiral-omega0"),
     pytest.param(lambda: build_gb_instance(ComplexSeries([0.5, 1.0]), 0.5, 8),
                  "the series must vanish at the origin", id="gb-omega0"),
-    pytest.param(lambda: SpiralParams(-0.1).beta_for_growth,
-                 "growth exponent needs 0 <= alpha < 1, got -0.1", id="beta-for-growth"),
+    pytest.param(lambda: growth_check(identity(8), -0.1),
+                 "starlike order alpha must be in [0, 1), got -0.1", id="beta-for-growth"),
     pytest.param(lambda: growth_extremal_starlike_order(0),
                  "beta must be finite and positive, got 0", id="starlike-order-beta"),
 ])

@@ -22,7 +22,6 @@ import pytest
 
 from schlicht import (
     ComplexSeries,
-    SpiralParams,
     build_gb_instance,
     build_spiral_instance,
     quotient_source_ratio,
@@ -60,7 +59,7 @@ def reference_ratio(source: ComplexSeries, order: int) -> np.ndarray:
 
 
 def reference_spiral_member(omega: ComplexSeries, alpha: float, order: int):
-    a = SpiralParams(alpha).a_spiral
+    a = cmath.exp(-2j * alpha)
     om = np.zeros(order, dtype=np.complex128)
     om[: min(omega.order + 1, order)] = omega.coeffs[:order]
     v = om * a

@@ -222,10 +222,10 @@ class TestFuzzer:
                  "the series must vanish at the origin", id="omega0"),
     pytest.param(lambda: quadratic_sum_slack(member_from_schwarz(identity(1), STARLIKE, 5),
                                              STARLIKE, 1),
-                 "need 2 <= n <= 5, got 1", id="slack-n-low"),
+                 "index n must be >= 2, got 1", id="slack-n-low"),
     pytest.param(lambda: quadratic_sum_slack(member_from_schwarz(identity(1), STARLIKE, 5),
                                              STARLIKE, 6),
-                 "need 2 <= n <= 5, got 6", id="slack-n-high"),
+                 "index n must be <= 5, got 6", id="slack-n-high"),
 ])
 def test_refusals(call, message):
     with pytest.raises(ParameterDomainError) as info:
