@@ -257,12 +257,14 @@ def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
     """Member built to satisfy the spiral quotient criterion exactly; it is
     spiral-like with angle alpha by the criterion."""
     check_angle(alpha, "alpha")
+    check_order(order)
     return ComplexSeries(_spiral_rows(srs.fit_row(omega, order), alpha)[0])
 
 
 def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:
     """Member of the quotient-deviation class with deviation b*omega."""
     _check_deviation(b)
+    check_order(order)
     sources = srs.fit_row(omega, order) * complex(b)
     return ComplexSeries(srs._row_log_derivative_newton(_ratio_rows(sources))[0])
 

@@ -4,7 +4,8 @@ Floats are always printed with a fixed 15-significant-digit scientific
 format instead of shortest-round-trip repr, so identical computations
 produce byte-identical JSON/CSV across runs; golden-file tests rely on
 that.  Negative zero is normalized away, and inf/nan are refused, since
-JSON has no token for them.
+JSON has no token for them.  The JSON writer formats each distinct float
+once per document, as a sweep repeats its margins on every row.
 """
 
 import math
@@ -45,12 +46,19 @@ def fixed_json_dumps(obj) -> str:
 
     An object with a to_json_dict method is written as that document.
     """
-    return _json(obj)
+    return _json(obj, {})
 
 
-def _json(obj) -> str:
-    # recursing here rather than through fixed_json_dumps keeps one call of
-    # the public name per document, which is what perfbench's tracer counts
+def _json(obj, floats: dict) -> str:
+    # floats holds the text of each distinct float of one document, since a
+    # sweep repeats its margin prefix on every row.  Recursing here rather
+    # than through fixed_json_dumps keeps one call of the public name per
+    # document, which is what perfbench's tracer counts.
+    if type(obj) is float:
+        text = floats.get(obj)  # -0.0 == 0.0, and both print as 0
+        if text is None:
+            text = floats[obj] = format_float(obj)
+        return text
     if obj is None:
         return "null"
     if obj is True:
@@ -64,11 +72,11 @@ def _json(obj) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):
-        items = (f"{encode_basestring(str(key))}:{_json(value)}"
+        items = (f"{encode_basestring(str(key))}:{_json(value, floats)}"
                  for key, value in obj.items())
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_json, obj)) + "]"
+        return "[" + ",".join([_json(value, floats) for value in obj]) + "]"
     if hasattr(obj, "to_json_dict"):
-        return _json(obj.to_json_dict())
+        return _json(obj.to_json_dict(), floats)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

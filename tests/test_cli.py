@@ -6,21 +6,26 @@ import io
 import json
 import math
 import warnings
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schlicht import cli, extremals
+from schlicht import ComplexSeries, cli, extremals
 from schlicht.cli import main, parse_index_range
 from schlicht.errors import NonFiniteOutput, ParameterDomainError
-from schlicht.extremals import EXTREMAL_KINDS
+from schlicht.extremals import EXTREMAL_KINDS, SharpnessRecord
 from schlicht.output import (
+    JsonFields,
     fixed_json_dumps,
     format_float,
     parse_complex_pair,
 )
 from schlicht.params import SUBCLASS_NAMES
+
+from conftest import reference_json
 
 STARLIKE_ARGS = ["--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1"]
 # classes whose index range 2:9 reaches case I, II and III respectively
@@ -918,7 +923,53 @@ class TestReportCommand:
         assert tags["III"] == "unknown"
 
 
+@dataclass
+class Wrapped(JsonFields):
+    """A report whose one field may hold any document, reports included."""
+
+    value: object
+
+
+# floats that a document repeats: signed zeros, subnormals and the extremes
+FLOAT_POOL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 0.1, -1.0,
+              1.7976931348623157e308]
+floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FLOAT_POOL)
+json_leaves = (floats | floats.map(np.float64) | st.integers() | st.booleans()
+               | st.none() | st.text(max_size=8))
+json_keys = st.text(max_size=4) | st.integers(-2, 2) | st.booleans() | floats
+json_documents = st.recursive(
+    json_leaves,
+    lambda children: (
+        st.lists(children, max_size=6)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_keys, children, max_size=5)
+        | st.builds(Wrapped, children)
+        | st.builds(SharpnessRecord, st.integers(2, 300), floats, floats, floats,
+                    st.booleans())
+        | st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=4).map(ComplexSeries)
+    ),
+    max_leaves=40,
+)
+
+
 class TestOutputHelpers:
+    @settings(max_examples=150, deadline=None)
+    @given(json_documents)
+    @example([0.0, -0.0, 0.0, {"a": -0.0, "b": 0.0}])
+    @example([-0.0, 0.0, Wrapped([-0.0, 5e-324, 5e-324]), 5e-324])
+    @example({1: 1.0, True: [True, 1, 1.0], "1": {1.0: 1.0}})
+    def test_json_matches_the_reference_writer(self, doc):
+        # the writer formats each distinct float of a document once; the
+        # bytes must be those of formatting every float where it stands
+        assert fixed_json_dumps(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
+    def test_repeated_non_finite_float_refused(self, value):
+        for doc in ([value, value], [1.0, {"a": value}, value], Wrapped([value, [value]])):
+            with pytest.raises(NonFiniteOutput):
+                fixed_json_dumps(doc)
+
     def test_fixed_float_format(self):
         assert format_float(1.0) == "1.00000000000000e+00"
         assert format_float(-0.0) == "0.00000000000000e+00"

@@ -250,6 +250,8 @@ class TestSharpnessInvariants:
     pytest.param(lambda: certify_sharpness(ExtremalSpec("case-ii", STARLIKE, 5),
                                            extremal_case_ii(STARLIKE, 5), 6),
                  "extremal order 5 does not reach index 6", id="certify-n-high"),
+    pytest.param(lambda: build_extremal(ExtremalSpec("case-ii", STARLIKE, 1)),
+                 "order must be >= 2, got 1", id="build-order1"),
 ])
 def test_refusals(call, message):
     with pytest.raises(ParameterDomainError) as info:

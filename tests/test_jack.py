@@ -218,15 +218,19 @@ class TestForwardInstances:
             rep = spiral_membership(f, alpha, 0.95, 2048)
             assert rep.member, (alpha, i, rep.min_re)
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_spiral_instance(identity(1), 0.3, 0),
-        lambda: build_gb_instance(identity(1), 0.5, 0),
-        lambda: quotient_source_ratio(monomial(0, 0, 6), -1),
-        lambda: member_from_schwarz(identity(1), STARLIKE, 0),
-    ], ids=["spiral", "gb", "ratio", "member"])
-    def test_empty_row_refused(self, build):
-        # every one-series builder fits its input with series.fit_row
-        with pytest.raises(ParameterDomainError, match="width >= 1"):
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_spiral_instance(identity(1), 0.3, 0), "order must be >= 2, got 0"),
+        (lambda: build_gb_instance(identity(1), 0.5, 0), "order must be >= 2, got 0"),
+        (lambda: quotient_source_ratio(monomial(0, 0, 6), -1), "width >= 1, got 0"),
+        (lambda: member_from_schwarz(identity(1), STARLIKE, 0), "order must be >= 2, got 0"),
+        (lambda: build_spiral_instance(identity(1), 0.3, 1), "order must be >= 2, got 1"),
+        (lambda: build_gb_instance(identity(1), 0.5, 1), "order must be >= 2, got 1"),
+        (lambda: member_from_schwarz(identity(1), STARLIKE, 1), "order must be >= 2, got 1"),
+    ], ids=["spiral", "gb", "ratio", "member", "spiral-order1", "gb-order1", "member-order1"])
+    def test_empty_row_refused(self, build, message):
+        # the member builders apply the order rule, params.check_order, before
+        # series.fit_row fits their input; the ratio's width has only fit_row's
+        with pytest.raises(ParameterDomainError, match=message):
             build()
 
     def test_unimodular_omega_builds_a_member(self):

@@ -328,6 +328,49 @@ class TestRecurrencesMatchOneDimensionalLoops:
         assert max_norm_error(w.exp0().coeffs, reference_exp0(w.coeffs)) <= 1e-15
 
 
+class TestOneRowMatchesTheStack:
+    """A one-row call of a row kernel steps on 1-D views; each row of a
+    multi-row call must equal its one-row call bit for bit."""
+
+    ROWS = 5
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 64, 513])
+    @pytest.mark.parametrize("kind", ["decaying", "ratio"])
+    def test_div(self, kind, width):
+        rng = np.random.default_rng((width, len(kind)))
+        if kind == "ratio":  # reciprocals, whose tails reach the subnormals
+            num = unit_rows(self.ROWS, width)
+            denom = newton_divisors(kind, self.ROWS, width)
+        else:
+            num, denom = (
+                np.array([decaying_series(rng, width - 1, constant_term=c).coeffs
+                          for _ in range(self.ROWS)])
+                for c in (0.4 - 0.2j, 0.8 + 0.5j)
+            )
+        stack = _row_div(num, denom)
+        for i, row in enumerate(stack):
+            assert np.array_equal(_row_div(num[i : i + 1], denom[i : i + 1])[0], row)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 64, 513])
+    @pytest.mark.parametrize("kind", ["decaying", "ratio"])
+    def test_log_derivative(self, kind, width):
+        rng = np.random.default_rng((width, len(kind)))
+        if kind == "ratio":
+            q = _row_div(unit_rows(self.ROWS, width), newton_divisors(kind, self.ROWS, width))
+        else:
+            q = np.array([decaying_series(rng, width - 1).coeffs for _ in range(self.ROWS)])
+        stack = _row_log_derivative(q)
+        for i, row in enumerate(stack):
+            assert np.array_equal(_row_log_derivative(q[i : i + 1])[0], row)
+
+    def test_one_row_refusals(self):
+        unit = unit_rows(1, 8)
+        with pytest.raises(DivisionByNonUnit):
+            _row_div(unit, unit * 1e-15)
+        with pytest.raises(NormalizationError):
+            _row_log_derivative(unit * 0.5)
+
+
 def schwarz_like_rows(rng, rows: int, width: int, scale: float) -> np.ndarray:
     """Rows scale*z*(c_0 + ... + c_3 z^3) truncated to width, with
     sum_j |c_j| = 1, so every row is bounded by scale on the closed disk."""
