@@ -54,8 +54,11 @@ def _json(obj, floats: dict) -> str:
     # sweep repeats its margin prefix on every row.  Recursing here rather
     # than through fixed_json_dumps keeps one call of the public name per
     # document, which is what perfbench's tracer counts.
-    if type(obj) is float:
-        text = floats.get(obj)  # -0.0 == 0.0, and both print as 0
+    if isinstance(obj, float):
+        # np.float64 is a float subclass that hashes and compares equal to
+        # the same Python float, so one entry serves both; -0.0 == 0.0, and
+        # both print as 0.
+        text = floats.get(obj)
         if text is None:
             text = floats[obj] = format_float(obj)
         return text
@@ -69,8 +72,6 @@ def _json(obj, floats: dict) -> str:
         return encode_basestring(obj)
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
     if isinstance(obj, dict):
         items = (f"{encode_basestring(str(key))}:{_json(value, floats)}"
                  for key, value in obj.items())
