@@ -105,6 +105,12 @@ def check_index(n: int, name: str = "index n") -> None:
         raise ParameterDomainError(f"{name} must be >= 2, got {n}")
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a sample count below 1."""
+    if samples < 1:
+        raise ParameterDomainError(f"samples must be >= 1, got {samples}")
+
+
 def check_order(order: int) -> None:
     """Refuse a truncation order below 2, which leaves only f = z."""
     if order < 2:

@@ -3,27 +3,24 @@
 Every higher-level computation in this package runs on Taylor polynomials
 c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  The exact
 coefficient recurrences are _row_div (series quotient) and
-_row_log_derivative (the normalized F with z*F' = F*q); both step over k
-with every row of a 2-D array at once, and subordination's member
-construction and inversion and jack's growth extremal call them on rows.
+_row_log_derivative (the normalized F with d_k*F_k = [z^k](F*q), which is
+z*F' = F*q for the default d_k = k-1); both step over k with every row of
+a 2-D array at once.  Every member comes from _row_log_derivative:
+subordination's class members and jack's growth extremal with the default
+divisors, jack's spiral and quotient-class members with d_k = (k-1)/k.
 A single row (an extremal, a report's member and its inversion) steps on
 1-D views instead, which skips the per-step cost of a matmul stack; it
 makes the same BLAS dot products, so a row comes out bit for bit the same
 alone or in a stack.
 
-The Newton kernels _row_reciprocal and _row_log_derivative_newton, with the
-FFT row product _row_mul, compute the same series in O(N log N) per row
-instead of O(N^2), not bit for bit, and lose digits as the coefficients
-grow: 4e-16 off the recurrences on sampled Schwarz rows, but 1.9e-8 (order
-512) and 8.8e-4 (2048) off the Koebe function, which the recurrences reach
-to 1e-16.  Only the spiral and quotient-class builders of jack run them;
-the member recurrences of subordination (fuzzing, extremals, reports) and
-its inversion run the exact recurrences.  The choice is by caller,
-not by shape, because of accuracy: Newton on the one 513-wide member row
-of an order-512 extremal is 7.4e-9 to 7.5e-8 off, past extremals' 1e-8
-attainment tolerance, and a rho^k dilation only adds error.  The tests pin
-the recurrences bit for bit at order 512, and at the fuzzer's shapes
-(hundreds of rows of width 11-21) the loop is 5-10x faster.
+The Newton reciprocal _row_reciprocal and the FFT row product _row_mul,
+O(N log N) per row instead of O(N^2), build only jack's spiral source
+(A+1)*omega/(1+A*omega)^2.  They are not bit for bit: the spiral members
+of sampled Schwarz rows agree with an all-exact build to 1e-16, and that
+of omega = z with its closed form to 6.2e-11 at order 512 and 2.1e-9 at
+2048.  A Newton exponential for the member step would lose 1.9e-8 and
+8.8e-4 there, and 7.5e-8 on an order-512 extremal row, so members are
+built exactly.
 
 No logarithm or fractional power of a series is taken: a power such as
 z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose coefficients
@@ -262,23 +259,29 @@ def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_log_derivative(q: np.ndarray) -> np.ndarray:
-    """F with z*F' = F*q, F(0) = 0 and F'(0) = 1 for each row q with q(0) = 1,
-    stepping over k with all rows at once; a width-w row gives width w+1.
+def _row_log_derivative(q: np.ndarray, divisors=None) -> np.ndarray:
+    """F with F(0) = 0, F'(0) = 1 and d_k*F_k = sum_{j=1}^{k-1} F_j q_{k-j} for
+    each row q with q(0) = 1, stepping over k with all rows at once; a
+    width-w row gives width w+1.  The divisors d_0..d_w (complex, only
+    d_2.. read) default to d_k = k-1, which is z*F' = F*q; the jack builders
+    pass d_k = (k-1)/k.  Each step writes through preallocated buffers.
     One row steps on 1-D views, bit for bit as in _row_div."""
     if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
         raise NormalizationError("source constant term must be 1")
     rows, width = q.shape
+    d = np.arange(-1.0, width, dtype=np.complex128) if divisors is None else divisors
     q_rev = np.ascontiguousarray(q[:, ::-1])
     out = np.zeros((rows, width + 1), dtype=np.complex128)
     out[:, 1] = 1.0
     if rows == 1:
         q1_rev, o = q_rev[0], out[0]
         for k in range(2, width + 1):
-            o[k] = np.dot(o[1:k], q1_rev[width - k : width - 1]) / (k - 1)
+            o[k] = np.dot(o[1:k], q1_rev[width - k : width - 1]) / d[k]
         return out
+    dots = np.empty((rows, 1, 1), dtype=np.complex128)
     for k in range(2, width + 1):
-        out[:, k] = _row_dots(out[:, 1:k], q_rev[:, width - k : width - 1]) / (k - 1)
+        np.matmul(out[:, None, 1:k], q_rev[:, width - k : width - 1, None], out=dots)
+        np.divide(dots[:, 0, 0], d[k], out=out[:, k])
     return out
 
 
@@ -304,68 +307,27 @@ def _row_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(prod, axis=1)[:, :n]
 
 
-def _reciprocal_step(g: np.ndarray, d_hat: np.ndarray, lo: int, hi: int) -> None:
-    """One Newton step g <- g - g*(d*g - 1) for rows g = 1/d, from mod z^lo to
-    mod z^hi (hi <= 2*lo), in place; d_hat is the transform of d mod z^hi.
-
-    d*g - 1 vanishes below z^lo, so the cyclic product may wrap its top terms
-    onto those coefficients (the transform size is at least hi), and g's
-    transform serves both products of the step.
-    """
-    size = d_hat.shape[1]
-    g_hat = np.fft.fft(g[:, :lo], size, axis=1)
-    err = np.fft.ifft(d_hat * g_hat, axis=1)[:, lo:hi]
-    step = np.fft.ifft(g_hat * np.fft.fft(err, size, axis=1), axis=1)
-    g[:, lo:hi] = -step[:, : hi - lo]
-
-
 def _row_reciprocal(d: np.ndarray) -> np.ndarray:
     """1/d of each row by Newton iteration, doubling the precision per step.
-    The divisor check is _row_div's."""
+    The divisor check is _row_div's.
+
+    Each step takes g = 1/d from mod z^lo to mod z^hi (hi <= 2*lo) as
+    g - g*(d*g - 1).  d*g - 1 vanishes below z^lo, so the cyclic product
+    may wrap its top terms onto those coefficients (the transform size is
+    at least hi), and g's transform serves both products of the step.
+    """
     if np.any(np.abs(d[:, 0]) <= UNIT_TOLERANCE):
         raise DivisionByNonUnit(f"a divisor constant has modulus <= {UNIT_TOLERANCE}")
     widths = _newton_widths(d.shape[1])
     g = np.zeros_like(d)
     g[:, 0] = 1.0 / d[:, 0]
-    for m, top in zip(widths, widths[1:]):
-        _reciprocal_step(g, np.fft.fft(d[:, :top], _fft_size(top), axis=1), m, top)
+    for lo, hi in zip(widths, widths[1:]):
+        size = _fft_size(hi)
+        g_hat = np.fft.fft(g[:, :lo], size, axis=1)
+        err = np.fft.ifft(np.fft.fft(d[:, :hi], size, axis=1) * g_hat, axis=1)[:, lo:hi]
+        step = np.fft.ifft(g_hat * np.fft.fft(err, size, axis=1), axis=1)
+        g[:, lo:hi] = -step[:, : hi - lo]
     return g
-
-
-def _row_log_derivative_newton(q: np.ndarray) -> np.ndarray:
-    """_row_log_derivative by coupled Newton iteration for the exponential.
-
-    F = z*E with E = exp(h), h = sum_{k>=1} q_k z^k/k (Brent & Kung, JACM
-    25, 1978).  Each doubling m -> 2m first brings G = 1/E to mod z^m with
-    the current E, then forms log E = integral of h' + G*(E' - E*h') and
-    extends E by E*(h - log E) (Hanrot & Zimmermann, "Newton iteration
-    revisited", 2004).  Below z^(m-1), E' - E*h' vanishes and E' has no
-    terms above it, so only the middle product of E*h' is formed, and one
-    transform of E serves all three of the step's products with E.  The
-    source check is _row_log_derivative's.
-    """
-    if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
-        raise NormalizationError("source constant term must be 1")
-    rows, width = q.shape
-    dh = q[:, 1:]
-    out = np.zeros((rows, width + 1), dtype=np.complex128)
-    e = out[:, 1:]
-    e[:, 0] = 1.0
-    g = np.zeros((rows, width), dtype=np.complex128)
-    g[:, 0] = 1.0
-    widths = _newton_widths(width)
-    # G = 1/E mod z^prev on entry to the step that takes E from z^m to z^top
-    for prev, m, top in zip(widths[:1] + widths, widths, widths[1:]):
-        size = _fft_size(top)
-        e_hat = np.fft.fft(e[:, :m], size, axis=1)
-        if prev < m:
-            _reciprocal_step(g, e_hat, prev, m)
-        mid = np.fft.ifft(e_hat * np.fft.fft(dh[:, : top - 1], size, axis=1), axis=1)
-        # (h - log E)_k for k = m..top-1 is (G * mid)_{k-m} / k
-        gap = _row_mul(g, mid[:, m - 1 : top - 1], top - m) / np.arange(m, top)
-        step = np.fft.ifft(e_hat * np.fft.fft(gap, size, axis=1), axis=1)
-        e[:, m:top] = step[:, : top - m]
-    return out
 
 
 def solve_log_derivative(q: ComplexSeries) -> ComplexSeries:

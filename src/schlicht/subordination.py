@@ -33,7 +33,7 @@ from . import series as srs
 from .bounds import bound_sweep
 from .errors import InversionSingular, ParameterDomainError
 from .output import JsonFields
-from .params import ClassParams, check_index, check_order
+from .params import ClassParams, check_index, check_order, check_samples
 from .series import ComplexSeries
 
 CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
@@ -286,14 +286,19 @@ def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
     Row for row this is Q = 1 + base*omega/(1 + B*omega), then the solve
     of z*F' = F*Q, then the weights divided out; the recurrences step over
     k with all rows at once.  A coefficient that leaves the double range
-    raises FloatingPointError.
+    raises FloatingPointError naming |gamma*(A-B)|, which sets its growth.
     """
     one = np.zeros(omegas.shape[1], dtype=np.complex128)
     one[0] = 1.0
-    with np.errstate(over="raise", invalid="raise"):  # a huge gamma overflows
-        num = srs._row_div(omegas * complex(p.product_base()), one + omegas * complex(p.b))
-        big_f = srs._row_log_derivative(one + num)
-        return big_f / _weights(big_f.shape[1], p.lam)
+    base = p.product_base()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            num = srs._row_div(omegas * complex(base), one + omegas * complex(p.b))
+            big_f = srs._row_log_derivative(one + num)
+            return big_f / _weights(big_f.shape[1], p.lam)
+    except FloatingPointError:
+        raise FloatingPointError("overflow: member coefficients leave the double range, "
+                                 f"|gamma*(A-B)| = {abs(base):g}") from None
 
 
 def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> ComplexSeries:
@@ -420,8 +425,7 @@ def fuzz_bounds(
     all samples are then built and checked together as rows of one array.
     """
     check_index(n_max, "n_max")
-    if samples < 1:
-        raise ParameterDomainError(f"samples must be >= 1, got {samples}")
+    check_samples(samples)
     # omega's coefficients c_0..c_{n_max-1} fix the member through a_{n_max};
     # the sampler refuses a negative seed and degree < 1
     constructions, omegas = schwarz_rows(seed, range(samples), degree, n_max)

@@ -6,9 +6,11 @@ and the identity-hypothesis draws place gamma*(A-B) at a prescribed
 distance from B*(m-2).  Case-II draws use rejection from a biased region.
 
 The reference recurrences write the series division, the log-derivative
-solve and the exponential out as 1-D np.dot loops over k, independent of
-the package's row kernels, and reference_schwarz chains the division into
-the Moebius inversion of a member; binomial_series is the term recurrence of
+solve (with the jack builders' divisors (k-1)/k too) and the exponential
+out as 1-D np.dot loops over k, independent of the package's row kernels;
+reference_quotient_member chains the weighted solve into the member of a
+quotient source, and reference_schwarz chains the division into the
+Moebius inversion of a member; binomial_series is the term recurrence of
 (1 + s*z)^alpha; the extremal reference is the closed form of the member
 of omega = z^m, and grid_sup evaluates by np.polyval.  The bound
 references evaluate one index n at a time: the margin list and its max
@@ -161,14 +163,37 @@ def reference_schwarz(f, p) -> np.ndarray:
     return reference_div(ratio, denom)
 
 
-def reference_log_derivative(q) -> np.ndarray:
-    """F with z*F' = F*q, F(0) = 0, F'(0) = 1: (k-1)*F_k = sum_j F_j q_{k-j}."""
+def reference_log_derivative(q, divisors=None) -> np.ndarray:
+    """F with F(0) = 0, F'(0) = 1 and d_k*F_k = sum_j F_j q_{k-j}, where d_k
+    is divisors[k], or k-1 (z*F' = F*q) when divisors is None."""
     q = np.asarray(q, dtype=np.complex128)
+    d = range(-1, q.size) if divisors is None else divisors
     out = np.zeros(q.size + 1, dtype=np.complex128)
     out[1] = 1.0
     for k in range(2, q.size + 1):
-        out[k] = np.dot(out[1:k], q[k - 1 : 0 : -1]) / (k - 1)
+        out[k] = np.dot(out[1:k], q[k - 1 : 0 : -1]) / d[k]
     return out
+
+
+def quotient_divisors(width: int) -> np.ndarray:
+    """The divisors (k-1)/k, k = 0..width-1, of the jack builders' weighted
+    log-derivative recurrence, as complex doubles; d_0 = -1 and d_1 = 0 are
+    never read."""
+    k = np.arange(float(width))
+    return ((k - 1.0) / np.maximum(k, 1.0)).astype(np.complex128)
+
+
+def reference_quotient_member(source, order: int) -> np.ndarray:
+    """a_0..a_order of the member with z*f'/f = p, z*p' = s*p^2, p(0) = 1,
+    for the source s_0..s_{order-1}: D = z*f' by the weighted reference
+    recurrence on q = 1 + sum_k s_k z^k/k, then a_k = D_k/k."""
+    s = np.asarray(source, dtype=np.complex128)
+    k = np.arange(order + 1.0)
+    q = np.ones(order, dtype=np.complex128)
+    q[1:] = s[1:order] / k[1:-1]
+    members = reference_log_derivative(q, quotient_divisors(order + 1))
+    members[1:] /= k[1:]
+    return members
 
 
 def reference_exp0(w) -> np.ndarray:

@@ -317,14 +317,21 @@ def test_malformed_index_range_exits_one(command, n, capsys):
 
 
 @pytest.mark.parametrize("command", [["verify", "--seed", "0"], ["report", "--seed", "0"],
-                                     ["extremal"]])
+                                     ["extremal"],
+                                     ["jack", "--check", "growth-extremal", "--beta", "1e-300"]])
 def test_overflowing_member_exits_two(command, capsys):
-    # gamma = 1e200 overflows the member recurrences: one error line, and no
-    # numpy warning reaches stderr
-    code, out, err = run_cli([*command, "--gamma=1e200,0", "--A", "1", "--B", "-1"], capsys)
+    # gamma = 1e200 overflows the member recurrences, and beta = 1e-300 the
+    # growth extremal: one error line naming the parameter that drives the
+    # coefficients out of the double range, and no numpy warning on stderr
+    if command[0] == "jack":
+        cause = "growth extremal coefficients leave the double range, 1/beta = 1e+300"
+    else:
+        command = [*command, "--gamma=1e200,0", "--A", "1", "--B", "-1"]
+        cause = "member coefficients leave the double range, |gamma*(A-B)| = 2e+200"
+    code, out, err = run_cli(command, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: overflow: {cause}\n"
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):

@@ -13,10 +13,12 @@ from schlicht import (
     ClassParams,
     case_margin_sequence,
     classify_case,
+    fuzz_bounds,
     reduce_subclass,
     spiral_gamma,
 )
 from schlicht.errors import ParameterDomainError
+from schlicht.jack import spiral_check
 from schlicht.output import fixed_json_dumps
 from schlicht.params import SUBCLASS_NAMES, SUBCLASS_PARAMS
 from conftest import draw_valid_params, spiral_gamma_closed_form
@@ -253,3 +255,15 @@ def test_non_finite_parameters_refused(gamma, lam, a, b):
         ClassParams(gamma, lam, a, b)
     assert type(info.value) is ParameterDomainError
     assert "parameters must be finite" in str(info.value)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda count: fuzz_bounds(ClassParams(1, 0, 1, -1), 5, count, 0), id="fuzz"),
+    pytest.param(lambda count: spiral_check(0.3, 0, count, 4, 8, 0.9, 16), id="spiral"),
+])
+def test_sample_count_refused_by_the_one_rule(call, count):
+    # the fuzzer and the spiral check both refuse through params.check_samples
+    with pytest.raises(ParameterDomainError) as info:
+        call(count)
+    assert str(info.value) == f"samples must be >= 1, got {count}"

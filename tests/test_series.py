@@ -1,6 +1,7 @@
 """Series value type: division examples, round trips, evaluation, the two
-row kernels against 1-D reference loops, the Newton kernels against the row
-kernels, and the traced product, log, exponential and power."""
+row kernels against 1-D reference loops, the Newton reciprocal and the FFT
+product against the row kernels, and the traced product, log, exponential
+and power."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from schlicht.errors import (
 from schlicht.series import (
     _row_div,
     _row_log_derivative,
-    _row_log_derivative_newton,
     _row_mul,
     _row_reciprocal,
     circle_values,
@@ -27,6 +27,7 @@ from schlicht.series import (
 from conftest import (
     binomial_series,
     max_norm_error,
+    quotient_divisors,
     reference_div,
     reference_exp0,
     reference_log_derivative,
@@ -307,7 +308,8 @@ def decaying_series(rng, order, rate=0.3, constant_term=1.0):
 class TestRecurrencesMatchOneDimensionalLoops:
     """div and solve_log_derivative are one-row calls of the row kernels, and
     exp0 runs the log-derivative kernel; the 1-D np.dot loops they replaced
-    are the references."""
+    are the references, for the log-derivative kernel with the jack
+    builders' divisors (k-1)/k too."""
 
     @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
     def test_div_is_bit_equal(self, order):
@@ -321,6 +323,14 @@ class TestRecurrencesMatchOneDimensionalLoops:
         q = decaying_series(np.random.default_rng(order + 1), order)
         f = solve_log_derivative(q)
         assert np.array_equal(f.coeffs, reference_log_derivative(q.coeffs))
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
+    def test_weighted_log_derivative_is_bit_equal(self, order):
+        # the jack builders' divisors (k-1)/k on one row
+        q = decaying_series(np.random.default_rng(order + 3), order)
+        divisors = quotient_divisors(order + 2)
+        f = _row_log_derivative(np.array([q.coeffs]), divisors)[0]
+        assert np.array_equal(f, reference_log_derivative(q.coeffs, divisors))
 
     @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
     def test_exp0_within_max_norm(self, order):
@@ -362,6 +372,18 @@ class TestOneRowMatchesTheStack:
         stack = _row_log_derivative(q)
         for i, row in enumerate(stack):
             assert np.array_equal(_row_log_derivative(q[i : i + 1])[0], row)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 64, 513])
+    def test_weighted_log_derivative(self, width):
+        # every row of a stack with the divisors (k-1)/k is the 1-D
+        # reference loop's, and its one-row call's
+        rng = np.random.default_rng((width, 7))
+        q = np.array([decaying_series(rng, width - 1).coeffs for _ in range(self.ROWS)])
+        divisors = quotient_divisors(width + 1)
+        stack = _row_log_derivative(q, divisors)
+        for i, row in enumerate(stack):
+            assert np.array_equal(reference_log_derivative(q[i], divisors), row)
+            assert np.array_equal(_row_log_derivative(q[i : i + 1], divisors)[0], row)
 
     def test_one_row_refusals(self):
         unit = unit_rows(1, 8)
@@ -406,9 +428,10 @@ def unit_rows(rows: int, width: int) -> np.ndarray:
 
 
 class TestNewtonKernelsMatchRowKernels:
-    """The whole-order kernels against the exact recurrences they stand in
-    for: max-norm relative error at most NEWTON_RTOL per row, and every row
-    of a batch bit-equal to its one-row call."""
+    """The Newton reciprocal and the FFT product that build the spiral source
+    against the exact recurrence and convolution: max-norm relative error
+    at most NEWTON_RTOL per row, and every row of a batch bit-equal to its
+    one-row call."""
 
     NEWTON_RTOL = 1e-14
 
@@ -422,19 +445,6 @@ class TestNewtonKernelsMatchRowKernels:
         for got, expected in zip(newton, loop):
             assert max_norm_error(got, expected) <= self.NEWTON_RTOL
         assert np.array_equal(_row_reciprocal(d[-1:])[0], newton[-1])
-
-    @pytest.mark.parametrize("width", [1, 2, 17, 65, 513])
-    @pytest.mark.parametrize("rows", [1, 10])
-    @pytest.mark.parametrize("kind", ["spiral", "ratio"])
-    def test_log_derivative(self, kind, rows, width):
-        # the sources are the reciprocals: quotient ratios for "ratio"
-        q = _row_div(unit_rows(rows, width), newton_divisors(kind, rows, width))
-        loop = _row_log_derivative(q)
-        newton = _row_log_derivative_newton(q)
-        assert newton.shape == (rows, width + 1)
-        for got, expected in zip(newton, loop):
-            assert max_norm_error(got, expected) <= self.NEWTON_RTOL
-        assert np.array_equal(_row_log_derivative_newton(q[-1:])[0], newton[-1])
 
     def test_ratio_rows_reach_subnormals(self):
         # the "ratio" cases above really exercise subnormal tails
@@ -459,12 +469,6 @@ class TestNewtonKernelsMatchRowKernels:
         d[1, 0] = 1e-15
         with pytest.raises(DivisionByNonUnit):
             _row_reciprocal(d)
-
-    def test_log_derivative_refuses_an_unnormalized_source(self):
-        q = newton_divisors("spiral", 3, 17)
-        q[2, 0] = 0.5
-        with pytest.raises(NormalizationError):
-            _row_log_derivative_newton(q)
 
 
 class TestSerialization:

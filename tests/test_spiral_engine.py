@@ -1,4 +1,5 @@
-"""The batched spiral check against the per-sample loop it replaced.
+"""The batched spiral check against the per-sample loop it replaced, and
+the jack builders against a fully exact oracle.
 
 The reference draws every Schwarz sample from its own
 np.random.default_rng stream, then builds and checks it on its own: the
@@ -6,13 +7,12 @@ series divisions, the quadratic quotient recurrence k*p_k = [z^k](s*p^2)
 and the log-derivative solve written out as 1-D np.dot loops, then Horner
 evaluation at explicitly computed circle nodes, the way `jack --check
 spiral` worked before it built all samples as rows of one array.  The
-package now builds members with whole-order Newton kernels: one reciprocal
-r = 1/(1 + A*omega) and two FFT products for the source, the quotient
-equation as the reciprocal p = 1/(1 - sum_k s_k z^k/k), and the member by
-a Newton exponential.  These sum in another order, so members and ratios
-agree with the reference to 1e-14 in max norm, not bit for bit; a batched
-row is still bit-equal to its one-row build, since every FFT works row by
-row.
+package now builds the spiral source with Newton kernels, one reciprocal
+r = 1/(1 + A*omega) and two FFT products, and the member from the source
+by one exact recurrence for z*f', with the divisors (k-1)/k.  These sum in
+another order, so members and ratios agree with the reference to 1e-14 in
+max norm, not bit for bit; a batched row is still bit-equal to its one-row
+build, since every FFT and dot product works row by row.
 """
 
 import cmath
@@ -29,12 +29,14 @@ from schlicht import (
 )
 from schlicht import jack
 from schlicht.jack import spiral_check
+from schlicht.subordination import schwarz_rows
 
 from conftest import (
     max_norm_error,
     reference_div,
     reference_draw,
     reference_log_derivative,
+    reference_quotient_member,
 )
 
 ORDER = 512
@@ -123,3 +125,24 @@ def test_one_instance_builders_match_reference(seed, alpha):
     expected_gb = reference_log_derivative(ratio)
     member_gb = build_gb_instance(sample, b, ORDER)
     assert max_norm_error(member_gb.coeffs, expected_gb) <= MAX_NORM_RTOL
+
+
+@pytest.mark.parametrize("order", [64, 512])
+def test_builders_match_the_exact_oracle(order):
+    # the exact oracle: the spiral source (A+1)*omega/(1 + A*omega)^2 by two
+    # reference divisions, or the gb source b*omega, then the weighted
+    # reference recurrence; on degree-4 sampler rows
+    rng = np.random.default_rng(order)
+    _, omegas = schwarz_rows(43, range(8), 4, order, "polynomial_normalized")
+    for omega in omegas:
+        alpha, b = float(rng.uniform(-1.2, 1.2)), 1.0 - float(rng.random())
+        a = cmath.exp(-2j * alpha)
+        v = omega * a
+        v[0] += 1.0
+        source = reference_div(reference_div(omega * (a + 1.0), v), v)
+        member = build_spiral_instance(ComplexSeries(omega), alpha, order)
+        expected = reference_quotient_member(source, order)
+        assert max_norm_error(member.coeffs, expected) <= MAX_NORM_RTOL
+        member_gb = build_gb_instance(ComplexSeries(omega), b, order)
+        expected_gb = reference_quotient_member(omega * b, order)
+        assert max_norm_error(member_gb.coeffs, expected_gb) <= MAX_NORM_RTOL
