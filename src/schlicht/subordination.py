@@ -17,11 +17,13 @@ default_rng((seed, i, 1)), so identical seeds give byte-identical
 reports.  Those streams are not built one Generator at a time: the
 SeedSequence hash of every sample's entropy runs as one vectorized
 uint32 pass, each PCG64 start state and first double (O'Neill 2014,
-XSL-RR output) follow in exact integer arithmetic, and only the normals
-of polynomial samples go through one reused PCG64.  The draws are bit
-for bit those of the per-sample Generators.  The samples of one run are
-then built together: the recurrences step over the coefficient index k
-with every sample in one row of a 2-D array.
+XSL-RR output) follow on arrays of (hi, lo) uint64 limbs, and only the
+normals of polynomial samples go through one reused PCG64.  SeedSequence
+zero-pads entropy to its 4-word pool, so below seed 2^64 the stream
+(seed, i) is (seed, i, 0) and one pass hashes both streams of every
+sample.  The draws are bit for bit those of the per-sample Generators.
+The samples of one run are then built together: the recurrences step
+over the coefficient index k with every sample in one row of a 2-D array.
 """
 
 import cmath
@@ -58,13 +60,16 @@ MEMBERSHIP_TOLERANCE = 1e-6
 PICK_EDGES = (0.8, 0.9)
 
 # numpy's SeedSequence: a pool of 4 uint32 words mixed by multiply and a
-# 16-bit xorshift; and the multiplier of PCG64's 128-bit LCG
+# 16-bit xorshift; and the multiplier of PCG64's 128-bit LCG as (hi, lo)
+# uint64 limbs, lo also in 32-bit halves
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO_HI, _PCG_MULT_LO_LO = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
+_U1, _U11, _U32, _U58, _U63, _U64, _LOW32 = map(np.uint64, (1, 11, 32, 58, 63, 64, _MASK32))
 
 
 @dataclass(frozen=True)
@@ -143,38 +148,50 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return state.view(np.uint64)
 
 
+def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple:
+    """(hi, lo) uint64 limbs of state*MULT + inc mod 2^128, elementwise.
+
+    The high half of lo*MULT_LO comes from 32-bit halves, the other cross
+    products wrap mod 2^64, and the low limb's sum carries into the high.
+    """
+    lo_lo, lo_hi = lo & _LOW32, lo >> _U32
+    mid_a, mid_b = lo_hi * _PCG_MULT_LO_LO, lo_lo * _PCG_MULT_LO_HI
+    mid = (lo_lo * _PCG_MULT_LO_LO >> _U32) + (mid_a & _LOW32) + (mid_b & _LOW32)
+    high = lo_hi * _PCG_MULT_LO_HI + (mid_a >> _U32) + (mid_b >> _U32) + (mid >> _U32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    return high + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo), new_lo
+
+
 def _first_draws(entropy: np.ndarray) -> tuple:
-    """Each stream's first random() double, with its PCG64 state and
-    increment after that draw.
+    """Each stream's first random() double, and a row of uint64 limbs
+    (state_hi, state_lo, inc_hi, inc_lo) of its PCG64 after that draw.
 
     PCG64 seeds from words w0..w3 as inc = 2*(w2*2^64 + w3) + 1 and
     state = (inc + w0*2^64 + w1)*MULT + inc, all mod 2^128; a draw steps
     state = state*MULT + inc and outputs the XSL-RR of the new state,
-    whose top 53 bits make the double.  Python ints keep it exact.
+    (hi ^ lo) rotated right by hi >> 58, whose top 53 bits make the double.
     """
-    words = _seed_words(entropy).astype(object)
-    inc = (((words[:, 2] << 64) | words[:, 3]) << 1 | 1) & _MASK128
-    start = (words[:, 0] << 64) | words[:, 1]
-    state = ((inc + start) * _PCG_MULT + inc) & _MASK128
-    state = (state * _PCG_MULT + inc) & _MASK128
-    xored = ((state >> 64) ^ state) & _MASK64
-    rot = state >> 122
-    out = ((xored >> rot) | (xored << (-rot & 63))) & _MASK64
-    return (out >> 11).astype(np.float64) * 2.0**-53, state, inc
+    w0, w1, w2, w3 = _seed_words(entropy).T
+    inc_hi, inc_lo = w2 << _U1 | w3 >> _U63, w3 << _U1 | _U1
+    lo = inc_lo + w1
+    hi, lo = _pcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    xored, rot = hi ^ lo, hi >> _U58
+    out = xored >> rot | xored << ((_U64 - rot) & _U63)
+    u = (out >> _U11).astype(np.float64) * 2.0**-53
+    return u, np.stack([hi, lo, inc_hi, inc_lo], axis=1)
 
 
-def _normal_rows(states, incs, count: int) -> np.ndarray:
-    """count standard normals from each PCG64 stream, resumed at its state."""
+def _normal_rows(limbs: np.ndarray, count: int) -> np.ndarray:
+    """count standard normals from each PCG64 stream, resumed at its limbs."""
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    normals = np.empty((len(states), count))
-    for row, state, inc in zip(normals, states, incs):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    normals = np.empty((len(limbs), count))
+    full = bit_generator.state
+    pcg = full["state"]
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(normals, limbs.tolist()):
+        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        bit_generator.state = full
         generator.standard_normal(out=row)
     return normals
 
@@ -202,15 +219,15 @@ def _check_draw(degree: int, construction) -> None:
         )
 
 
-def _omega_rows(entropy: np.ndarray, kinds: np.ndarray, degree: int, width: int):
-    """Schwarz coefficients c_0..c_{width-1}, one row per stream of entropy.
+def _omega_rows(draws: tuple, kinds: np.ndarray, degree: int, width: int):
+    """Schwarz coefficients c_0..c_{width-1} of the streams whose _first_draws are draws.
 
     kinds indexes CONSTRUCTIONS (0 polynomial, 1 rotation, 2 monomial).
     The stream's first double u gives rho = 1 - u in (0, 1] and
     theta = 2*pi*u; polynomial rows then draw 2*degree normals, the real
     parts before the imaginary ones.
     """
-    u, states, incs = _first_draws(entropy)
+    u, limbs = draws
     rho = 1.0 - u
     omegas = np.zeros((len(kinds), width), dtype=np.complex128)
     if width > 1:
@@ -220,7 +237,7 @@ def _omega_rows(entropy: np.ndarray, kinds: np.ndarray, degree: int, width: int)
         monomials = kinds == 2
         omegas[monomials, degree] = rho[monomials]
     polys = np.flatnonzero(kinds == 0)
-    c = _normalized_rows(_normal_rows(states[polys], incs[polys], 2 * degree), rho[polys])
+    c = _normalized_rows(_normal_rows(limbs[polys], 2 * degree), rho[polys])
     span = max(0, min(degree, width - 1))
     omegas[polys, 1 : span + 1] = c[:, :span]
     return omegas
@@ -239,12 +256,19 @@ def schwarz_rows(
     construction for every row.
     """
     _check_draw(degree, construction)
-    if construction is None:
-        u = _first_draws(_stream_entropy(seed, indices, 1))[0]
-        kinds = np.searchsorted(PICK_EDGES, u, side="right")
-    else:
+    if construction is not None:
         kinds = np.full(len(indices), CONSTRUCTIONS.index(construction))
-    omegas = _omega_rows(_stream_entropy(seed, indices), kinds, degree, width)
+        draws = _first_draws(_stream_entropy(seed, indices))
+    else:
+        picks = _stream_entropy(seed, indices, 1)
+        if picks.shape[1] <= _POOL_SIZE:
+            # zero-padded to the pool, (seed, i) hashes as (seed, i, 0)
+            stacked = _first_draws(np.vstack([picks, _stream_entropy(seed, indices, 0)]))
+            (u, _), draws = zip(*(np.split(part, 2) for part in stacked))
+        else:
+            u, draws = _first_draws(picks)[0], _first_draws(_stream_entropy(seed, indices))
+        kinds = np.searchsorted(PICK_EDGES, u, side="right")
+    omegas = _omega_rows(draws, kinds, degree, width)
     return [CONSTRUCTIONS[k] for k in kinds], omegas
 
 
@@ -262,7 +286,7 @@ def sample_schwarz(
     entropy = np.array([_entropy_words(seed)], dtype=np.uint32)
     kinds = np.array([CONSTRUCTIONS.index(construction)])
     width = 2 if construction == "rotation" else degree + 1
-    return ComplexSeries(_omega_rows(entropy, kinds, degree, width)[0])
+    return ComplexSeries(_omega_rows(_first_draws(entropy), kinds, degree, width)[0])
 
 
 def member_from_schwarz(omega, p: ClassParams, order: int) -> ComplexSeries:

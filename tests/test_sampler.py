@@ -2,13 +2,17 @@
 
 The sampler seeds the streams (seed, i) and (seed, i, 1) of every sample
 in one vectorized SeedSequence pass and computes each PCG64 state and
-first double itself.  Everything it draws must equal, bit for bit, what
-a Generator built per stream draws: the first double, the state after
-it, the normals, the construction pick and the finished rows.
+first double itself, on (hi, lo) uint64 limbs.  Everything it draws must
+equal, bit for bit, what a Generator built per stream draws: the first
+double, the state after it, the normals, the construction pick and the
+finished rows.  The limb step is pinned against Python ints, and the
+SeedSequence padding that lets one pass serve both streams against numpy.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from schlicht import ClassParams, fuzz_bounds, sample_schwarz
 from schlicht.errors import ParameterDomainError
@@ -17,16 +21,23 @@ from schlicht.subordination import (
     _first_draws,
     _normal_rows,
     _normalized_rows,
+    _pcg_step,
     _stream_entropy,
     schwarz_rows,
 )
 
 from conftest import reference_draw, reference_pick
 
-# seeds of one, two and three 32-bit words, at the word boundaries
-SEEDS = [0, 1, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 1, 2**70 + 3]
+# seeds of one, two and three 32-bit words, at the word boundaries; up to
+# 2**64 - 1 one pass seeds both streams, from 2**64 + 1 on two passes do
+SEEDS = [0, 1, 2**31 - 1, 2**32, 2**32 + 5, 2**64 - 1, 2**64 + 1, 2**70 + 3]
 DEGREES = [1, 2, 4, 9, 17, 130]
 SAMPLES = 300
+
+
+# PCG64's 128-bit LCG multiplier (O'Neill 2014), as numpy seeds and steps it
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64 = 2**64 - 1
 
 
 def same_bits(actual, expected) -> bool:
@@ -34,15 +45,59 @@ def same_bits(actual, expected) -> bool:
     return actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
 
 
+def from_limbs(limbs) -> int:
+    return int(limbs[0]) << 64 | int(limbs[1])
+
+
+def to_limbs(values) -> tuple:
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & MASK64 for v in values], dtype=np.uint64))
+
+
+EDGE_STATES = [0, 1, MASK64, 2**63, 2**64, 2**128 - 1]
+u128 = st.one_of(st.sampled_from(EDGE_STATES), st.integers(0, 2**128 - 1))
+
+
+@given(st.lists(st.tuples(u128, u128), min_size=1, max_size=8))
+# every pairing of the edge states; (1, 2**64 - 1) carries the sum of the
+# low limbs into the high limb
+@example([(state, inc) for state in EDGE_STATES for inc in EDGE_STATES])
+def test_pcg_step_matches_python_ints(pairs):
+    # pairs[0] alone is a 1-row array, where a scalar overflow would warn
+    for rows in (pairs[:1], pairs):
+        states, incs = [s for s, _ in rows], [i for _, i in rows]
+        hi, lo = _pcg_step(*to_limbs(states), *to_limbs(incs))
+        assert hi.dtype == lo.dtype == np.uint64 and hi.shape == (len(rows),)
+        for j, (state, inc) in enumerate(rows):
+            assert from_limbs((hi[j], lo[j])) == (state * PCG_MULT + inc) % 2**128
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
+def test_short_entropy_hashes_as_a_trailing_zero(seed):
+    # up to 4 words the pool is zero-padded, so (seed, i) and (seed, i, 0)
+    # are one stream; the sampler seeds both its streams in one pass on this
+    for i in (0, 1, 2**32 - 1):
+        assert (np.random.default_rng((seed, i)).bit_generator.state
+                == np.random.default_rng((seed, i, 0)).bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 2**70 + 3])
+def test_longer_entropy_does_not(seed):
+    for i in (0, 1):
+        assert (np.random.default_rng((seed, i)).bit_generator.state
+                != np.random.default_rng((seed, i, 0)).bit_generator.state)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_first_draw_and_state_match_numpy(seed):
     for suffix in ((), (1,)):
-        u, states, incs = _first_draws(_stream_entropy(seed, range(SAMPLES), *suffix))
+        u, limbs = _first_draws(_stream_entropy(seed, range(SAMPLES), *suffix))
         for i in range(SAMPLES):
             rng = np.random.default_rng((seed, i, *suffix))
             first = rng.random()
             assert same_bits(u[i], first)
-            assert rng.bit_generator.state["state"] == {"state": states[i], "inc": incs[i]}
+            assert rng.bit_generator.state["state"] == {"state": from_limbs(limbs[i, :2]),
+                                                        "inc": from_limbs(limbs[i, 2:])}
             # rho and theta of the draw stream
             assert 1.0 - u[i] == 1.0 - first
             theta = np.random.default_rng((seed, i, *suffix)).uniform(0.0, 2.0 * np.pi)
@@ -53,9 +108,9 @@ def test_first_draw_and_state_match_numpy(seed):
 def test_rows_match_per_sample_generators(seed):
     names, _ = schwarz_rows(seed, range(SAMPLES), 1, 2)
     assert names == [reference_pick(seed, i) for i in range(SAMPLES)]
-    _, states, incs = _first_draws(_stream_entropy(seed, range(SAMPLES)))
+    limbs = _first_draws(_stream_entropy(seed, range(SAMPLES)))[1]
     for degree in DEGREES:
-        normals = _normal_rows(states, incs, 2 * degree)
+        normals = _normal_rows(limbs, 2 * degree)
         for i in range(SAMPLES):
             rng = np.random.default_rng((seed, i))
             rng.random()
