@@ -12,11 +12,11 @@ given a source s with s(0) = 0, z*p' = s*p^2 with p(0) = 1 is linear in
 determines the member through z*f'*(1 - S) = f, one exact recurrence for
 z*f' (series._row_log_derivative with divisors (k-1)/k).  Constructing
 forward avoids inverting the non-univalent target of the criterion, and
-exercises the implication in the direction it is actually used.  Only the
-spiral source (A+1)*omega/(1+A*omega)^2 is built by Newton reciprocal and
-FFT products; on omega = e^{i*theta}*z, whose spiral member grows like
-n^cos(2*alpha), the members are within 6.2e-11 of their closed form at
-order 512 and 3.5e-9 at 2048.
+exercises the implication in the direction it is actually used.  The
+spiral source (A+1)*omega/(1+A*omega)^2 is one series._row_div by the
+divisor's band; on omega = e^{i*theta}*z, whose spiral member grows like
+n^cos(2*alpha), the members are within 1.9e-12 of their closed form at
+order 512 and 8.7e-12 at 2048.
 """
 
 import cmath
@@ -219,13 +219,14 @@ def gb_threshold_closed_form(alpha: float) -> float:
 def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
     """Solve z*p' = source * p^2 with p(0) = 1 (source(0) must vanish).
 
-    1/p solves z*(1/p)' = -s, so p = 1/(1 - sum_k s_k z^k/k): one Newton
-    reciprocal.
+    1/p solves z*(1/p)' = -s, so p = 1/(1 - sum_k s_k z^k/k): one row
+    division.
     """
     s = srs.fit_row(source, order + 1)
     denom = np.ones_like(s)
     denom[:, 1:] = s[:, 1:] / -np.arange(1.0, s.shape[1])
-    return ComplexSeries(srs._row_reciprocal(denom)[0])
+    unit = np.eye(1, s.shape[1], dtype=np.complex128)
+    return ComplexSeries(srs._row_div(unit, denom)[0])
 
 
 def _quotient_members(sources: np.ndarray) -> np.ndarray:
@@ -235,9 +236,8 @@ def _quotient_members(sources: np.ndarray) -> np.ndarray:
     p = 1/(1 - S) with S = sum_k s_k z^k/k, so D = z*f' solves
     z*f'*(1 - S) = f: D_1 = 1 and D_k*(k-1)/k = sum_{j<k} D_j S_{k-j}, the
     exact log-derivative recurrence on q = 1 + S, and a_k = D_k/k.  Only
-    the columns s_1.. are read: series.fit_row holds the builders' inputs
-    to s(0) = 0, and the FFT products of _spiral_rows leave rounding noise
-    at z^0, which is not tested.
+    the columns s_1.. are read; series.fit_row holds the builders' inputs
+    to s(0) = 0.
     """
     k = np.arange(sources.shape[1] + 1.0)
     q = np.ones_like(sources)
@@ -252,17 +252,20 @@ def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
     """Members a_0..a_N for rows of Schwarz coefficients c_0..c_{N-1}.
 
     Pushes each row through the spiral criterion's target
-    h(w) = (A+1)*w/(1+A*w)^2, A = exp(-2i*alpha), as (A+1)*omega*r*r with
-    r = 1/(1 + A*omega), then solves for the member.  The callers check
-    alpha, once per call.
+    h(w) = (A+1)*w/(1+A*w)^2, A = exp(-2i*alpha), then solves for the
+    member.  With d the last nonzero column of the rows, the divisor
+    (1+A*omega)^2 has the 2*d+1 columns that d+1 slice products form, so
+    the source is one division by a band (series._row_div).  The callers
+    check alpha, once per call.
     """
     a = cmath.exp(-2j * alpha)
-    width = omegas.shape[1]
-    v = omegas * a
+    degree = int(max(np.flatnonzero(np.any(omegas, axis=0)), default=0))
+    v = omegas[:, : degree + 1] * a
     v[:, 0] += 1.0
-    r = srs._row_reciprocal(v)
-    source = srs._row_mul(srs._row_mul(omegas * (a + 1.0), r, width), r, width)
-    return _quotient_members(source)
+    square = np.zeros((omegas.shape[0], 2 * degree + 1), dtype=np.complex128)
+    for j in range(degree + 1):
+        square[:, j : j + degree + 1] += v[:, j : j + 1] * v
+    return _quotient_members(srs._row_div(omegas * (a + 1.0), square))
 
 
 def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:

@@ -11,16 +11,9 @@ divisors, jack's spiral and quotient-class members with d_k = (k-1)/k.
 A single row (an extremal, a report's member and its inversion) steps on
 1-D views instead, which skips the per-step cost of a matmul stack; it
 makes the same BLAS dot products, so a row comes out bit for bit the same
-alone or in a stack.
-
-The Newton reciprocal _row_reciprocal and the FFT row product _row_mul,
-O(N log N) per row instead of O(N^2), build only jack's spiral source
-(A+1)*omega/(1+A*omega)^2.  They are not bit for bit: the spiral members
-of sampled Schwarz rows agree with an all-exact build to 1e-16, and that
-of omega = z with its closed form to 6.2e-11 at order 512 and 2.1e-9 at
-2048.  A Newton exponential for the member step would lose 1.9e-8 and
-8.8e-4 there, and 7.5e-8 on an order-512 extremal row, so members are
-built exactly.
+alone or in a stack.  A divisor narrower than its numerator, jack's
+spiral divisor (1+A*omega)^2, is a band, and _row_div steps over blocks of
+that band instead of single coefficients.
 
 No logarithm or fractional power of a series is taken: a power such as
 z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose coefficients
@@ -240,11 +233,36 @@ def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     513 than a stack of one.  It is bit for bit the stacked row: np.dot of
     the same unit-stride vectors is the BLAS dot a (1, k) @ (k, 1) matmul
     reaches, and numpy's complex scalars subtract and divide as its arrays
-    do."""
+    do.
+
+    A divisor wider than num is truncated to its width.  A narrower one is
+    a band d_0..d_m, and the quotient steps over blocks s_K of m
+    coefficients by forward substitution, s_K = H*(r_K - R*s_{K-1}): H is
+    the lower-triangular Toeplitz block of the first m terms of 1/denom,
+    which the recurrence above gives in m steps, and R the band's reach
+    into the previous block.  That is ceil(width/m) steps instead of
+    width.  The block products are einsums, which round a row alike in a
+    stack of any size."""
     if np.any(np.abs(denom[:, 0]) <= UNIT_TOLERANCE):
         raise DivisionByNonUnit(f"a divisor constant has modulus <= {UNIT_TOLERANCE}")
     rows, width = num.shape
-    denom_rev = np.ascontiguousarray(denom[:, ::-1])
+    if denom.shape[1] < width:
+        band = max(denom.shape[1] - 1, 1)
+        padded = np.zeros((rows, 2 * band), dtype=np.complex128)
+        padded[:, : denom.shape[1]] = denom
+        unit = np.eye(1, band, dtype=np.complex128).repeat(rows, 0)
+        h = _row_div(unit, padded[:, :band])
+        i = np.arange(band)
+        lower = np.tril(h[:, (i[:, None] - i) % band])
+        reach = padded[:, band + i[:, None] - i]  # zero below its diagonal
+        blocks = np.zeros((rows, -(-width // band), band), dtype=np.complex128)
+        blocks.reshape(rows, -1)[:, :width] = num
+        blocks[:, 0] = np.einsum("rij,rj->ri", lower, blocks[:, 0])
+        for k in range(1, blocks.shape[1]):
+            rest = blocks[:, k] - np.einsum("rij,rj->ri", reach, blocks[:, k - 1])
+            blocks[:, k] = np.einsum("rij,rj->ri", lower, rest)
+        return blocks.reshape(rows, -1)[:, :width]
+    denom_rev = np.ascontiguousarray(denom[:, width - 1 :: -1])
     out = np.zeros_like(num)
     if rows == 1:
         n, d, d_rev, o = num[0], denom[0, 0], denom_rev[0], out[0]
@@ -283,51 +301,6 @@ def _row_log_derivative(q: np.ndarray, divisors=None) -> np.ndarray:
         np.matmul(out[:, None, 1:k], q_rev[:, width - k : width - 1, None], out=dots)
         np.divide(dots[:, 0, 0], d[k], out=out[:, k])
     return out
-
-
-def _fft_size(n: int) -> int:
-    """The smallest power of two that is at least n."""
-    return 1 << (n - 1).bit_length()
-
-
-def _newton_widths(n: int) -> list:
-    """Precisions 1 = w_0 < w_1 < ... = n with w_{i+1} <= 2*w_i."""
-    widths = [n]
-    while widths[-1] > 1:
-        widths.append((widths[-1] + 1) // 2)
-    return widths[::-1]
-
-
-def _row_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The first n coefficients of each row product a*b, by FFT at a
-    power-of-two size large enough that no product term wraps."""
-    a, b = a[:, :n], b[:, :n]
-    size = _fft_size(a.shape[1] + b.shape[1] - 1)
-    prod = np.fft.fft(a, size, axis=1) * np.fft.fft(b, size, axis=1)
-    return np.fft.ifft(prod, axis=1)[:, :n]
-
-
-def _row_reciprocal(d: np.ndarray) -> np.ndarray:
-    """1/d of each row by Newton iteration, doubling the precision per step.
-    The divisor check is _row_div's.
-
-    Each step takes g = 1/d from mod z^lo to mod z^hi (hi <= 2*lo) as
-    g - g*(d*g - 1).  d*g - 1 vanishes below z^lo, so the cyclic product
-    may wrap its top terms onto those coefficients (the transform size is
-    at least hi), and g's transform serves both products of the step.
-    """
-    if np.any(np.abs(d[:, 0]) <= UNIT_TOLERANCE):
-        raise DivisionByNonUnit(f"a divisor constant has modulus <= {UNIT_TOLERANCE}")
-    widths = _newton_widths(d.shape[1])
-    g = np.zeros_like(d)
-    g[:, 0] = 1.0 / d[:, 0]
-    for lo, hi in zip(widths, widths[1:]):
-        size = _fft_size(hi)
-        g_hat = np.fft.fft(g[:, :lo], size, axis=1)
-        err = np.fft.ifft(np.fft.fft(d[:, :hi], size, axis=1) * g_hat, axis=1)[:, lo:hi]
-        step = np.fft.ifft(g_hat * np.fft.fft(err, size, axis=1), axis=1)
-        g[:, lo:hi] = -step[:, : hi - lo]
-    return g
 
 
 def solve_log_derivative(q: ComplexSeries) -> ComplexSeries:

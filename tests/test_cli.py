@@ -504,8 +504,7 @@ class TestJackCommand:
 
     def test_spiral_degree_one_samples_pass(self, capsys):
         # --degree 1 draws omega = rho*e^{i*theta}*z with rho in (0, 1], some
-        # near the circle's edge; the built sources' FFT noise at z^0 must
-        # not refuse them
+        # near the circle's edge; every one must pass
         code, out, _ = run_cli(
             ["jack", "--check", "spiral", "--alpha", "0.4", "--samples", "64",
              "--seed", "0", "--degree", "1"],
@@ -513,6 +512,23 @@ class TestJackCommand:
         )
         assert code == 0
         assert json.loads(out)["passed"] == 64
+
+    @pytest.mark.parametrize("extra, margins", [
+        (["--order", "2"], [0.672363954808863, 0.164933615434440, 0.609377705438554]),
+        (["--order", "3", "--degree", "9"],
+         [0.817317402530888, 0.744613243537062, 0.818807959822744]),
+    ], ids=["order2", "order3-degree9"])
+    def test_spiral_divisor_as_wide_as_the_row(self, extra, margins, capsys):
+        # (1 + A*omega)^2 has 2*degree + 1 columns, here more than the row's
+        code, out, _ = run_cli(
+            ["jack", "--check", "spiral", "--alpha", "0.4", "--samples", "3",
+             "--seed", "1", *extra],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] == 3
+        assert doc["margins"] == pytest.approx(margins, rel=1e-12)
 
     @pytest.mark.parametrize(
         "extra", [["--samples", "0"], ["--order", "0"], ["--order", "1"]]

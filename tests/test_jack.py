@@ -36,7 +36,13 @@ from schlicht.errors import (
     PreconditionNotVerified,
 )
 
-from conftest import binomial_series, grid_sup, max_norm_error, reference_div
+from conftest import (
+    binomial_series,
+    grid_sup,
+    max_norm_error,
+    reference_div,
+    reference_quotient_member,
+)
 
 
 def ratio_on_circle(f: ComplexSeries, radius: float, angles: int) -> np.ndarray:
@@ -234,8 +240,7 @@ class TestForwardInstances:
             build()
 
     def test_unimodular_omega_builds_a_member(self):
-        # r = 1/(1 + A*z) never decays, and the FFT products leave noise at
-        # z^0 of the source; only the builder's input is held to omega(0) = 0
+        # 1/(1 + A*z)^2 never decays; its coefficients grow like k
         f = build_spiral_instance(identity(511), 0.4, 512)
         assert f.order == 512
         assert spiral_membership(f, 0.4).member
@@ -265,24 +270,23 @@ def spiral_closed_form(alpha: float, theta: float, order: int) -> np.ndarray:
 class TestBuildersMatchClosedForms:
     """The builders on unimodular omega = e^{i*theta}*z, where nothing
     decays.  Each tolerance is under 10x the error measured with numpy 2.4.
-    The member's coefficients grow like n^{cos(2*alpha)}; the exact member
-    recurrence keeps the error at 2e-9 or below even at order 2048 where
-    they grow most (alpha = 0 and 0.4).  What remains there comes from the
-    Newton reciprocal and FFT products of the spiral source (ROADMAP item
-    1); the gb members, whose source b*omega is exact, lose no more than
-    1e-13."""
+    The spiral member's coefficients grow like n^{cos(2*alpha)}, most at
+    alpha = 0 and 0.4.  Its source is one division by the band
+    (1 + A*omega)^2 and its member one exact recurrence, which keep the
+    error at 1.9e-12 or below at order 512 and 8.7e-12 at 2048.  The gb
+    members, whose source b*omega is exact, lose no more than 1e-13."""
 
     @pytest.mark.parametrize("alpha, theta, order, tol", [
-        (0.0, 0.0, 512, 5e-10),
-        (0.0, 0.0, 2048, 2e-8),
-        (0.4, 0.0, 512, 6e-10),
-        (0.4, 0.0, 2048, 2e-8),
-        (0.4, 1.0, 512, 3.5e-10),
-        (0.4, 1.0, 2048, 3e-8),
-        (-1.2, 0.3, 512, 4e-13),
-        (-1.2, 0.3, 2048, 1.5e-11),
-        (1.2, 2.0, 512, 1.5e-12),
-        (1.2, 2.0, 2048, 9e-12),
+        (0.0, 0.0, 512, 5e-14),
+        (0.0, 0.0, 2048, 1e-12),
+        (0.4, 0.0, 512, 8e-12),
+        (0.4, 0.0, 2048, 4e-11),
+        (0.4, 1.0, 512, 1.5e-12),
+        (0.4, 1.0, 2048, 1e-11),
+        (-1.2, 0.3, 512, 4e-14),
+        (-1.2, 0.3, 2048, 1.5e-13),
+        (1.2, 2.0, 512, 5e-14),
+        (1.2, 2.0, 2048, 8e-14),
     ])
     def test_spiral(self, alpha, theta, order, tol):
         f = build_spiral_instance(monomial(cmath.exp(1j * theta), 1, 1), alpha, order)
@@ -300,6 +304,54 @@ class TestBuildersMatchClosedForms:
         f = build_gb_instance(monomial(u, 1, 1), 1.0, order)
         expected = np.concatenate([[0.0], u ** np.arange(order)])
         assert max_norm_error(f.coeffs, expected) <= tol
+
+
+class TestSpiralBuilderEdges:
+    """Rows the band division does not see: a zero omega, and divisors
+    (1 + A*omega)^2 as wide as the row or wider, which the full-width
+    division takes truncated.  Oracle: the source by two reference
+    divisions, then the weighted reference recurrence."""
+
+    ALPHA = 0.4
+
+    def oracle(self, omega: np.ndarray, order: int) -> np.ndarray:
+        a = cmath.exp(-2j * self.ALPHA)
+        om = np.zeros(order, dtype=np.complex128)
+        om[: min(omega.size, order)] = omega[:order]
+        v = om * a
+        v[0] += 1.0
+        return reference_quotient_member(reference_div(reference_div(om * (a + 1.0), v), v),
+                                         order)
+
+    def test_zero_omega_gives_identity(self):
+        assert build_spiral_instance(monomial(0, 0, 6), self.ALPHA, 64) == identity(64)
+        members = jack._spiral_rows(np.zeros((3, 64), dtype=np.complex128), self.ALPHA)
+        assert np.array_equal(members, np.tile(identity(64).coeffs, (3, 1)))
+
+    def test_order_two_is_the_source_slope(self):
+        # a_2 = s_1 = (A+1)*c_1, to the rounding of that product
+        omega = sample_schwarz((1, 0), 4)
+        f = build_spiral_instance(omega, self.ALPHA, 2)
+        slope = omega.coefficient(1) * (cmath.exp(-2j * self.ALPHA) + 1.0)
+        assert f.coeffs[:2] == (0, 1)
+        assert f.coefficient(2) == pytest.approx(slope, rel=1e-15, abs=0.0)
+
+    def test_degree_nine_at_order_three(self):
+        omega = sample_schwarz((1, 0), 9)
+        assert omega.order == 9
+        f = build_spiral_instance(omega, self.ALPHA, 3)
+        assert max_norm_error(f.coeffs, self.oracle(np.array(omega.coeffs), 3)) <= 1e-15
+
+    def test_full_width_omega_with_a_tiny_constant(self):
+        # series.fit_row admits |c_0| <= 1e-14; the divisor is then wider
+        # than the row, and the member's a_0 and a_1 stay exact
+        rng = np.random.default_rng(5)
+        omega = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        omega *= 0.9 / np.sum(np.abs(omega))
+        omega[0] = 1e-15
+        f = build_spiral_instance(ComplexSeries(omega), self.ALPHA, 64)
+        assert f.coeffs[:2] == (0, 1)
+        assert max_norm_error(f.coeffs, self.oracle(omega, 64)) <= 1e-15
 
 
 class TestGrowth:

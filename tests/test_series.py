@@ -1,7 +1,7 @@
 """Series value type: division examples, round trips, evaluation, the two
-row kernels against 1-D reference loops, the Newton reciprocal and the FFT
-product against the row kernels, and the traced product, log, exponential
-and power."""
+row kernels against 1-D reference loops, the band-blocked quotient against
+the full-width division, and the traced product, log, exponential and
+power."""
 
 import numpy as np
 import pytest
@@ -19,8 +19,6 @@ from schlicht.errors import (
 from schlicht.series import (
     _row_div,
     _row_log_derivative,
-    _row_mul,
-    _row_reciprocal,
     circle_values,
 )
 
@@ -350,7 +348,7 @@ class TestOneRowMatchesTheStack:
         rng = np.random.default_rng((width, len(kind)))
         if kind == "ratio":  # reciprocals, whose tails reach the subnormals
             num = unit_rows(self.ROWS, width)
-            denom = newton_divisors(kind, self.ROWS, width)
+            denom = ratio_divisors(self.ROWS, width)
         else:
             num, denom = (
                 np.array([decaying_series(rng, width - 1, constant_term=c).coeffs
@@ -366,7 +364,7 @@ class TestOneRowMatchesTheStack:
     def test_log_derivative(self, kind, width):
         rng = np.random.default_rng((width, len(kind)))
         if kind == "ratio":
-            q = _row_div(unit_rows(self.ROWS, width), newton_divisors(kind, self.ROWS, width))
+            q = _row_div(unit_rows(self.ROWS, width), ratio_divisors(self.ROWS, width))
         else:
             q = np.array([decaying_series(rng, width - 1).coeffs for _ in range(self.ROWS)])
         stack = _row_log_derivative(q)
@@ -392,6 +390,14 @@ class TestOneRowMatchesTheStack:
         with pytest.raises(NormalizationError):
             _row_log_derivative(unit * 0.5)
 
+    def test_ratio_rows_reach_subnormals(self):
+        # the "ratio" cases above really exercise subnormal tails
+        tiny = np.finfo(np.float64).tiny
+        for rows in (1, 10):
+            d = ratio_divisors(rows, 513)
+            loop = np.abs(_row_log_derivative(_row_div(unit_rows(rows, 513), d)))
+            assert np.all(np.any((loop > 0.0) & (loop < tiny), axis=1))
+
 
 def schwarz_like_rows(rng, rows: int, width: int, scale: float) -> np.ndarray:
     """Rows scale*z*(c_0 + ... + c_3 z^3) truncated to width, with
@@ -403,20 +409,13 @@ def schwarz_like_rows(rng, rows: int, width: int, scale: float) -> np.ndarray:
     return out
 
 
-def newton_divisors(kind: str, rows: int, width: int) -> np.ndarray:
-    """Divisor rows with constant term 1, seeded by the shape.
-
-    spiral: 1 + a*omega with |a| = 1 and |omega| <= 0.9 on the disk, the
-    divisor of the spiral source.  ratio: 1 - sum_k b*omega_k z^k/k, the
-    quotient ratio's denominator, whose reciprocal decays like (b*rho)^k
-    and so passes through the subnormal range before width 513.
-    """
-    rng = np.random.default_rng((width, rows, len(kind)))
-    if kind == "spiral":
-        d = schwarz_like_rows(rng, rows, width, 0.9) * np.exp(-2j * rng.uniform(-1.2, 1.2))
-    else:
-        d = schwarz_like_rows(rng, rows, width, rng.uniform(0.015, 0.03))
-        d[:, 1:] /= -np.arange(1.0, width)
+def ratio_divisors(rows: int, width: int) -> np.ndarray:
+    """Rows 1 - sum_k b*omega_k z^k/k, the quotient ratio's denominator,
+    seeded by the shape.  The reciprocal decays like (b*rho)^k and so
+    passes through the subnormal range before width 513."""
+    rng = np.random.default_rng((width, rows))
+    d = schwarz_like_rows(rng, rows, width, rng.uniform(0.015, 0.03))
+    d[:, 1:] /= -np.arange(1.0, width)
     d[:, 0] = 1.0
     return d
 
@@ -427,48 +426,50 @@ def unit_rows(rows: int, width: int) -> np.ndarray:
     return unit
 
 
-class TestNewtonKernelsMatchRowKernels:
-    """The Newton reciprocal and the FFT product that build the spiral source
-    against the exact recurrence and convolution: max-norm relative error
-    at most NEWTON_RTOL per row, and every row of a batch bit-equal to its
-    one-row call."""
+class TestBandQuotient:
+    """A divisor with fewer columns than its numerator is a band d_0..d_m,
+    divided in blocks of m: within BAND_RTOL in max-norm relative error of
+    the full-width division by the zero-padded divisor, and every row of a
+    batch bit-equal to its one-row call."""
 
-    NEWTON_RTOL = 1e-14
+    BAND_RTOL = 4e-15
+
+    @staticmethod
+    def band_rows(rows: int, band: int, width: int):
+        """Numerator rows of the given width, and divisor rows d_0 + d_1 z +
+        ... + d_band z^band with |d_0| = 1 and sum_{k>0} |d_k| = 0.9, seeded
+        by the shape."""
+        rng = np.random.default_rng((rows, band, width))
+        num = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+        denom = np.exp(2j * np.pi * rng.random((rows, band + 1)))
+        tail = rng.standard_normal((rows, band)) + 1j * rng.standard_normal((rows, band))
+        denom[:, 1:] = 0.9 * tail / np.sum(np.abs(tail), axis=1, keepdims=True)
+        return num, denom
 
     @pytest.mark.parametrize("width", [1, 2, 17, 65, 513])
     @pytest.mark.parametrize("rows", [1, 10])
-    @pytest.mark.parametrize("kind", ["spiral", "ratio"])
-    def test_reciprocal(self, kind, rows, width):
-        d = newton_divisors(kind, rows, width)
-        loop = _row_div(unit_rows(rows, width), d)
-        newton = _row_reciprocal(d)
-        for got, expected in zip(newton, loop):
-            assert max_norm_error(got, expected) <= self.NEWTON_RTOL
-        assert np.array_equal(_row_reciprocal(d[-1:])[0], newton[-1])
+    @pytest.mark.parametrize("band", [1, 2, 8])
+    def test_matches_the_padded_division(self, band, rows, width):
+        num, denom = self.band_rows(rows, band, width)
+        padded = np.zeros_like(num)
+        padded[:, : min(width, band + 1)] = denom[:, :width]
+        blocked = _row_div(num, denom)
+        assert blocked.shape == num.shape
+        for got, expected in zip(blocked, _row_div(num, padded)):
+            assert max_norm_error(got, expected) <= self.BAND_RTOL
 
-    def test_ratio_rows_reach_subnormals(self):
-        # the "ratio" cases above really exercise subnormal tails
-        tiny = np.finfo(np.float64).tiny
-        for rows in (1, 10):
-            d = newton_divisors("ratio", rows, 513)
-            loop = np.abs(_row_log_derivative(_row_div(unit_rows(rows, 513), d)))
-            assert np.all(np.any((loop > 0.0) & (loop < tiny), axis=1))
+    @pytest.mark.parametrize("band", [1, 2, 8])
+    def test_batch_row_is_its_one_row_call(self, band):
+        num, denom = self.band_rows(10, band, 513)
+        blocked = _row_div(num, denom)
+        for i, row in enumerate(blocked):
+            assert np.array_equal(_row_div(num[i : i + 1], denom[i : i + 1])[0], row)
 
-    @pytest.mark.parametrize("width", [1, 2, 17, 65, 513])
-    def test_row_product_matches_convolution(self, width):
-        rng = np.random.default_rng(width)
-        a = rng.standard_normal((3, width)) + 1j * rng.standard_normal((3, width))
-        b = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        got = _row_mul(a, b, width)
-        assert got.shape == (3, width)
-        for row, x, y in zip(got, a, b):
-            assert max_norm_error(row, np.convolve(x, y)[:width]) <= 1e-15
-
-    def test_reciprocal_refuses_a_non_unit_divisor(self):
-        d = newton_divisors("spiral", 3, 17)
-        d[1, 0] = 1e-15
+    def test_refuses_a_non_unit_divisor(self):
+        num, denom = self.band_rows(3, 2, 17)
+        denom[1, 0] = 1e-15
         with pytest.raises(DivisionByNonUnit):
-            _row_reciprocal(d)
+            _row_div(num, denom)
 
 
 class TestSerialization:

@@ -7,12 +7,12 @@ series divisions, the quadratic quotient recurrence k*p_k = [z^k](s*p^2)
 and the log-derivative solve written out as 1-D np.dot loops, then Horner
 evaluation at explicitly computed circle nodes, the way `jack --check
 spiral` worked before it built all samples as rows of one array.  The
-package now builds the spiral source with Newton kernels, one reciprocal
-r = 1/(1 + A*omega) and two FFT products, and the member from the source
-by one exact recurrence for z*f', with the divisors (k-1)/k.  These sum in
+package now builds the spiral source by one division, in blocks of its
+band, by the divisor (1 + A*omega)^2, and the member from the source by
+one exact recurrence for z*f', with the divisors (k-1)/k.  These sum in
 another order, so members and ratios agree with the reference to 1e-14 in
 max norm, not bit for bit; a batched row is still bit-equal to its one-row
-build, since every FFT and dot product works row by row.
+build, since every dot and block product works row by row.
 """
 
 import cmath
