@@ -1,8 +1,10 @@
 """Command-line front end.
 
-All data output is byte-deterministic for a fixed command line: floats
-go through the fixed-width formatter, JSON field order is fixed, and
-every randomized command requires an explicit seed.  Diagnostics go to
+All data output is byte-deterministic for a fixed command line on one
+host, that is one numpy build, BLAS kernel and set of CPU features:
+floats go through the fixed-width formatter, JSON field order is fixed,
+and every randomized command requires an explicit seed.  Another BLAS
+kernel may move the last printed digits.  Diagnostics go to
 stderr, never to the data stream.
 
 Exit codes: 0 success, 1 parameter-domain or usage error, 2
@@ -268,7 +270,7 @@ def _cmd_report(args) -> int:
     for result in bounds:
         if result.case_tag == "I":
             kind = "case-i"
-            f = build_extremal(ExtremalSpec(kind, p, order, n=result.n))
+            f = build_extremal(ExtremalSpec(kind, p, result.n, n=result.n))
         else:
             kind, f = "case-ii", case_ii
         record = sharpness_record(result, f)

@@ -5,15 +5,14 @@ c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  The exact
 coefficient recurrences are _row_div (series quotient) and
 _row_log_derivative (the normalized F with d_k*F_k = [z^k](F*q), which is
 z*F' = F*q for the default d_k = k-1); both step over k with every row of
-a 2-D array at once.  Every member comes from _row_log_derivative:
+a 2-D array at once, one stacked matmul per step into a preallocated
+(rows, 1, 1) buffer.  Every member comes from _row_log_derivative:
 subordination's class members and jack's growth extremal with the default
 divisors, jack's spiral and quotient-class members with d_k = (k-1)/k.
 A single row (an extremal, a report's member and its inversion) steps on
-1-D views instead, which skips the per-step cost of a matmul stack; it
-makes the same BLAS dot products, so a row comes out bit for bit the same
-alone or in a stack.  A divisor narrower than its numerator, jack's
-spiral divisor (1+A*omega)^2, is a band, and _row_div steps over blocks of
-that band instead of single coefficients.
+1-D views instead, bit for bit as a row of the stack.  A divisor narrower
+than its numerator, jack's spiral divisor (1+A*omega)^2, is a band, and
+_row_div steps over blocks of that band instead of single coefficients.
 
 No logarithm or fractional power of a series is taken: a power such as
 z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose coefficients
@@ -217,23 +216,16 @@ def circle_values(coeffs: np.ndarray, radius: float, angles: int) -> np.ndarray:
     return np.fft.ifft(scaled[..., :angles], angles, axis=-1, norm="forward")
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise unconjugated dot products of two (rows, k) arrays with unit
-    strides along k; each row rounds exactly as np.dot does on one pair of
-    contiguous vectors, since a stack of matmuls reaches the same BLAS dot."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Quotient num/denom of each row pair, stepping over k with all rows at once:
     out_k = (num_k - sum_{j<k} out_j*denom_{k-j}) / denom_0.  This and
     _row_log_derivative are the package's exact coefficient recurrences.
 
-    One row steps on 1-D views with scalar updates, 3-4x faster at width
-    513 than a stack of one.  It is bit for bit the stacked row: np.dot of
-    the same unit-stride vectors is the BLAS dot a (1, k) @ (k, 1) matmul
-    reaches, and numpy's complex scalars subtract and divide as its arrays
-    do.
+    One row steps on 1-D views with scalar updates, about 2.5x faster at
+    width 513 than a stack of one.  It is bit for bit the stacked row:
+    np.dot of the same unit-stride vectors is the BLAS dot a (1, k) @ (k, 1)
+    matmul reaches, and numpy's complex scalars subtract and divide as its
+    arrays do.
 
     A divisor wider than num is truncated to its width.  A narrower one is
     a band d_0..d_m, and the quotient steps over blocks s_K of m
@@ -271,9 +263,10 @@ def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
             o[k] = (n[k] - np.dot(o[:k], d_rev[width - 1 - k : width - 1])) / d
         return out
     out[:, 0] = num[:, 0] / denom[:, 0]
+    dots = np.empty((rows, 1, 1), dtype=np.complex128)
     for k in range(1, width):
-        dots = _row_dots(out[:, :k], denom_rev[:, width - 1 - k : width - 1])
-        out[:, k] = (num[:, k] - dots) / denom[:, 0]
+        np.matmul(out[:, None, :k], denom_rev[:, width - 1 - k : width - 1, None], out=dots)
+        out[:, k] = (num[:, k] - dots[:, 0, 0]) / denom[:, 0]
     return out
 
 
@@ -282,8 +275,8 @@ def _row_log_derivative(q: np.ndarray, divisors=None) -> np.ndarray:
     each row q with q(0) = 1, stepping over k with all rows at once; a
     width-w row gives width w+1.  The divisors d_0..d_w (complex, only
     d_2.. read) default to d_k = k-1, which is z*F' = F*q; the jack builders
-    pass d_k = (k-1)/k.  Each step writes through preallocated buffers.
-    One row steps on 1-D views, bit for bit as in _row_div."""
+    pass d_k = (k-1)/k.  One row steps on 1-D views, about 2x faster at
+    width 513 than a stack of one and bit for bit as in _row_div."""
     if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
         raise NormalizationError("source constant term must be 1")
     rows, width = q.shape
