@@ -10,9 +10,10 @@ Instances that satisfy the quotient criteria are constructed forward:
 given a source s with s(0) = 0, z*p' = s*p^2 with p(0) = 1 is linear in
 1/p, so p = 1/(1 - S) with S = sum_k s_k z^k/k, and z*f'/f = p then
 determines the member through z*f'*(1 - S) = f, one exact recurrence for
-z*f' (series._row_log_derivative with divisors (k-1)/k).  Constructing
-forward avoids inverting the non-univalent target of the criterion, and
-exercises the implication in the direction it is actually used.  The
+z*f' (series._row_log_derivative, the division recurrence with the
+diagonal (k-1)/k).  Constructing forward avoids inverting the
+non-univalent target of the criterion, and exercises the implication in
+the direction it is actually used.  The
 spiral source (A+1)*omega/(1+A*omega)^2 is one series._row_div by the
 divisor's band; on omega = e^{i*theta}*z, whose spiral member grows like
 n^cos(2*alpha), the members are within 1.9e-12 of their closed form at

@@ -1,18 +1,19 @@
-"""Truncated complex power series: a value type over its row kernels.
+"""Truncated complex power series: a value type over its row recurrence.
 
 Every higher-level computation in this package runs on Taylor polynomials
-c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  The exact
-coefficient recurrences are _row_div (series quotient) and
-_row_log_derivative (the normalized F with d_k*F_k = [z^k](F*q), which is
-z*F' = F*q for the default d_k = k-1); both step over k with every row of
-a 2-D array at once, one stacked matmul per step into a preallocated
-(rows, 1, 1) buffer.  Every member comes from _row_log_derivative:
-subordination's class members and jack's growth extremal with the default
-divisors, jack's spiral and quotient-class members with d_k = (k-1)/k.
-A single row (an extremal, a report's member and its inversion) steps on
-1-D views instead, bit for bit as a row of the stack.  A divisor narrower
-than its numerator, jack's spiral divisor (1+A*omega)^2, is a band, and
-_row_div steps over blocks of that band instead of single coefficients.
+c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  The one
+exact coefficient recurrence, _row_div, is the series quotient, and with
+a diagonal the solve _row_log_derivative (the normalized F with d_k*F_k =
+[z^k](F*q), which is z*F' = F*q for the default d_k = k-1); it steps over
+k with every row of a 2-D array at once, one stacked matmul per step into
+a preallocated (rows, 1, 1) buffer.  Every member comes from
+_row_log_derivative: subordination's class members and jack's growth
+extremal with the default divisors, jack's spiral and quotient-class
+members with d_k = (k-1)/k.  A single row (an extremal, a report's member
+and its inversion) steps on 1-D views instead, bit for bit as a row of
+the stack.  A divisor narrower than its numerator, jack's spiral divisor
+(1+A*omega)^2, is a band, and _row_div steps over blocks of that band
+instead of single coefficients.
 
 No logarithm or fractional power of a series is taken: a power such as
 z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose coefficients
@@ -216,12 +217,14 @@ def circle_values(coeffs: np.ndarray, radius: float, angles: int) -> np.ndarray:
     return np.fft.ifft(scaled[..., :angles], angles, axis=-1, norm="forward")
 
 
-def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Quotient num/denom of each row pair, stepping over k with all rows at once:
-    out_k = (num_k - sum_{j<k} out_j*denom_{k-j}) / denom_0.  This and
-    _row_log_derivative are the package's exact coefficient recurrences.
+def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
+    """The package's one exact coefficient recurrence, stepping over k with
+    all rows at once: out_k = (num_k - sum_{j<k} out_j*denom_{k-j}) / w_k.
+    By default w_k = denom_0 of each row, the quotient num/denom; a
+    diagonal w_0..w_{width-1} shared by all rows makes it the weighted
+    solve of _row_log_derivative.
 
-    One row steps on 1-D views with scalar updates, about 2.5x faster at
+    One row steps on 1-D views with scalar updates, about 2.6x faster at
     width 513 than a stack of one.  It is bit for bit the stacked row:
     np.dot of the same unit-stride vectors is the BLAS dot a (1, k) @ (k, 1)
     matmul reaches, and numpy's complex scalars subtract and divide as its
@@ -234,10 +237,12 @@ def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     which the recurrence above gives in m steps, and R the band's reach
     into the previous block.  That is ceil(width/m) steps instead of
     width.  The block products are einsums, which round a row alike in a
-    stack of any size."""
-    if np.any(np.abs(denom[:, 0]) <= UNIT_TOLERANCE):
-        raise DivisionByNonUnit(f"a divisor constant has modulus <= {UNIT_TOLERANCE}")
+    stack of any size.  The band is a quotient's only: a diagonal comes
+    with a full-width divisor, as _row_log_derivative passes."""
     rows, width = num.shape
+    w = denom[:, :1] if diagonal is None else diagonal
+    if np.any(np.abs(w) <= UNIT_TOLERANCE):
+        raise DivisionByNonUnit(f"a divisor constant has modulus <= {UNIT_TOLERANCE}")
     if denom.shape[1] < width:
         band = max(denom.shape[1] - 1, 1)
         padded = np.zeros((rows, 2 * band), dtype=np.complex128)
@@ -254,45 +259,38 @@ def _row_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
             rest = blocks[:, k] - np.einsum("rij,rj->ri", reach, blocks[:, k - 1])
             blocks[:, k] = np.einsum("rij,rj->ri", lower, rest)
         return blocks.reshape(rows, -1)[:, :width]
+    w = np.broadcast_to(w, (rows, width))
     denom_rev = np.ascontiguousarray(denom[:, width - 1 :: -1])
     out = np.zeros_like(num)
+    out[:, 0] = num[:, 0] / w[:, 0]
     if rows == 1:
-        n, d, d_rev, o = num[0], denom[0, 0], denom_rev[0], out[0]
-        o[0] = n[0] / d
+        # Python scalars index fast; np.dot's scalar on the left keeps numpy dividing
+        n, w1, d_rev, o = num[0].tolist(), w[0].tolist(), denom_rev[0], out[0]
         for k in range(1, width):
-            o[k] = (n[k] - np.dot(o[:k], d_rev[width - 1 - k : width - 1])) / d
+            o[k] = (n[k] - np.dot(o[:k], d_rev[width - 1 - k : width - 1])) / w1[k]
         return out
-    out[:, 0] = num[:, 0] / denom[:, 0]
     dots = np.empty((rows, 1, 1), dtype=np.complex128)
-    for k in range(1, width):
+    dot = dots[:, 0, 0]
+    for k, (o, n, wk) in enumerate(zip(out.T[1:], num.T[1:], w.T[1:]), 1):
         np.matmul(out[:, None, :k], denom_rev[:, width - 1 - k : width - 1, None], out=dots)
-        out[:, k] = (num[:, k] - dots[:, 0, 0]) / denom[:, 0]
+        np.subtract(n, dot, out=o)
+        np.divide(o, wk, out=o)
     return out
 
 
 def _row_log_derivative(q: np.ndarray, divisors=None) -> np.ndarray:
     """F with F(0) = 0, F'(0) = 1 and d_k*F_k = sum_{j=1}^{k-1} F_j q_{k-j} for
-    each row q with q(0) = 1, stepping over k with all rows at once; a
-    width-w row gives width w+1.  The divisors d_0..d_w (complex, only
-    d_2.. read) default to d_k = k-1, which is z*F' = F*q; the jack builders
-    pass d_k = (k-1)/k.  One row steps on 1-D views, about 2x faster at
-    width 513 than a stack of one and bit for bit as in _row_div."""
+    each row q with q(0) = 1; a width-w row gives width w+1.  The divisors
+    d_0..d_w (complex, only d_2.. read) default to d_k = k-1, which is
+    z*F' = F*q; the jack builders pass d_k = (k-1)/k.  F/z is one _row_div
+    of the unit row by -q with the diagonal (1, d_2, ..., d_w)."""
     if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
         raise NormalizationError("source constant term must be 1")
     rows, width = q.shape
     d = np.arange(-1.0, width, dtype=np.complex128) if divisors is None else divisors
-    q_rev = np.ascontiguousarray(q[:, ::-1])
     out = np.zeros((rows, width + 1), dtype=np.complex128)
     out[:, 1] = 1.0
-    if rows == 1:
-        q1_rev, o = q_rev[0], out[0]
-        for k in range(2, width + 1):
-            o[k] = np.dot(o[1:k], q1_rev[width - k : width - 1]) / d[k]
-        return out
-    dots = np.empty((rows, 1, 1), dtype=np.complex128)
-    for k in range(2, width + 1):
-        np.matmul(out[:, None, 1:k], q_rev[:, width - k : width - 1, None], out=dots)
-        np.divide(dots[:, 0, 0], d[k], out=out[:, k])
+    out[:, 1:] = _row_div(out[:, 1:], -q, np.concatenate(([1.0], d[2 : width + 1])))
     return out
 
 

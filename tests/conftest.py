@@ -5,16 +5,17 @@ parameters pick gamma so that gamma*(A-B) lands within distance < 1 of B,
 and the identity-hypothesis draws place gamma*(A-B) at a prescribed
 distance from B*(m-2).  Case-II draws use rejection from a biased region.
 
-The reference recurrences write the series division, the log-derivative
-solve (with the jack builders' divisors (k-1)/k too) and the exponential
-out as 1-D np.dot loops over k, independent of the package's row kernels;
-reference_quotient_member chains the weighted solve into the member of a
-quotient source, and reference_schwarz chains the division into the
-Moebius inversion of a member; binomial_series is the term recurrence of
-(1 + s*z)^alpha; the extremal reference is the closed form of the member
-of omega = z^m, and grid_sup evaluates by np.polyval.  The bound
-references evaluate one index n at a time: the margin list and its max
-for the case, and a product loop over j for the value.
+The reference recurrences write the series division (with an arbitrary
+diagonal too), the log-derivative solve (with the jack builders' divisors
+(k-1)/k too) and the exponential out as 1-D np.dot loops over k,
+independent of the package's recurrence; reference_quotient_member
+chains the weighted solve into the member of a quotient source, and
+reference_schwarz chains the division into the Moebius inversion of a
+member; binomial_series is the term recurrence of (1 + s*z)^alpha; the
+extremal reference is the closed form of the member of omega = z^m, and
+grid_sup evaluates by np.polyval.  The bound references evaluate one
+index n at a time: the margin list and its max for the case, and a
+product loop over j for the value.
 spiral_gamma_closed_form is the second evaluation of the spiral reduction.
 reference_json is the JSON writer as one plain recursion that formats
 every float where it stands, without the writer's per-document memo.
@@ -141,13 +142,15 @@ def reference_bound(p, n: int):
     return case, k, value
 
 
-def reference_div(s, t) -> np.ndarray:
-    """Coefficients of s/t: out_k = (s_k - sum_{j<k} out_j t_{k-j}) / t_0."""
+def reference_div(s, t, diagonal=None) -> np.ndarray:
+    """out_k = (s_k - sum_{j<k} out_j t_{k-j}) / w_k: the coefficients of s/t
+    for w_k = t_0, the default, or the weighted solve for a diagonal w."""
     s, t = np.asarray(s, dtype=np.complex128), np.asarray(t, dtype=np.complex128)
     out = np.zeros(min(s.size, t.size), dtype=np.complex128)
-    out[0] = s[0] / t[0]
+    w = np.full(out.size, t[0]) if diagonal is None else diagonal
+    out[0] = s[0] / w[0]
     for k in range(1, out.size):
-        out[k] = (s[k] - np.dot(out[:k], t[k:0:-1])) / t[0]
+        out[k] = (s[k] - np.dot(out[:k], t[k:0:-1])) / w[k]
     return out
 
 

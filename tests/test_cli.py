@@ -366,6 +366,9 @@ ANGLE_1_6 = "parameter error: angle alpha must be in (-pi/2, pi/2), got 1.6"
     pytest.param(["report", "--gamma", "1,0", "--A", "0.5", "--B", "0.4999999999999999",
                   "--n", "2:3", "--samples", "3", "--seed", "1"], 2,
                  "error: Moebius inversion is singular", id="report-singular"),
+    pytest.param(["report", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B",
+                  "0.999999999999999", "--seed", "1", "--samples", "10"], 2,
+                 "error: Moebius inversion is singular", id="report-singular-b-near-1"),
     pytest.param(["jack", "--check", "spiral", "--alpha", "1.6", "--seed", "1"], 1, ANGLE_1_6,
                  id="spiral-angle"),
     pytest.param(["jack", "--check", "threshold", "--alpha", "1.6"], 1, ANGLE_1_6,

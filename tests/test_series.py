@@ -1,7 +1,8 @@
-"""Series value type: division examples, round trips, evaluation, the two
-row kernels against 1-D reference loops, the band-blocked quotient against
-the full-width division, and the traced product, log, exponential and
-power."""
+"""Series value type: division examples, round trips, evaluation, the one
+row recurrence (the division, and the log-derivative solve as a division
+with a diagonal) against 1-D reference loops, the band-blocked quotient
+against the full-width division, and the traced product, log, exponential
+and power."""
 
 import numpy as np
 import pytest
@@ -304,10 +305,10 @@ def decaying_series(rng, order, rate=0.3, constant_term=1.0):
 
 
 class TestRecurrencesMatchOneDimensionalLoops:
-    """div and solve_log_derivative are one-row calls of the row kernels, and
-    exp0 runs the log-derivative kernel; the 1-D np.dot loops they replaced
-    are the references, for the log-derivative kernel with the jack
-    builders' divisors (k-1)/k too."""
+    """div and solve_log_derivative are one-row calls of the one recurrence,
+    _row_div, the solve through _row_log_derivative's diagonal, and exp0
+    runs the solve; the 1-D np.dot loops they replaced are the references,
+    for the solve with the jack builders' divisors (k-1)/k too."""
 
     @pytest.mark.parametrize("order", [1, 2, 17, 64, 512])
     def test_div_is_bit_equal(self, order):
@@ -337,15 +338,17 @@ class TestRecurrencesMatchOneDimensionalLoops:
 
 
 class TestOneRowMatchesTheStack:
-    """A one-row call of a row kernel steps on 1-D views; each row of a
-    multi-row call must equal its one-row call bit for bit."""
+    """A one-row call of the recurrence steps on 1-D views; each row of a
+    multi-row call must equal its one-row call bit for bit, and a division
+    row, with or without an arbitrary diagonal, the 1-D reference loop's."""
 
     ROWS = 5
 
     @pytest.mark.parametrize("width", [1, 2, 3, 64, 513])
-    @pytest.mark.parametrize("kind", ["decaying", "ratio"])
+    @pytest.mark.parametrize("kind", ["decaying", "ratio", "diagonal"])
     def test_div(self, kind, width):
         rng = np.random.default_rng((width, len(kind)))
+        diagonal = None
         if kind == "ratio":  # reciprocals, whose tails reach the subnormals
             num = unit_rows(self.ROWS, width)
             denom = ratio_divisors(self.ROWS, width)
@@ -355,9 +358,12 @@ class TestOneRowMatchesTheStack:
                           for _ in range(self.ROWS)])
                 for c in (0.4 - 0.2j, 0.8 + 0.5j)
             )
-        stack = _row_div(num, denom)
+        if kind == "diagonal":  # non-constant complex w_k in place of denom_0
+            diagonal = rng.uniform(1.0, 2.0, width) * np.exp(2j * np.pi * rng.random(width))
+        stack = _row_div(num, denom, diagonal)
         for i, row in enumerate(stack):
-            assert np.array_equal(_row_div(num[i : i + 1], denom[i : i + 1])[0], row)
+            assert np.array_equal(_row_div(num[i : i + 1], denom[i : i + 1], diagonal)[0], row)
+            assert np.array_equal(reference_div(num[i], denom[i], diagonal), row)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 64, 513])
     @pytest.mark.parametrize("kind", ["decaying", "ratio"])
@@ -387,6 +393,8 @@ class TestOneRowMatchesTheStack:
         unit = unit_rows(1, 8)
         with pytest.raises(DivisionByNonUnit):
             _row_div(unit, unit * 1e-15)
+        with pytest.raises(DivisionByNonUnit):  # a diagonal is the divisor
+            _row_div(unit, unit, np.where(np.arange(8) == 5, 1e-15, 1.0 + 1j))
         with pytest.raises(NormalizationError):
             _row_log_derivative(unit * 0.5)
 
