@@ -25,10 +25,6 @@ class HypothesisViolated(SchlichtError, ValueError):
     """The stated hypothesis of an identity or cross-check does not hold."""
 
 
-class InversionSingular(SchlichtError, ZeroDivisionError):
-    """Recovering a Schwarz function hit a singular Moebius inversion."""
-
-
 class NormalizationError(ParameterDomainError):
     """A series expected to be normalized (c0 = 0, c1 = 1) is not."""
 

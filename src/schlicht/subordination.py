@@ -6,8 +6,8 @@ from omega by solving z*F' = F*Q coefficient-wise with
 Q = 1 + gamma*(A-B)*omega/(1 + B*omega), then dividing out the weights
 1 + lambda*(k-1).  This is the only construction of a member from omega;
 the extremals are the members of omega = z and omega = z^(n-1).
-Recovering omega from a member inverts the Moebius target pointwise on
-series: omega = (P-1)/(A - B*P).
+Recovering omega = (P-1)/(A - B*P) from a member is one series division,
+v/(u - B*v) with u = F/z, v = z*u'/(gamma*(A-B)) and pivot u_0 = 1.
 
 The fuzzer drives many random Schwarz samples through this construction
 and compares each |a_n| against the bound formulas.  Everything is keyed
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import series as srs
 from .bounds import bound_sweep
-from .errors import InversionSingular, ParameterDomainError
+from .errors import ParameterDomainError
 from .output import JsonFields
 from .params import ClassParams, check_index, check_order, check_samples
 from .series import ComplexSeries
@@ -328,28 +328,31 @@ def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
 def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> ComplexSeries:
     """Recover the Schwarz series that generates a given member.
 
-    Inverts P = (1+A*w)/(1+B*w) as omega = (P-1)/(A - B*P), where P is
-    the subordinated quantity 1 + (1/gamma)*(zF'/F - 1).  The recovered
-    series has order f.order - 1.
+    P = 1 + (1/gamma)*(zF'/F - 1) is subordinate to (1+A*w)/(1+B*w), so
+    with u = F/z and v = z*u'/(gamma*(A-B)), omega = (P-1)/(A - B*P) is
+    v/(u - B*v): one division, whose pivot u_0 - B*v_0 is 1 for every
+    normalized member.  v divides by gamma, then by the real A - B, since
+    numpy inverts a complex divisor; a reciprocal past the double range
+    raises FloatingPointError.  The recovered series has order f.order - 1.
     """
     srs.require_normalized(f)
     u = (f._c * _weights(f._c.size, p.lam))[None, 1:]  # F/z, a unit series
-    z_u_prime = u * np.arange(u.shape[1])
-    ratio = srs._row_div(z_u_prime, u) * complex(1.0 / p.gamma)  # (1/gamma)*(zF'/F - 1)
-    denom = ratio * complex(-p.b)  # A - B*P
-    denom[:, 0] += p.a - p.b
-    if abs(denom[0, 0]) <= srs.UNIT_TOLERANCE:
-        raise InversionSingular("Moebius inversion is singular: A - B*P(0) ~ 0")
-    return ComplexSeries(srs._row_div(ratio, denom)[0])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            v = u * np.arange(u.shape[1]) / complex(p.gamma) / (p.a - p.b)
+    except FloatingPointError:
+        raise FloatingPointError("overflow: the Moebius inversion leaves the double range, "
+                                 f"|gamma| = {abs(p.gamma):g}, A-B = {p.a - p.b:g}") from None
+    return ComplexSeries(srs._row_div(v, u - v * p.b)[0])
 
 
 def is_member(f: ComplexSeries, p: ClassParams) -> MembershipReport:
-    """Grid membership test: recover omega and check |omega| < 1.
-
-    The margin is 1 - max|omega| over the fixed grid of MEMBERSHIP_ANGLES
-    points on |z| = MEMBERSHIP_RADIUS (0.99, 2048); boundary-touching
-    extremal members sit at margin -> 0+, so a margin above
-    -MEMBERSHIP_TOLERANCE (-1e-6) still counts as membership.
+    """Grid membership test: recover omega = v/(u - B*v), a division with
+    pivot 1 that no member refuses, and check |omega| < 1.  The margin is
+    1 - max|omega| over the fixed grid of MEMBERSHIP_ANGLES points on
+    |z| = MEMBERSHIP_RADIUS (0.99, 2048); boundary-touching extremal
+    members sit at margin -> 0+, so a margin above -MEMBERSHIP_TOLERANCE
+    (-1e-6) still counts as membership.
     """
     omega = schwarz_from_member(f, p)
     vals = omega.eval_on_circle(MEMBERSHIP_RADIUS, MEMBERSHIP_ANGLES)

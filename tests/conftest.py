@@ -10,8 +10,9 @@ diagonal too), the log-derivative solve (with the jack builders' divisors
 (k-1)/k too) and the exponential out as 1-D np.dot loops over k,
 independent of the package's recurrence; reference_quotient_member
 chains the weighted solve into the member of a quotient source, and
-reference_schwarz chains the division into the Moebius inversion of a
-member; binomial_series is the term recurrence of (1 + s*z)^alpha; the
+reference_schwarz inverts the Moebius map of a member as one division,
+omega = v/(u - B*v) with u = F/z, v = z*u'/(gamma*(A-B)) and pivot
+u_0 = 1; binomial_series is the term recurrence of (1 + s*z)^alpha; the
 extremal reference is the closed form of the member of omega = z^m, and
 grid_sup evaluates by np.polyval.  The bound references evaluate one
 index n at a time: the margin list and its max for the case, and a
@@ -155,15 +156,12 @@ def reference_div(s, t, diagonal=None) -> np.ndarray:
 
 
 def reference_schwarz(f, p) -> np.ndarray:
-    """omega = (P-1)/(A - B*P) of a member f, as the chain of one-series steps
-    on reference_div: u = F/z, ratio = (z*u'/u)/gamma, denom = A - B*(1 + ratio)
-    with -B*ratio formed first, then ratio/denom."""
+    """omega = (P-1)/(A - B*P) of a member f as one reference_div, v/(u - B*v)
+    with u = F/z and v = z*u'/gamma/(A-B), each formed in the package's order."""
     c = np.asarray(f.coeffs)
     u = (c * [1.0 + p.lam * max(k - 1, 0) for k in range(c.size)])[1:]
-    ratio = reference_div(u * np.arange(u.size), u) * complex(1.0 / p.gamma)
-    denom = ratio * complex(-p.b)
-    denom[0] += complex(p.a - p.b)
-    return reference_div(ratio, denom)
+    v = u * np.arange(u.size) / complex(p.gamma) / (p.a - p.b)
+    return reference_div(v, u - v * p.b)
 
 
 def reference_log_derivative(q, divisors=None) -> np.ndarray:

@@ -318,13 +318,19 @@ def test_malformed_index_range_exits_one(command, n, capsys):
 
 @pytest.mark.parametrize("command", [["verify", "--seed", "0"], ["report", "--seed", "0"],
                                      ["extremal"],
-                                     ["jack", "--check", "growth-extremal", "--beta", "1e-300"]])
+                                     ["jack", "--check", "growth-extremal", "--beta", "1e-300"],
+                                     ["report", "--gamma=1e-320,0", "--A", "1", "--B", "-1",
+                                      "--seed", "1", "--samples", "3"]])
 def test_overflowing_member_exits_two(command, capsys):
-    # gamma = 1e200 overflows the member recurrences, and beta = 1e-300 the
-    # growth extremal: one error line naming the parameter that drives the
-    # coefficients out of the double range, and no numpy warning on stderr
+    # gamma = 1e200 overflows the member recurrences, beta = 1e-300 the
+    # growth extremal, and the subnormal gamma = 1e-320 the reciprocal that
+    # report's Moebius inversion divides by: one error line naming the
+    # parameter that drives the coefficients out of the double range, and
+    # no numpy warning on stderr
     if command[0] == "jack":
         cause = "growth extremal coefficients leave the double range, 1/beta = 1e+300"
+    elif "--gamma=1e-320,0" in command:
+        cause = f"the Moebius inversion leaves the double range, |gamma| = {1e-320:g}, A-B = 2"
     else:
         command = [*command, "--gamma=1e200,0", "--A", "1", "--B", "-1"]
         cause = "member coefficients leave the double range, |gamma*(A-B)| = 2e+200"
@@ -362,13 +368,6 @@ ANGLE_1_6 = "parameter error: angle alpha must be in (-pi/2, pi/2), got 1.6"
     pytest.param(["report", "--class", "K", *STARLIKE_ARGS, "--m", "2", "--mu", "0",
                   "--seed", "1"], 1,
                  "parameter error: report covers the base class", id="report-transfer"),
-    # A - B*P(0) = A - B is below the inversion's unit tolerance
-    pytest.param(["report", "--gamma", "1,0", "--A", "0.5", "--B", "0.4999999999999999",
-                  "--n", "2:3", "--samples", "3", "--seed", "1"], 2,
-                 "error: Moebius inversion is singular", id="report-singular"),
-    pytest.param(["report", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B",
-                  "0.999999999999999", "--seed", "1", "--samples", "10"], 2,
-                 "error: Moebius inversion is singular", id="report-singular-b-near-1"),
     pytest.param(["jack", "--check", "spiral", "--alpha", "1.6", "--seed", "1"], 1, ANGLE_1_6,
                  id="spiral-angle"),
     pytest.param(["jack", "--check", "threshold", "--alpha", "1.6"], 1, ANGLE_1_6,
@@ -914,14 +913,19 @@ class TestReportCommand:
         assert doc["fuzz"]["total_violations"] == 0
 
     def test_membership_entry_fields(self, capsys):
-        code, out, _ = run_cli(["report", *STARLIKE_ARGS, "--n", "2:4", "--samples", "5",
-                                "--seed", "1", "--order", "16"], capsys)
-        assert code == 0
-        (entry,) = json.loads(out)["membership"]
-        assert list(entry) == ["extremal_kind", "member", "margin", "radius", "angles"]
-        assert (entry["extremal_kind"], entry["member"]) == ("case-ii", True)
-        assert (entry["radius"], entry["angles"]) == (0.99, 2048)
-        assert '"radius":9.90000000000000e-01,"angles":2048}' in out
+        # A - B = 1e-15 and 1e-16 too: the Moebius inversion's pivot is 1
+        # whatever A - B is
+        for params in (STARLIKE_ARGS, ["--gamma", "1,0", "--lambda", "0", "--A", "1", "--B",
+                                       "0.999999999999999"],
+                       ["--gamma", "1,0", "--A", "0.5", "--B", "0.4999999999999999"]):
+            code, out, _ = run_cli(["report", *params, "--n", "2:4", "--samples", "5",
+                                    "--seed", "1", "--order", "16"], capsys)
+            assert code == 0
+            (entry,) = json.loads(out)["membership"]
+            assert list(entry) == ["extremal_kind", "member", "margin", "radius", "angles"]
+            assert (entry["extremal_kind"], entry["member"]) == ("case-ii", True)
+            assert (entry["radius"], entry["angles"]) == (0.99, 2048)
+            assert '"radius":9.90000000000000e-01,"angles":2048}' in out
 
     def test_case_ii_extremal_is_built_once(self, extremal_builds, capsys):
         # gamma = -1/2 puts n = 3..5 in case I, each with its own extremal
