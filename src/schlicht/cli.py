@@ -9,13 +9,17 @@ stderr, never to the data stream.
 
 Exit codes: 0 success, 1 parameter-domain or usage error, 2
 numerical/internal error in an otherwise well-formed invocation,
-including a result that is not finite or does not fit in memory.
+including a result that is not finite or does not fit in memory.  numpy
+overflow, invalid values and division by zero raise in main, so each
+exits 2 with one stderr line instead of warnings.
 """
 
 import argparse
 import functools
 import json
 import sys
+
+import numpy as np
 
 from . import jack as jackmod
 from .bounds import bound_sweep, reduction_sweep
@@ -391,7 +395,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # underflow stays quiet: a subnormal tail is a valid input
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ParameterDomainError as err:
         print(f"parameter error: {err}", file=sys.stderr)
         return 1

@@ -33,9 +33,9 @@ from .errors import (
     PreconditionNotVerified,
 )
 from .output import JsonFields
-from .params import check_angle, check_order, check_samples
+from .params import check_angle, check_order, check_samples, reduce_subclass
 from .series import ComplexSeries
-from .subordination import schwarz_rows
+from .subordination import member_from_schwarz, schwarz_rows
 
 SINGULARITY_FLOOR = 1e-12
 
@@ -351,26 +351,19 @@ def second_coeff_check(f: ComplexSeries, alpha: float) -> SecondCoeffReport:
 
 
 def _check_beta(beta: float) -> None:
-    if not 0.0 < beta < math.inf:
-        raise ParameterDomainError(f"beta must be finite and positive, got {beta}")
+    if not (0.0 < beta < math.inf and 0.5 / beta < math.inf):
+        raise ParameterDomainError(
+            f"beta must be finite and positive, got {beta}; so must 1/(2*beta)")
 
 
 def growth_extremal(beta: float, order: int) -> ComplexSeries:
-    """The function z*(1+z)^{-1/beta} as a series: the solution of
-    z*f'/f = q = 1 - (1/beta)*z/(1+z), so q_k = -(1/beta)*(-1)^(k-1) for
-    k >= 1, through order.  A coefficient that leaves the double range, as
-    it does for tiny beta, raises FloatingPointError naming 1/beta."""
+    """The function z*(1+z)^{-1/beta} through order: the member of
+    omega = -z in Sstar(1/(2*beta)), so z*f'/f = 1 - (1/beta)*z/(1+z).  A
+    coefficient past the double range, as for tiny beta, raises the member
+    builder's FloatingPointError, in which |gamma*(A-B)| = 1/beta."""
     _check_beta(beta)
-    check_order(order)
-    q = np.ones(order, dtype=np.complex128)
-    q[2::2] = -1.0
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            q[1:] *= -1.0 / beta
-            return ComplexSeries(srs._row_log_derivative(q[None, :])[0])
-    except FloatingPointError:
-        raise FloatingPointError("overflow: growth extremal coefficients leave the "
-                                 f"double range, 1/beta = {1.0 / beta:g}") from None
+    sstar = reduce_subclass("Sstar", gamma=0.5 / beta).params
+    return member_from_schwarz(srs.monomial(-1.0, 1, 1), sstar, order)
 
 
 def growth_extremal_starlike_order(beta: float) -> float:

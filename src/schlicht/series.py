@@ -7,13 +7,13 @@ a diagonal the solve _row_log_derivative (the normalized F with d_k*F_k =
 [z^k](F*q), which is z*F' = F*q for the default d_k = k-1); it steps over
 k with every row of a 2-D array at once, one stacked matmul per step into
 a preallocated (rows, 1, 1) buffer.  Every member comes from
-_row_log_derivative: subordination's class members and jack's growth
-extremal with the default divisors, jack's spiral and quotient-class
-members with d_k = (k-1)/k.  A single row (an extremal, a report's member
-and its inversion) steps on 1-D views instead, bit for bit as a row of
-the stack.  A divisor narrower than its numerator, jack's spiral divisor
-(1+A*omega)^2, is a band, and _row_div steps over blocks of that band
-instead of single coefficients.
+_row_log_derivative: subordination's class members with the default
+divisors, jack's growth extremal (omega = -z in Sstar(1/(2*beta))) among
+them, and jack's spiral and quotient-class members with d_k = (k-1)/k.
+A single row (an extremal, a report's member and its inversion) steps on
+1-D views, bit for bit as a row of the stack.  A divisor narrower than
+its numerator, jack's spiral divisor (1+A*omega)^2, is a band, and
+_row_div steps over blocks of that band instead of single coefficients.
 
 No logarithm or fractional power of a series is taken: a power such as
 z*(1+z)^c is the solution of z*f'/f = 1 + c*z/(1+z), whose coefficients

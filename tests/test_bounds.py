@@ -14,6 +14,9 @@ from schlicht import (
     cauchy_euler_factor,
     coefficient_bound,
     coefficient_bound_cauchy_euler,
+    identity,
+    member_from_schwarz,
+    monomial,
     reduce_subclass,
     spiral_bound_cross_check,
     spiral_product_bound,
@@ -186,6 +189,23 @@ class TestSubclassBounds:
         red = reduce_subclass("Sc", gamma=0.5j, lam=0.25, beta=0.25)
         (via_name,) = reduction_sweep(red, 5, 5)
         assert via_name.value == pytest.approx(direct.value, rel=1e-15)
+
+
+def test_third_coefficient_anchor_2000_draws():
+    # a_3 = (base/(2*(1+2*lambda)))*(c_2 - (B - base)*c_1^2) with
+    # base = gamma*(A-B), and |c_2 - mu*c_1^2| <= max(1, |mu|) over Schwarz
+    # functions (Keogh and Merkes, Proc. AMS 20, 1969), attained by omega = z
+    # when |mu| >= 1 and by omega = z^2 otherwise: an independent check of
+    # the bound at n = 3 and of its attainment
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        p = draw_valid_params(rng)
+        base = p.product_base()
+        sharp = abs(base) * max(1.0, abs(base - p.b)) / (2.0 * (1.0 + 2.0 * p.lam))
+        assert coefficient_bound(p, 3).value == pytest.approx(sharp, rel=1e-15, abs=0.0)
+        attained = max(abs(member_from_schwarz(omega, p, 3).coefficient(3))
+                       for omega in (identity(1), monomial(1.0, 2, 2)))
+        assert attained == pytest.approx(sharp, rel=1e-15, abs=0.0)
 
 
 class TestCaseBoundaryContinuity:

@@ -316,28 +316,49 @@ def test_malformed_index_range_exits_one(command, n, capsys):
     )
 
 
+# a valid series document whose a_2 = 1e308*(1+i) overflows the circle values
+OVERFLOWING_SERIES = '{"order": 2, "coeffs": [[0, 0], [1, 0], [1e308, 1e308]]}'
+
+
 @pytest.mark.parametrize("command", [["verify", "--seed", "0"], ["report", "--seed", "0"],
                                      ["extremal"],
                                      ["jack", "--check", "growth-extremal", "--beta", "1e-300"],
                                      ["report", "--gamma=1e-320,0", "--A", "1", "--B", "-1",
-                                      "--seed", "1", "--samples", "3"]])
-def test_overflowing_member_exits_two(command, capsys):
+                                      "--seed", "1", "--samples", "3"],
+                                     ["jack", "--check", "gb", "--b", "0.5", "--input"],
+                                     ["jack", "--check", "growth", "--alpha", "0", "--input"],
+                                     ["verify", "--gamma=1e80,0", "--A", "1", "--B", "-1",
+                                      "--seed", "0", "--samples", "5", "--n-max", "3"]])
+def test_overflowing_member_exits_two(command, tmp_path, capsys):
     # gamma = 1e200 overflows the member recurrences, beta = 1e-300 the
     # growth extremal, and the subnormal gamma = 1e-320 the reciprocal that
     # report's Moebius inversion divides by: one error line naming the
-    # parameter that drives the coefficients out of the double range, and
-    # no numpy warning on stderr
-    if command[0] == "jack":
-        cause = "growth extremal coefficients leave the double range, 1/beta = 1e+300"
+    # parameter that drives the coefficients out of the double range.  An
+    # overflow past the builders, in the circle values of OVERFLOWING_SERIES
+    # or in the quadratic slacks of gamma = 1e80, is one error line in
+    # numpy's words.  Never a numpy warning
+    cause = None
+    if command[0] == "jack" and command[2] == "growth-extremal":
+        cause = "member coefficients leave the double range, |gamma*(A-B)| = 1e+300"
     elif "--gamma=1e-320,0" in command:
         cause = f"the Moebius inversion leaves the double range, |gamma| = {1e-320:g}, A-B = 2"
-    else:
+    elif command[-1] == "--input":
+        path = tmp_path / "series.json"
+        path.write_text(OVERFLOWING_SERIES)
+        command = [*command, str(path)]
+    elif "--gamma=1e80,0" not in command:
         command = [*command, "--gamma=1e200,0", "--A", "1", "--B", "-1"]
         cause = "member coefficients leave the double range, |gamma*(A-B)| = 2e+200"
-    code, out, err = run_cli(command, capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(command, capsys)
     assert code == 2
     assert out == ""
-    assert err == f"error: overflow: {cause}\n"
+    if cause is None:
+        assert err.startswith("error: overflow") and err.count("\n") == 1
+    else:
+        assert err == f"error: overflow: {cause}\n"
+    assert "Warning" not in err and not caught
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):
@@ -662,7 +683,7 @@ class TestJackCommand:
         assert out == ""
         assert "parameter error" in err
 
-    @pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf", "1e-320"])
     def test_growth_extremal_beta_outside_domain_refused(self, beta, capsys):
         code, out, err = run_cli(
             ["jack", "--check", "growth-extremal", "--beta", beta, "--order", "8"],

@@ -22,6 +22,7 @@ from schlicht import (
     member_from_schwarz,
     monomial,
     quotient_source_ratio,
+    reduce_subclass,
     sample_schwarz,
     second_coeff_check,
     solve_log_derivative,
@@ -30,17 +31,20 @@ from schlicht import (
     winding_number,
 )
 from schlicht import jack
+from schlicht.bounds import bound_sweep
 from schlicht.errors import (
     EvaluationSingularity,
     ParameterDomainError,
     PreconditionNotVerified,
 )
+from schlicht.extremals import sharpness_record
 
 from conftest import (
     binomial_series,
     grid_sup,
     max_norm_error,
     reference_div,
+    reference_log_derivative,
     reference_quotient_member,
 )
 
@@ -420,6 +424,23 @@ class TestGrowthExtremal:
         f = growth_extremal(beta, order)
         expected = np.concatenate([[0.0], binomial_series(-1.0 / beta, 1.0, order - 1)])
         assert max_norm_error(f.coeffs, expected) <= 1e-14
+        # built as the omega = -z member of Sstar(1/(2*beta)), it is bit for
+        # bit the log-derivative solve of q = 1 - (1/beta)*z/(1+z)
+        q = np.ones(order, dtype=np.complex128)
+        q[2::2] = -1.0
+        q[1:] *= -1.0 / beta
+        assert np.array_equal(f.coeffs, reference_log_derivative(q))
+
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.5, 0.8, 3.7])
+    def test_attains_every_sstar_bound(self, beta):
+        # z*(1+z)^(-1/beta) is the omega = -z member of Sstar(1/(2*beta)),
+        # a rotation of its omega = z extremal, so it attains every case-II
+        # bound of that class
+        f = growth_extremal(beta, 64)
+        bounds = bound_sweep(reduce_subclass("Sstar", gamma=0.5 / beta).params, 2, 64)
+        assert {b.case_tag for b in bounds} == {"II"}
+        for bound in bounds:
+            assert sharpness_record(bound, f).attained, (beta, bound.n)
 
     def test_fast_growth_flagged_not_univalent(self):
         profile = growth_extremal_profile(0.25, 8)
