@@ -2,14 +2,14 @@
 
 Floats are always printed with a fixed 15-significant-digit scientific
 format instead of shortest-round-trip repr, so identical computations
-produce byte-identical JSON/CSV across runs; golden-file tests rely on
-that.  Negative zero is normalized away, and inf/nan are refused, since
-JSON has no token for them.  The JSON writer formats each distinct float
+produce byte-identical JSON/CSV across runs; perfbench's reference
+compare and the README's byte-determinism contract rely on that.
+Negative zero is normalized away, and inf/nan are refused, since JSON
+has no token for them.  The JSON writer formats each distinct float
 once per document, as a sweep repeats its margins on every row.
 """
 
 import math
-from dataclasses import fields
 from json.encoder import encode_basestring
 
 from .errors import NonFiniteOutput
@@ -22,7 +22,9 @@ class JsonFields:
     """
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # the class's field table, not dataclasses.fields(self), which
+        # builds a tuple of fields on every call
+        return {name: getattr(self, name) for name in type(self).__dataclass_fields__}
 
 
 def format_float(x: float) -> str:
@@ -76,7 +78,9 @@ def _json(obj, floats: dict) -> str:
         items = (f"{encode_basestring(str(key))}:{_json(value, floats)}"
                  for key, value in obj.items())
         return "{" + ",".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
+    # exact types: a NamedTuple record such as BoundResult is a tuple but
+    # is written as its document
+    if type(obj) is list or type(obj) is tuple:
         return "[" + ",".join([_json(value, floats) for value in obj]) + "]"
     if hasattr(obj, "to_json_dict"):
         return _json(obj.to_json_dict(), floats)

@@ -11,11 +11,14 @@ The case machinery lives here too: the margin sequence
 A_k = |gamma*(A-B) - B*(k-1)| - (k-1) is sign-monotone (once negative it
 stays negative), and the position of its sign change selects which bound
 formula applies (cases I/II/III).  case_sweep classifies a whole index
-range from one pass over the margins.
+range from one pass over the margins, which it reads off one column of
+moduli |gamma*(A-B) - j*B|, the column the bound products multiply.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterDomainError
 from .output import JsonFields
@@ -117,24 +120,45 @@ def check_order(order: int) -> None:
         raise ParameterDomainError(f"order must be >= 2, got {order}")
 
 
+def modulus_column(base: complex, b: float, count: int) -> np.ndarray:
+    """|base - j*b| for j = 0..count-1, one np.hypot over the parts.
+
+    np.hypot rounds as Python's abs(complex) does (np.abs does not), so
+    each entry has the bits of abs(base - j * b).
+    """
+    return np.hypot(base.real - np.arange(count) * b, base.imag)
+
+
+def _margins(column: np.ndarray) -> list[float]:
+    """A_k = column[k-1] - (k-1) for k = 2..len(column)."""
+    return (column[1:] - np.arange(1, column.size)).tolist()
+
+
 def case_margin_sequence(p: ClassParams, n: int) -> list[float]:
     """Margins A_k = |gamma*(A-B) - B*(k-1)| - (k-1) for k = 2..n-1."""
     check_index(n)
-    base = p.product_base()
-    return [abs(base - p.b * (k - 1)) - (k - 1) for k in range(2, n)]
+    return _margins(modulus_column(p.product_base(), p.b, n - 1))
 
 
 def case_sweep(
     p: ClassParams, lo: int, hi: int
 ) -> tuple[list[float], list[tuple[str, int | None]]]:
-    """Margins A_2..A_{hi-1} and the (case, crossover_k) of every n in lo..hi.
+    """Margins A_2..A_{hi-1} and the (case, crossover_k) of every n in lo..hi."""
+    return column_case_sweep(modulus_column(p.product_base(), p.b, hi - 1), lo, hi)
+
+
+def column_case_sweep(
+    column: np.ndarray, lo: int, hi: int
+) -> tuple[list[float], list[tuple[str, int | None]]]:
+    """case_sweep of the class whose moduli |gamma*(A-B) - j*B|, j < hi-1,
+    are column.
 
     One pass over n.  The crossover of a case-III index n is the largest
     k < n with A_k >= 0, kept as the last such k seen so far, so the
     margins need not be sign-monotone.
     """
     check_index(lo)
-    margins = case_margin_sequence(p, hi)
+    margins = _margins(column)
     cases = []
     last_nonnegative = None
     for n in range(2, hi + 1):

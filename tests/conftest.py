@@ -16,7 +16,8 @@ u_0 = 1; binomial_series is the term recurrence of (1 + s*z)^alpha; the
 extremal reference is the closed form of the member of omega = z^m, and
 grid_sup evaluates by np.polyval.  The bound references evaluate one
 index n at a time: the margin list and its max for the case, and a
-product loop over j for the value.
+product loop over j for the value; reference_cauchy_euler multiplies
+that value by the transfer factor as a scalar loop over j < m.
 spiral_gamma_closed_form is the second evaluation of the spiral reduction.
 reference_json is the JSON writer as one plain recursion that formats
 every float where it stands, without the writer's per-document memo.
@@ -141,6 +142,15 @@ def reference_bound(p, n: int):
     else:
         value = reference_case_iii(p, n, k)
     return case, k, value
+
+
+def reference_cauchy_euler(p, ce, n: int) -> float:
+    """reference_bound at n times prod_{j<m} (mu+j+1)/(mu+j+n), one scalar
+    step per j."""
+    factor = 1.0
+    for j in range(ce.m):
+        factor *= (ce.mu + j + 1.0) / (ce.mu + j + n)
+    return reference_bound(p, n)[2] * factor
 
 
 def reference_div(s, t, diagonal=None) -> np.ndarray:

@@ -102,17 +102,19 @@ class TestBoundCommand:
         assert out == ""
         assert "parameter error" in err
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_non_finite_bound_is_refused(self, fmt, capsys):
-        # the case-II product overflows a double long before n = 300
-        code, out, err = run_cli(
-            ["bound", "--gamma", "1000,0", "--A", "1", "--B", "-1", "--n", "300",
-             "--format", fmt],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert "non-finite" in err
+        # the case-II product overflows a double long before n = 300; 2:300
+        # is the benchmark's bound-inf op, whose earlier rows are finite
+        for n in ("300", "2:300"):
+            code, out, err = run_cli(
+                ["bound", "--gamma", "1000,0", "--A", "1", "--B", "-1", "--n", n,
+                 "--format", fmt],
+                capsys,
+            )
+            assert code == 2
+            assert out == ""
+            assert "non-finite" in err
 
     def test_long_case_i_sweep(self, capsys):
         # the sweep is linear in hi; per-index evaluation was quadratic
@@ -845,7 +847,7 @@ _CLASS_OPTIONS = {
     "B": _NUMBER,
     "beta": _NUMBER,
     "alpha": _NUMBER,
-    # a large --m makes cauchy_euler_factor loop m times per index
+    # a large --m makes cauchy_euler_factor take m array steps per sweep
     "m": st.integers(-1, 5),
     "mu": st.floats(-2.0, 4.0),
 }

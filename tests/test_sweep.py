@@ -6,6 +6,7 @@ package did before the sweeps.  Values must agree to the last bit, and
 against exact rational products to the rounding of a product of doubles.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,12 +21,13 @@ from schlicht import (
     classify_case,
     coefficient_bound,
     coefficient_bound_cauchy_euler,
+    reduce_subclass,
 )
 from schlicht.bounds import bound_sweep, reduction_sweep
 from schlicht.errors import ParameterDomainError
 from schlicht.params import case_sweep
 
-from conftest import reference_bound, reference_case
+from conftest import reference_bound, reference_case, reference_cauchy_euler
 
 
 def _params(g_re, g_im, lam, b, gap, scale):
@@ -78,12 +80,33 @@ def test_sweep_is_bit_equal_to_per_index_formulas(
 
 
 def test_cauchy_euler_sweep_applies_the_transfer_per_row(rng):
-    for _ in range(20):
-        p = ClassParams(complex(*rng.uniform(-2, 2, 2)), rng.uniform(), 1.0, -1.0)
-        ce = CauchyEulerParams(int(rng.integers(2, 5)), rng.uniform(-0.5, 2))
-        results = reduction_sweep(Reduction(p, ce), 2, 60)
-        per_index = [coefficient_bound_cauchy_euler(p, ce, n) for n in range(2, 61)]
-        assert results == per_index
+    # K with m = 2..4, and B, whose transfer has order 2
+    for draw in range(40):
+        gamma = complex(*rng.uniform(-2, 2, 2))
+        if draw % 2:
+            red = reduce_subclass("B", gamma=gamma, lam=rng.uniform(),
+                                  beta=rng.uniform(0, 0.99), mu=rng.uniform(-0.5, 2))
+        else:
+            red = Reduction(ClassParams(gamma, rng.uniform(), 1.0, -1.0),
+                            CauchyEulerParams(int(rng.integers(2, 5)), rng.uniform(-0.5, 2)))
+        p, ce = red.params, red.cauchy_euler
+        results = reduction_sweep(red, 2, 60)
+        for n, result in zip(range(2, 61), results):
+            case, k, _ = reference_bound(p, n)
+            assert (result.n, result.case_tag, result.crossover_k) == (n, case, k)
+            assert result.value == reference_cauchy_euler(p, ce, n)
+        assert coefficient_bound_cauchy_euler(p, ce, 60) == results[-1]
+
+
+def test_overflowing_products_stay_inf_under_raised_errors():
+    # the CLI's numpy state: the Python-float products overflow to inf
+    # without raising, and those rows reach the writer, which refuses them
+    p = ClassParams(1000, 0, 1, -1)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        results = bound_sweep(p, 2, 300)
+    assert math.isinf(results[-1].value)
+    for n, result in zip(range(2, 301), results):
+        assert (result.case_tag, result.crossover_k, result.value) == reference_bound(p, n)
 
 
 def _exact_bound(base: Fraction, p: ClassParams, case: str, k, n: int, ii, iii):
