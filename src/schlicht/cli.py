@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import jack as jackmod
-from .bounds import bound_sweep, reduction_sweep
+from .bounds import bound_sweep, reduction_columns, reduction_sweep
 from .errors import ParameterDomainError, SchlichtError
 from .extremals import (
     EXTREMAL_KINDS,
@@ -32,7 +32,7 @@ from .extremals import (
     build_extremal,
     sharpness_record,
 )
-from .output import fixed_json_dumps, format_float, parse_complex_pair
+from .output import fixed_json_dumps, format_column, parse_complex_pair
 from .params import (
     SUBCLASS_NAMES,
     CaseClassification,
@@ -109,38 +109,42 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, header, widths, rows, doc) -> None:
-    """Write doc() as JSON, or the rows as CSV or a right-aligned table.
+def _emit_rows(args, header, widths, columns, doc) -> None:
+    """Write doc() as JSON, or the columns() as CSV or a right-aligned table.
 
-    A cell None is written as "" in CSV and "-" in a table, any other
-    cell as its str().  Table columns are titled by the last word of the
-    CSV name (crossover_k is k).  doc is called only for JSON, so the
-    other formats never build the document.
+    columns() returns one sequence of cells per header name, floats
+    already formatted.  Every row is one % template applied to the cells
+    of all columns at that row: a cell None is written as "" in CSV and
+    "-" in a table, any other cell as its str().  Table columns are titled
+    by the last word of the CSV name (crossover_k is k).  doc is called
+    only for JSON and columns only for the other formats, so neither
+    builds what the other writes.
     """
     if args.format == "json":
         _emit(args, fixed_json_dumps(doc()) + "\n")
         return
-    blank = "" if args.format == "csv" else "-"
-    cells = [[blank if cell is None else str(cell) for cell in row] for row in rows]
     if args.format == "csv":
-        _emit(args, "".join(",".join(line) + "\n" for line in [header, *cells]))
-        return
-    titles = [name.rpartition("_")[2] for name in header]
-    lines = [" ".join(map(str.rjust, line, widths)) for line in [titles, *cells]]
-    _emit(args, "\n".join(lines) + "\n")
+        blank, titles = "", header
+        template = ",".join(["%s"] * len(header)) + "\n"
+    else:
+        blank, titles = "-", [name.rpartition("_")[2] for name in header]
+        template = " ".join([f"%{width}s" for width in widths]) + "\n"
+    cells = [[blank if cell is None else cell for cell in column] if None in column
+             else column for column in columns()]
+    _emit(args, template % tuple(titles) + "".join(map(template.__mod__, zip(*cells))))
 
 
 def _cmd_bound(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
-    results = reduction_sweep(red, lo, hi)
-    rows = ((r.n, r.case_tag, r.crossover_k, format_float(r.value), r.sharp)
-            for r in results)
+    sweep = reduction_columns(red, lo, hi)
     header = ("n", "case", "crossover_k", "bound", "sharp")
-    _emit_rows(args, header, (4, 4, 4, 22, 8), rows, lambda: {
+    _emit_rows(args, header, (4, 4, 4, 22, 8), lambda: (
+        sweep.n, sweep.case_tag, sweep.crossover_k, format_column(sweep.value), sweep.sharp,
+    ), lambda: {
         "params": red.params,
         "cauchy_euler": red.cauchy_euler,
-        "results": results,
+        "results": sweep.records(),
     })
     return 0
 
@@ -149,15 +153,16 @@ def _cmd_classify(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
     margins, cases = case_sweep(red.params, lo, hi)
-    rows = [(n, tag, k) for n, (tag, k) in zip(range(lo, hi + 1), cases)]
     # only the JSON rows carry their margins A_2..A_{n-1}
     classes = (
-        (n, CaseClassification(tag, k, tuple(margins[: n - 2]))) for n, tag, k in rows
+        (n, CaseClassification(tag, k, tuple(margins[: n - 2])))
+        for n, (tag, k) in zip(range(lo, hi + 1), cases)
     )
-    _emit_rows(args, ("n", "case", "k"), (4, 4, 4), rows, lambda: {
-        "params": red.params,
-        "classification": [{"n": n, **c.to_json_dict()} for n, c in classes],
-    })
+    _emit_rows(args, ("n", "case", "k"), (4, 4, 4), lambda: (range(lo, hi + 1), *zip(*cases)),
+               lambda: {
+                   "params": red.params,
+                   "classification": [{"n": n, **c.to_json_dict()} for n, c in classes],
+               })
     return 0
 
 
@@ -184,9 +189,14 @@ def _cmd_extremal(args) -> int:
     first = hi if spec.n is not None else lo
     bounds = reduction_sweep(Reduction(spec.params, spec.cauchy_euler), first, hi)
     certs = [sharpness_record(bound, f) for bound in bounds]
-    rows = ((k, format_float(c.real), format_float(c.imag))
-            for k, c in enumerate(f.coeffs))
-    _emit_rows(args, ("k", "re", "im"), None, rows, lambda: {
+
+    def columns():
+        # re and im interleaved, so the first non-finite part refused is the
+        # first in row order
+        parts = format_column(f._c.view(np.float64))
+        return range(order + 1), parts[0::2], parts[1::2]
+
+    _emit_rows(args, ("k", "re", "im"), None, columns, lambda: {
         "kind": args.kind,
         "params": spec.params,
         "cauchy_euler": red.cauchy_euler,

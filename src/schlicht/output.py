@@ -6,11 +6,16 @@ produce byte-identical JSON/CSV across runs; perfbench's reference
 compare and the README's byte-determinism contract rely on that.
 Negative zero is normalized away, and inf/nan are refused, since JSON
 has no token for them.  The JSON writer formats each distinct float
-once per document, as a sweep repeats its margins on every row.
+once per document, as a sweep repeats its margins on every row.  CSV and
+table rows are written from columns, and format_column formats a float
+column with one finiteness check and one -0.0 normalization for all of
+it.
 """
 
 import math
 from json.encoder import encode_basestring
+
+import numpy as np
 
 from .errors import NonFiniteOutput
 
@@ -34,6 +39,15 @@ def format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # drops the sign of -0.0
     return f"{x:.14e}"
+
+
+def format_column(values: np.ndarray) -> list[str]:
+    """format_float of every entry of a float array, in order; the first
+    non-finite entry is refused as format_float refuses it."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(values[~finite][0])
+    return [f"{x:.14e}" for x in (values + 0.0).tolist()]  # + 0.0 drops the sign of -0.0
 
 
 def parse_complex_pair(text: str) -> complex:

@@ -10,9 +10,11 @@ those reductions.
 The case machinery lives here too: the margin sequence
 A_k = |gamma*(A-B) - B*(k-1)| - (k-1) is sign-monotone (once negative it
 stays negative), and the position of its sign change selects which bound
-formula applies (cases I/II/III).  case_sweep classifies a whole index
-range from one pass over the margins, which it reads off one column of
-moduli |gamma*(A-B) - j*B|, the column the bound products multiply.
+formula applies (cases I/II/III).  column_case_sweep classifies a whole
+index range with array operations over the margins, which it reads off
+one column of moduli |gamma*(A-B) - j*B|, the column the bound products
+multiply; it returns a case-code column and a crossover column, and
+case_sweep's (case, crossover_k) pairs are a view of them.
 """
 
 import math
@@ -124,56 +126,66 @@ def modulus_column(base: complex, b: float, count: int) -> np.ndarray:
     """|base - j*b| for j = 0..count-1, one np.hypot over the parts.
 
     np.hypot rounds as Python's abs(complex) does (np.abs does not), so
-    each entry has the bits of abs(base - j * b).
+    each entry has the bits of abs(base - j * b).  A modulus past the
+    double range raises FloatingPointError naming |gamma*(A-B)|.
     """
-    return np.hypot(base.real - np.arange(count) * b, base.imag)
-
-
-def _margins(column: np.ndarray) -> list[float]:
-    """A_k = column[k-1] - (k-1) for k = 2..len(column)."""
-    return (column[1:] - np.arange(1, column.size)).tolist()
+    try:
+        with np.errstate(over="raise"):
+            return np.hypot(base.real - np.arange(count) * b, base.imag)
+    except FloatingPointError:
+        raise FloatingPointError("overflow: bound moduli leave the double range, "
+                                 f"|gamma*(A-B)| = {math.hypot(base.real, base.imag):g}"
+                                 ) from None
 
 
 def case_margin_sequence(p: ClassParams, n: int) -> list[float]:
     """Margins A_k = |gamma*(A-B) - B*(k-1)| - (k-1) for k = 2..n-1."""
     check_index(n)
-    return _margins(modulus_column(p.product_base(), p.b, n - 1))
+    column = modulus_column(p.product_base(), p.b, n - 1)
+    return (column[1:] - np.arange(1, column.size)).tolist()
 
 
 def case_sweep(
     p: ClassParams, lo: int, hi: int
 ) -> tuple[list[float], list[tuple[str, int | None]]]:
     """Margins A_2..A_{hi-1} and the (case, crossover_k) of every n in lo..hi."""
-    return column_case_sweep(modulus_column(p.product_base(), p.b, hi - 1), lo, hi)
+    margins, codes, last = column_case_sweep(
+        modulus_column(p.product_base(), p.b, hi - 1), lo, hi)
+    return margins.tolist(), list(zip(*case_columns(codes, last)))
+
+
+# the case tags, indexed by the case codes of column_case_sweep
+CASE_TAGS = np.array(["I", "II", "III"], dtype=object)
 
 
 def column_case_sweep(
     column: np.ndarray, lo: int, hi: int
-) -> tuple[list[float], list[tuple[str, int | None]]]:
-    """case_sweep of the class whose moduli |gamma*(A-B) - j*B|, j < hi-1,
-    are column.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Margins A_2..A_{hi-1} of the class whose moduli |gamma*(A-B) - j*B|,
+    j < hi-1, are column, and two columns over n = lo..hi: the case code
+    (an index into CASE_TAGS) and the largest k < n with A_k >= 0, which
+    is the crossover of a case-III row.
 
-    One pass over n.  The crossover of a case-III index n is the largest
-    k < n with A_k >= 0, kept as the last such k seen so far, so the
-    margins need not be sign-monotone.
+    Array operations only: row n reads A_{n-1} = column[n-2] - (n-2), and
+    A_1 = column[0] >= 0 makes n = 2 case II.  The last nonnegative k is a
+    running maximum, so the margins need not be sign-monotone.
     """
     check_index(lo)
-    margins = _margins(column)
-    cases = []
-    last_nonnegative = None
-    for n in range(2, hi + 1):
-        # margins[n - 3] is A_{n-1}, the last margin at index n
-        if n > 2 and margins[n - 3] >= 0.0:
-            last_nonnegative = n - 1
-        if n < lo:
-            continue
-        if n == 2 or margins[n - 3] >= 0.0:
-            cases.append(("II", None))
-        elif margins[0] < 0.0:
-            cases.append(("I", None))
-        else:
-            cases.append(("III", last_nonnegative))
-    return margins, cases
+    shifted = column - np.arange(hi - 1)  # A_{j+1} for j >= 1
+    nonnegative = shifted >= 0.0
+    last = np.maximum.accumulate(np.arange(1, hi) * nonnegative)
+    margins = shifted[1:]
+    other = 0 if margins.size and margins[0] < 0.0 else 2  # I, or else III
+    codes = np.where(nonnegative[lo - 2:], 1, other)
+    return margins, codes, last[lo - 2:]
+
+
+def case_columns(
+    codes: np.ndarray, last: np.ndarray
+) -> tuple[list[str], list[int | None]]:
+    """The case tag and the crossover_k of every row of column_case_sweep:
+    its last nonnegative k in case III, None otherwise."""
+    return CASE_TAGS[codes].tolist(), np.where(codes == 2, last, None).tolist()
 
 
 def classify_case(p: ClassParams, n: int) -> CaseClassification:

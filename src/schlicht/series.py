@@ -76,7 +76,7 @@ class ComplexSeries:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(complex(v) for v in self._c)
+        return tuple(self._c.tolist())
 
     def coefficient(self, k: int) -> complex:
         if not 0 <= k <= self.order:
@@ -146,7 +146,7 @@ class ComplexSeries:
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
-            "coeffs": [[float(v.real), float(v.imag)] for v in self._c],
+            "coeffs": self._c.view(np.float64).reshape(-1, 2).tolist(),
         }
 
     @classmethod

@@ -20,7 +20,9 @@ product loop over j for the value; reference_cauchy_euler multiplies
 that value by the transfer factor as a scalar loop over j < m.
 spiral_gamma_closed_form is the second evaluation of the spiral reduction.
 reference_json is the JSON writer as one plain recursion that formats
-every float where it stands, without the writer's per-document memo.
+every float where it stands, without the writer's per-document memo, and
+reference_rows is the CSV and table writer one cell at a time, without
+the CLI's column formatting and row templates.
 reference_draw and reference_pick draw a Schwarz sample and the fuzzer's
 construction pick through one np.random.default_rng per stream, the way
 the package drew them before it seeded all streams in one pass.
@@ -256,6 +258,23 @@ def reference_json(obj) -> str:
     if hasattr(obj, "to_json_dict"):
         return reference_json(obj.to_json_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_rows(header, widths, rows, fmt: str) -> str:
+    """The CSV (fmt "csv") or right-aligned table text of header and rows.
+
+    Each cell on its own: a float through format_float, None as "" in CSV
+    and "-" in a table, anything else as its str(); a table is titled by
+    the last word of each name and right-justifies every cell to its width.
+    """
+    blank = "" if fmt == "csv" else "-"
+    cells = [[format_float(cell) if isinstance(cell, float)
+              else blank if cell is None else str(cell) for cell in row] for row in rows]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in [list(header), *cells])
+    titles = [name.rpartition("_")[2] for name in header]
+    lines = [" ".join(map(str.rjust, line, widths)) for line in [titles, *cells]]
+    return "\n".join(lines) + "\n"
 
 
 def reference_extremal(p, m: int, order: int) -> np.ndarray:

@@ -363,6 +363,16 @@ def test_overflowing_member_exits_two(command, tmp_path, capsys):
     assert "Warning" not in err and not caught
 
 
+@pytest.mark.parametrize("command", ["bound", "classify"])
+def test_overflowing_modulus_names_its_parameter(command, capsys):
+    # both parts of gamma*(A-B) = 1.5e308*(1+i) are finite, its modulus is not
+    code, out, err = run_cli([command, "--gamma", "1.5e308,1.5e308", "--A", "1", "--B", "0",
+                              "--n", "2:5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: overflow: bound moduli leave the double range, |gamma*(A-B)| = inf\n"
+
+
 def test_memory_error_exits_two(monkeypatch, capsys):
     # a grid too large to allocate (say --angles 100000000000) raises
     # MemoryError; the stand-in raises it without allocating
