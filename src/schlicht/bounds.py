@@ -49,15 +49,6 @@ class BoundResult(NamedTuple):
     crossover_k: int | None
     sharp: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "case": self.case_tag,
-            "k": self.crossover_k,
-            "bound": self.value,
-            "sharp": self.sharp,
-        }
-
 
 def case_i_value(p: ClassParams, n: int | np.ndarray) -> float | np.ndarray:
     """|gamma|*(A-B) / ((n-1)*(1+lambda*(n-1))); n is an index or a float

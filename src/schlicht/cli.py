@@ -18,11 +18,13 @@ import argparse
 import functools
 import json
 import sys
+from itertools import accumulate
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from . import jack as jackmod
-from .bounds import bound_sweep, reduction_columns, reduction_sweep
+from .bounds import BoundColumns, reduction_columns, reduction_sweep
 from .errors import ParameterDomainError, SchlichtError
 from .extremals import (
     EXTREMAL_KINDS,
@@ -32,10 +34,9 @@ from .extremals import (
     build_extremal,
     sharpness_record,
 )
-from .output import fixed_json_dumps, format_column, parse_complex_pair
+from .output import JsonTable, fixed_json_dumps, format_column, parse_complex_pair
 from .params import (
     SUBCLASS_NAMES,
-    CaseClassification,
     ClassParams,
     Reduction,
     case_sweep,
@@ -116,9 +117,10 @@ def _emit_rows(args, header, widths, columns, doc) -> None:
     already formatted.  Every row is one % template applied to the cells
     of all columns at that row: a cell None is written as "" in CSV and
     "-" in a table, any other cell as its str().  Table columns are titled
-    by the last word of the CSV name (crossover_k is k).  doc is called
-    only for JSON and columns only for the other formats, so neither
-    builds what the other writes.
+    by the last word of the CSV name (crossover_k is k).  doc() holds its
+    rows as a JsonTable over the same columns as JSON tokens, written with
+    one template too.  doc is called only for JSON and columns only for
+    the other formats, so neither builds what the other writes.
     """
     if args.format == "json":
         _emit(args, fixed_json_dumps(doc()) + "\n")
@@ -134,6 +136,28 @@ def _emit_rows(args, header, widths, columns, doc) -> None:
     _emit(args, template % tuple(titles) + "".join(map(template.__mod__, zip(*cells))))
 
 
+def _int_tokens(column) -> list[str]:
+    """The JSON token of every int or None of column."""
+    return ["null" if value is None else str(value) for value in column]
+
+
+def _bound_table(sweep: BoundColumns) -> JsonTable:
+    """The rows of sweep as JSON objects n, case, k, bound, sharp."""
+    return JsonTable(("n", "case", "k", "bound", "sharp"), (
+        _int_tokens(sweep.n), list(map(encode_basestring, sweep.case_tag)),
+        _int_tokens(sweep.crossover_k), format_column(sweep.value),
+        list(map(encode_basestring, sweep.sharp)),
+    ))
+
+
+def _coeff_parts(f: ComplexSeries) -> tuple[list[str], list[str]]:
+    """The formatted real and imaginary parts of f's coefficients.  They are
+    formatted interleaved, so the first non-finite part refused is the first
+    in row order."""
+    parts = format_column(f._c.view(np.float64))
+    return parts[0::2], parts[1::2]
+
+
 def _cmd_bound(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
@@ -144,7 +168,7 @@ def _cmd_bound(args) -> int:
     ), lambda: {
         "params": red.params,
         "cauchy_euler": red.cauchy_euler,
-        "results": sweep.records(),
+        "results": _bound_table(sweep),
     })
     return 0
 
@@ -153,16 +177,24 @@ def _cmd_classify(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
     margins, cases = case_sweep(red.params, lo, hi)
-    # only the JSON rows carry their margins A_2..A_{n-1}
-    classes = (
-        (n, CaseClassification(tag, k, tuple(margins[: n - 2])))
-        for n, (tag, k) in zip(range(lo, hi + 1), cases)
-    )
-    _emit_rows(args, ("n", "case", "k"), (4, 4, 4), lambda: (range(lo, hi + 1), *zip(*cases)),
-               lambda: {
-                   "params": red.params,
-                   "classification": [{"n": n, **c.to_json_dict()} for n, c in classes],
-               })
+    tags, crossover_k = zip(*cases)
+
+    def classification() -> JsonTable:
+        # only the JSON rows carry their margins A_2..A_{n-1}: row n's are
+        # the first n - 2 of one joined list, cut where its last token ends
+        tokens = format_column(np.array(margins))
+        joined = ",".join(tokens)
+        ends = list(accumulate(map(len, tokens), lambda end, size: end + 1 + size,
+                               initial=-1))
+        ends[0] = 0  # no margins, no comma
+        return JsonTable(("n", "case", "crossover_k", "margins"), (
+            _int_tokens(range(lo, hi + 1)), list(map(encode_basestring, tags)),
+            _int_tokens(crossover_k), [f"[{joined[:end]}]" for end in ends[lo - 2 : hi - 1]],
+        ))
+
+    _emit_rows(args, ("n", "case", "k"), (4, 4, 4),
+               lambda: (range(lo, hi + 1), tags, crossover_k),
+               lambda: {"params": red.params, "classification": classification()})
     return 0
 
 
@@ -189,21 +221,15 @@ def _cmd_extremal(args) -> int:
     first = hi if spec.n is not None else lo
     bounds = reduction_sweep(Reduction(spec.params, spec.cauchy_euler), first, hi)
     certs = [sharpness_record(bound, f) for bound in bounds]
-
-    def columns():
-        # re and im interleaved, so the first non-finite part refused is the
-        # first in row order
-        parts = format_column(f._c.view(np.float64))
-        return range(order + 1), parts[0::2], parts[1::2]
-
-    _emit_rows(args, ("k", "re", "im"), None, columns, lambda: {
-        "kind": args.kind,
-        "params": spec.params,
-        "cauchy_euler": red.cauchy_euler,
-        "order": order,
-        "series": f,
-        "certification": certs,
-    })
+    _emit_rows(args, ("k", "re", "im"), None, lambda: (range(order + 1), *_coeff_parts(f)),
+               lambda: {
+                   "kind": args.kind,
+                   "params": spec.params,
+                   "cauchy_euler": red.cauchy_euler,
+                   "order": order,
+                   "series": {"order": f.order, "coeffs": JsonTable(None, _coeff_parts(f))},
+                   "certification": certs,
+               })
     return 0
 
 
@@ -277,11 +303,11 @@ def _cmd_report(args) -> int:
     lo, hi = parse_index_range(args.n)
     check_order(args.order)
     order = max(args.order, hi)
-    bounds = bound_sweep(p, lo, hi)
+    sweep = reduction_columns(Reduction(p), lo, hi)
 
     case_ii = build_extremal(ExtremalSpec("case-ii", p, order))
     sharpness = []
-    for result in bounds:
+    for result in sweep.records():
         if result.case_tag == "I":
             kind = "case-i"
             f = build_extremal(ExtremalSpec(kind, p, result.n, n=result.n))
@@ -296,7 +322,7 @@ def _cmd_report(args) -> int:
     )
     doc = {
         "params": p,
-        "bounds": bounds,
+        "bounds": _bound_table(sweep),
         "sharpness": sharpness,
         "membership": [{"extremal_kind": "case-ii", **membership.to_json_dict()}],
         "fuzz": fuzz,

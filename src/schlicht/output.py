@@ -5,15 +5,17 @@ format instead of shortest-round-trip repr, so identical computations
 produce byte-identical JSON/CSV across runs; perfbench's reference
 compare and the README's byte-determinism contract rely on that.
 Negative zero is normalized away, and inf/nan are refused, since JSON
-has no token for them.  The JSON writer formats each distinct float
-once per document, as a sweep repeats its margins on every row.  CSV and
-table rows are written from columns, and format_column formats a float
-column with one finiteness check and one -0.0 normalization for all of
-it.
+has no token for them.  format_column formats a float column with one
+finiteness check and one -0.0 normalization for all of it.  CSV and
+table rows are written from such columns, and so are the row lists of
+JSON documents: a JsonTable holds columns of JSON tokens and is written
+with one row template, while the rest of a document goes through the
+recursive writer.
 """
 
 import math
 from json.encoder import encode_basestring
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,27 +59,42 @@ def parse_complex_pair(text: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
+class JsonTable(NamedTuple):
+    """A JSON list of rows given as columns of JSON tokens, one per key.
+
+    With keys every row is an object of those keys in order, without keys
+    an array.  Each token is already JSON text: a float through
+    format_column, an int through str, a string through encode_basestring,
+    or null, true or false.
+    """
+
+    keys: Sequence[str] | None
+    columns: Sequence[Sequence[str]]
+
+    def to_json(self) -> str:
+        """The rows, each one % template applied to its tokens."""
+        if self.keys is None:
+            template = "[" + ",".join(["%s"] * len(self.columns)) + "]"
+        else:
+            fields = [encode_basestring(key).replace("%", "%%") + ":%s" for key in self.keys]
+            template = "{" + ",".join(fields) + "}"
+        return "[" + ",".join(map(template.__mod__, zip(*self.columns))) + "]"
+
+
 def fixed_json_dumps(obj) -> str:
     """JSON text with fixed float formatting and insertion field order.
 
-    An object with a to_json_dict method is written as that document.
+    An object with a to_json_dict method is written as that document, and
+    a JsonTable as its rows.
     """
-    return _json(obj, {})
+    return _json(obj)
 
 
-def _json(obj, floats: dict) -> str:
-    # floats holds the text of each distinct float of one document, since a
-    # sweep repeats its margin prefix on every row.  Recursing here rather
-    # than through fixed_json_dumps keeps one call of the public name per
-    # document, which is what perfbench's tracer counts.
+def _json(obj) -> str:
+    # recursing here rather than through fixed_json_dumps keeps one call of
+    # the public name per document, which is what perfbench's tracer counts
     if isinstance(obj, float):
-        # np.float64 is a float subclass that hashes and compares equal to
-        # the same Python float, so one entry serves both; -0.0 == 0.0, and
-        # both print as 0.
-        text = floats.get(obj)
-        if text is None:
-            text = floats[obj] = format_float(obj)
-        return text
+        return format_float(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -89,13 +106,14 @@ def _json(obj, floats: dict) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, dict):
-        items = (f"{encode_basestring(str(key))}:{_json(value, floats)}"
-                 for key, value in obj.items())
+        items = (f"{encode_basestring(str(key))}:{_json(value)}" for key, value in obj.items())
         return "{" + ",".join(items) + "}"
-    # exact types: a NamedTuple record such as BoundResult is a tuple but
-    # is written as its document
+    # exact types: a NamedTuple such as JsonTable is a tuple but is not
+    # written as one
     if type(obj) is list or type(obj) is tuple:
-        return "[" + ",".join([_json(value, floats) for value in obj]) + "]"
+        return "[" + ",".join([_json(value) for value in obj]) + "]"
+    if type(obj) is JsonTable:
+        return obj.to_json()
     if hasattr(obj, "to_json_dict"):
-        return _json(obj.to_json_dict(), floats)
+        return _json(obj.to_json_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__}")

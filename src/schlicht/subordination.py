@@ -27,6 +27,7 @@ over the coefficient index k with every sample in one row of a 2-D array.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,7 +323,8 @@ def _member_rows(omegas: np.ndarray, p: ClassParams) -> np.ndarray:
             return big_f / _weights(big_f.shape[1], p.lam)
     except FloatingPointError:
         raise FloatingPointError("overflow: member coefficients leave the double range, "
-                                 f"|gamma*(A-B)| = {abs(base):g}") from None
+                                 f"|gamma*(A-B)| = {math.hypot(base.real, base.imag):g}"
+                                 ) from None
 
 
 def schwarz_from_member(f: ComplexSeries, p: ClassParams) -> ComplexSeries:

@@ -19,10 +19,10 @@ index n at a time: the margin list and its max for the case, and a
 product loop over j for the value; reference_cauchy_euler multiplies
 that value by the transfer factor as a scalar loop over j < m.
 spiral_gamma_closed_form is the second evaluation of the spiral reduction.
-reference_json is the JSON writer as one plain recursion that formats
-every float where it stands, without the writer's per-document memo, and
-reference_rows is the CSV and table writer one cell at a time, without
-the CLI's column formatting and row templates.
+reference_json is the JSON writer as one plain recursion, without the
+CLI's row tables, and bound_document is the record document of one bound
+row; reference_rows is the CSV and table writer one cell at a time,
+without the CLI's column formatting and row templates.
 reference_draw and reference_pick draw a Schwarz sample and the fuzzer's
 construction pick through one np.random.default_rng per stream, the way
 the package drew them before it seeded all streams in one pass.
@@ -258,6 +258,12 @@ def reference_json(obj) -> str:
     if hasattr(obj, "to_json_dict"):
         return reference_json(obj.to_json_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def bound_document(result) -> dict:
+    """The JSON object of one BoundResult row, from its five fields."""
+    return {"n": result.n, "case": result.case_tag, "k": result.crossover_k,
+            "bound": result.value, "sharp": result.sharp}
 
 
 def reference_rows(header, widths, rows, fmt: str) -> str:

@@ -373,6 +373,17 @@ def test_overflowing_modulus_names_its_parameter(command, capsys):
     assert err == "error: overflow: bound moduli leave the double range, |gamma*(A-B)| = inf\n"
 
 
+def test_overflowing_member_names_its_parameter(capsys):
+    # the member recurrence overflows first; its handler must not overflow
+    # again formatting the modulus it names
+    code, out, err = run_cli(["extremal", "--gamma", "1.5e308,1.5e308", "--A", "1", "--B",
+                              "0", "--n", "2:5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: overflow: member coefficients leave the double range, "
+                   "|gamma*(A-B)| = inf\n")
+
+
 def test_memory_error_exits_two(monkeypatch, capsys):
     # a grid too large to allocate (say --angles 100000000000) raises
     # MemoryError; the stand-in raises it without allocating
@@ -1023,8 +1034,8 @@ class TestOutputHelpers:
     @example([-0.0, 0.0, Wrapped([-0.0, 5e-324, 5e-324]), 5e-324])
     @example({1: 1.0, True: [True, 1, 1.0], "1": {1.0: 1.0}})
     def test_json_matches_the_reference_writer(self, doc):
-        # the writer formats each distinct float of a document once; the
-        # bytes must be those of formatting every float where it stands
+        # the writer and the plain reference recursion agree on every
+        # document shape, -0.0 and repeated floats included
         assert fixed_json_dumps(doc) == reference_json(doc)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.nan)])

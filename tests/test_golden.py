@@ -55,12 +55,12 @@ COMMANDS = {
     **{f"bound-nan-{fmt}": ["bound", "--class", "K", "--gamma", "200,0", "--lambda", "0",
                             "--A", "1", "--B", "-1", "--m", "600", "--mu", "0",
                             "--n", "2:700", "--format", fmt]
-       for fmt in ("csv", "table")},
+       for fmt in ("json", "csv", "table")},
     # inf from n = 533 on, and nan once the factor underflows: inf is named
     **{f"bound-inf-nan-{fmt}": ["bound", "--class", "K", "--gamma", "250,0", "--lambda", "0",
                                 "--A", "1", "--B", "-1", "--m", "600", "--mu", "0",
                                 "--n", "2:900", "--format", fmt]
-       for fmt in ("csv", "table")},
+       for fmt in ("json", "csv", "table")},
 }
 
 
