@@ -24,7 +24,7 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from . import jack as jackmod
-from .bounds import BoundColumns, reduction_columns, reduction_sweep
+from .bounds import BoundColumns, reduction_columns
 from .errors import ParameterDomainError, SchlichtError
 from .extremals import (
     EXTREMAL_KINDS,
@@ -32,7 +32,7 @@ from .extremals import (
     KIND_CLASS,
     ExtremalSpec,
     build_extremal,
-    sharpness_record,
+    sharpness_columns,
 )
 from .output import JsonTable, fixed_json_dumps, format_column, parse_complex_pair
 from .params import (
@@ -150,6 +150,21 @@ def _bound_table(sweep: BoundColumns) -> JsonTable:
     ))
 
 
+def _sharpness_table(sweep: BoundColumns, observed, kinds=None) -> JsonTable:
+    """The rows n, bound, observed, gap, attained of sweep, whose extremals'
+    |a_n| are observed, after extremal_kind when kinds are given.  The
+    floats are formatted interleaved, so the first non-finite one refused
+    is the first in row order."""
+    observed, gap, attained = sharpness_columns(sweep.value, observed)
+    parts = format_column(np.stack([sweep.value, observed, gap], axis=1).ravel())
+    keys = ("n", "bound", "observed", "gap", "attained")
+    columns = [_int_tokens(sweep.n), parts[0::3], parts[1::3], parts[2::3],
+               ["true" if a else "false" for a in attained.tolist()]]
+    if kinds is not None:
+        keys, columns = ("extremal_kind", *keys), [list(map(encode_basestring, kinds)), *columns]
+    return JsonTable(keys, columns)
+
+
 def _coeff_parts(f: ComplexSeries) -> tuple[list[str], list[str]]:
     """The formatted real and imaginary parts of f's coefficients.  They are
     formatted interleaved, so the first non-finite part refused is the first
@@ -219,8 +234,8 @@ def _cmd_extremal(args) -> int:
     f = build_extremal(spec)
     # case-i and starlike-n extremals certify only their own index hi
     first = hi if spec.n is not None else lo
-    bounds = reduction_sweep(Reduction(spec.params, spec.cauchy_euler), first, hi)
-    certs = [sharpness_record(bound, f) for bound in bounds]
+    sweep = reduction_columns(Reduction(spec.params, spec.cauchy_euler), first, hi)
+    observed = list(map(abs, f._c[first : hi + 1].tolist()))
     _emit_rows(args, ("k", "re", "im"), None, lambda: (range(order + 1), *_coeff_parts(f)),
                lambda: {
                    "kind": args.kind,
@@ -228,7 +243,7 @@ def _cmd_extremal(args) -> int:
                    "cauchy_euler": red.cauchy_euler,
                    "order": order,
                    "series": {"order": f.order, "coeffs": JsonTable(None, _coeff_parts(f))},
-                   "certification": certs,
+                   "certification": _sharpness_table(sweep, observed),
                })
     return 0
 
@@ -306,15 +321,14 @@ def _cmd_report(args) -> int:
     sweep = reduction_columns(Reduction(p), lo, hi)
 
     case_ii = build_extremal(ExtremalSpec("case-ii", p, order))
-    sharpness = []
-    for result in sweep.records():
-        if result.case_tag == "I":
-            kind = "case-i"
-            f = build_extremal(ExtremalSpec(kind, p, result.n, n=result.n))
+    kinds, observed = [], []
+    for n, tag in zip(sweep.n, sweep.case_tag):
+        if tag == "I":
+            kind, f = "case-i", build_extremal(ExtremalSpec("case-i", p, n, n=n))
         else:
             kind, f = "case-ii", case_ii
-        record = sharpness_record(result, f)
-        sharpness.append({"extremal_kind": kind, **record.to_json_dict()})
+        kinds.append(kind)
+        observed.append(abs(f.coefficient(n)))
     membership = is_member(case_ii, p)
 
     fuzz = fuzz_bounds(
@@ -323,7 +337,7 @@ def _cmd_report(args) -> int:
     doc = {
         "params": p,
         "bounds": _bound_table(sweep),
-        "sharpness": sharpness,
+        "sharpness": _sharpness_table(sweep, observed, kinds),
         "membership": [{"extremal_kind": "case-ii", **membership.to_json_dict()}],
         "fuzz": fuzz,
     }

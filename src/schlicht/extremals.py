@@ -126,9 +126,18 @@ def certify_sharpness(
     return sharpness_record(bound, series)
 
 
+def sharpness_columns(value: np.ndarray, observed) -> tuple:
+    """The observed, gap and attained columns of bound values and the
+    |a_n| observed on their extremals: a bound is attained when |gap| <=
+    ATTAINMENT_RTOL*max(1, bound), and a nan bound is not."""
+    observed = np.array(observed, dtype=np.float64)
+    gap = value - observed
+    return observed, gap, np.abs(gap) <= ATTAINMENT_RTOL * np.fmax(1.0, value)
+
+
 def sharpness_record(bound: BoundResult, series: ComplexSeries) -> SharpnessRecord:
-    """Compare |a_n| of series against one bound row at its index n."""
-    observed = abs(series.coefficient(bound.n))
-    gap = bound.value - observed
-    attained = abs(gap) <= ATTAINMENT_RTOL * max(1.0, bound.value)
-    return SharpnessRecord(bound.n, bound.value, observed, gap, attained)
+    """Compare |a_n| of series against one bound row at its index n: one
+    row of sharpness_columns."""
+    observed, gap, attained = sharpness_columns(np.array([bound.value]),
+                                                [abs(series.coefficient(bound.n))])
+    return SharpnessRecord(bound.n, bound.value, observed.item(), gap.item(), attained.item())

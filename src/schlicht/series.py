@@ -5,8 +5,8 @@ c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  The one
 exact coefficient recurrence, _row_div, is the series quotient, and with
 a diagonal the solve _row_log_derivative (the normalized F with d_k*F_k =
 [z^k](F*q), which is z*F' = F*q for the default d_k = k-1); it steps over
-k with every row of a 2-D array at once, one stacked matmul per step into
-a preallocated (rows, 1, 1) buffer.  Every member comes from
+k with every row of a 2-D array at once, one np.vecdot per step into a
+preallocated buffer, and a divide.  Every member comes from
 _row_log_derivative: subordination's class members with the default
 divisors, jack's growth extremal (omega = -z in Sstar(1/(2*beta))) among
 them, and jack's spiral and quotient-class members with d_k = (k-1)/k.
@@ -224,11 +224,17 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
     diagonal w_0..w_{width-1} shared by all rows makes it the weighted
     solve of _row_log_derivative.
 
-    One row steps on 1-D views with scalar updates, about 2.6x faster at
-    width 513 than a stack of one.  It is bit for bit the stacked row:
-    np.dot of the same unit-stride vectors is the BLAS dot a (1, k) @ (k, 1)
-    matmul reaches, and numpy's complex scalars subtract and divide as its
-    arrays do.
+    A stack steps with np.vecdot(conj(d), o), BLAS zdotc over one
+    contiguous copy of the conjugated reversed divisor.  One row steps on
+    1-D views with scalar updates and np.dot, zdotu, about 2.4x faster at
+    width 513 than a stack of one (1.7x for a unit numerator).  The row is
+    bit for bit the stacked row: zdotc of conj(d) and zdotu of d run one
+    kernel whose partial sums differ only by exact negations, and numpy's
+    complex scalars subtract and divide as its arrays do.  A unit
+    numerator (num_k = 0 for k > 0, every _row_log_derivative) steps as
+    (-x)/w_k in place of (0 - x)/w_k, with the negation in the divisor's
+    copy, so a step is a dot and a divide; the two differ at most in the
+    sign of a zero.
 
     A divisor wider than num is truncated to its width.  A narrower one is
     a band d_0..d_m, and the quotient steps over blocks s_K of m
@@ -260,21 +266,27 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
             blocks[:, k] = np.einsum("rij,rj->ri", lower, rest)
         return blocks.reshape(rows, -1)[:, :width]
     w = np.broadcast_to(w, (rows, width))
-    denom_rev = np.ascontiguousarray(denom[:, width - 1 :: -1])
+    rev = denom[:, width - 1 :: -1]
+    unit = not num[:, 1:].any()  # (0 - x)/w_k steps as (-x)/w_k: negate the copy
     out = np.zeros_like(num)
     out[:, 0] = num[:, 0] / w[:, 0]
     if rows == 1:
         # Python scalars index fast; np.dot's scalar on the left keeps numpy dividing
-        n, w1, d_rev, o = num[0].tolist(), w[0].tolist(), denom_rev[0], out[0]
+        d_rev = np.negative(rev[0]) if unit else np.ascontiguousarray(rev[0])
+        n, w1, o = num[0].tolist(), w[0].tolist(), out[0]
         for k in range(1, width):
-            o[k] = (n[k] - np.dot(o[:k], d_rev[width - 1 - k : width - 1])) / w1[k]
+            x = np.dot(o[:k], d_rev[width - 1 - k : width - 1])
+            o[k] = (x if unit else n[k] - x) / w1[k]
         return out
-    dots = np.empty((rows, 1, 1), dtype=np.complex128)
-    dot = dots[:, 0, 0]
+    d_conj = np.conjugate(rev)  # a new array, never a view of denom
+    if unit:
+        np.negative(d_conj, out=d_conj)
+    dot = np.empty(rows, dtype=np.complex128)
     for k, (o, n, wk) in enumerate(zip(out.T[1:], num.T[1:], w.T[1:]), 1):
-        np.matmul(out[:, None, :k], denom_rev[:, width - 1 - k : width - 1, None], out=dots)
-        np.subtract(n, dot, out=o)
-        np.divide(o, wk, out=o)
+        np.vecdot(d_conj[:, width - 1 - k : width - 1], out[:, :k], out=dot)
+        if not unit:
+            np.subtract(n, dot, out=dot)
+        np.divide(dot, wk, out=o)
     return out
 
 

@@ -113,40 +113,37 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(words).generate_state(4, np.uint64) for each row of entropy.
 
     The hash constant advances once per hashmix call whatever the words
-    are, so every row runs the same uint32 operations side by side.
+    are, so every row runs the same uint32 operations side by side.  The
+    pool is one (4, rows) array, a line per word, and the calls that meet
+    one source word (its destinations in the pool, the output's eight
+    words) take consecutive constants in one call.
     """
     rows, length = entropy.shape
-    hash_const = _INIT_A
+    chain_a, chain_b = [_INIT_A], [_INIT_B]
+    for _ in range(_POOL_SIZE * max(length, _POOL_SIZE)):
+        chain_a.append(chain_a[-1] * _MULT_A & _MASK32)
+    for _ in range(8):
+        chain_b.append(chain_b[-1] * _MULT_B & _MASK32)
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
+    def hashmix(value, at, count, chain=np.array(chain_a, np.uint32)[:, None]):
+        value = (value ^ chain[at : at + count]) * chain[at + 1 : at + count + 1]
         return value ^ (value >> np.uint32(16))
 
     def mix(x, y):
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> np.uint32(16))
 
-    zeros = np.zeros(rows, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
+    pool[:length] = entropy.T[:_POOL_SIZE]
+    pool = hashmix(pool, 0, _POOL_SIZE)
+    for src in range(_POOL_SIZE):  # src meets the other words in order
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        at = _POOL_SIZE + (_POOL_SIZE - 1) * src
+        pool[dst] = mix(pool[dst], hashmix(pool[src], at, _POOL_SIZE - 1))
     for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-
-    state = np.empty((rows, 8), dtype=np.uint32)
-    hash_const = _INIT_B
-    for dst in range(8):
-        value = pool[dst % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, dst] = value ^ (value >> np.uint32(16))
-    return state.view(np.uint64)
+        pool = mix(pool, hashmix(entropy[:, src], _POOL_SIZE * src, _POOL_SIZE))
+    state = hashmix(np.tile(pool, (2, 1)), 0, 8, np.array(chain_b, np.uint32)[:, None])
+    return np.ascontiguousarray(state.T).view(np.uint64)
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple:

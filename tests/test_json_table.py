@@ -1,7 +1,8 @@
 """JSON sweep documents against the recursive reference writer.
 
-The CLI writes the row lists of `bound`, `classify`, `extremal` and
-`report` as JsonTables, columns of JSON tokens joined by one row template.
+The CLI writes the row lists of `bound`, `classify`, `extremal` (its
+coefficients and certification) and `report` (its bounds and sharpness)
+as JsonTables, columns of JSON tokens joined by one row template.
 Here the same documents are built in their record shape, one dict per
 row from reduction_sweep, case_sweep and ComplexSeries.to_json_dict, and
 written by conftest.reference_json; stdout, stderr and the exit status
@@ -125,14 +126,24 @@ def test_extremal_json_equals_the_record_document(seed, kind, order, lo, width):
     assert _run(argv) == _expected(doc)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])  # cases II and III, and cases I and II
 def test_report_bounds_equal_the_record_rows(seed):
     p = draw_valid_params(np.random.default_rng(seed))
     status, out, err = _run(["report", *_class_argv(p), "--n", "2:12", "--samples", "5",
                              "--seed", "1"])
-    rows = [bound_document(r) for r in reduction_sweep(Reduction(p), 2, 12)]
+    bounds = reduction_sweep(Reduction(p), 2, 12)
+    rows = [bound_document(r) for r in bounds]
+    case_ii = build_extremal(ExtremalSpec("case-ii", p, 64))
+    sharpness = []
+    for r in bounds:
+        if r.case_tag == "I":
+            kind, f = "case-i", build_extremal(ExtremalSpec("case-i", p, r.n, n=r.n))
+        else:
+            kind, f = "case-ii", case_ii
+        sharpness.append({"extremal_kind": kind, **sharpness_record(r, f).to_json_dict()})
     assert (status, err) == (0, "")
-    assert f',"bounds":{reference_json(rows)},"sharpness":' in out
+    assert (f',"bounds":{reference_json(rows)},"sharpness":{reference_json(sharpness)},'
+            '"membership":') in out
 
 
 def test_table_rows_are_objects_or_arrays():

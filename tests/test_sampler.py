@@ -22,6 +22,7 @@ from schlicht.subordination import (
     _normal_rows,
     _normalized_rows,
     _pcg_step,
+    _seed_words,
     _stream_entropy,
     schwarz_rows,
 )
@@ -70,6 +71,17 @@ def test_pcg_step_matches_python_ints(pairs):
         assert hi.dtype == lo.dtype == np.uint64 and hi.shape == (len(rows),)
         for j, (state, inc) in enumerate(rows):
             assert from_limbs((hi[j], lo[j])) == (state * PCG_MULT + inc) % 2**128
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_seed_words_match_seed_sequence(length):
+    # below the pool size, at it and past it, where each extra word is mixed
+    # into the whole pool; the rows include the all-zero and all-ones words
+    words = np.random.default_rng(length).integers(0, 2**32, (6, length), dtype=np.uint32)
+    words[0], words[1] = 0, 2**32 - 1
+    state = _seed_words(words)
+    for row, expected in zip(words.tolist(), state):
+        assert same_bits(expected, np.random.SeedSequence(row).generate_state(4, np.uint64))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])

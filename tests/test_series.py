@@ -344,21 +344,35 @@ class TestOneRowMatchesTheStack:
 
     ROWS = 5
 
+    KINDS = ["decaying", "ratio", "diagonal", "unit"]
+
     @pytest.mark.parametrize("width", [1, 2, 3, 64, 513])
-    @pytest.mark.parametrize("kind", ["decaying", "ratio", "diagonal"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_div(self, kind, width):
+        self.check_div(kind, width, self.ROWS)
+
+    @pytest.mark.parametrize("width", [11, 21])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_div_at_the_fuzz_shape(self, kind, width):
+        # the fuzz workload's member stacks: 200 samples at n_max 10 and 20
+        self.check_div(kind, width, 200)
+
+    @staticmethod
+    def check_div(kind, width, rows):
         rng = np.random.default_rng((width, len(kind)))
         diagonal = None
         if kind == "ratio":  # reciprocals, whose tails reach the subnormals
-            num = unit_rows(self.ROWS, width)
-            denom = ratio_divisors(self.ROWS, width)
+            num = unit_rows(rows, width)
+            denom = ratio_divisors(rows, width)
         else:
             num, denom = (
                 np.array([decaying_series(rng, width - 1, constant_term=c).coeffs
-                          for _ in range(self.ROWS)])
+                          for _ in range(rows)])
                 for c in (0.4 - 0.2j, 0.8 + 0.5j)
             )
-        if kind == "diagonal":  # non-constant complex w_k in place of denom_0
+        if kind == "unit":  # the log-derivative solve's numerator, steps without a subtract
+            num = unit_rows(rows, width)
+        if kind in ("diagonal", "unit"):  # non-constant complex w_k in place of denom_0
             diagonal = rng.uniform(1.0, 2.0, width) * np.exp(2j * np.pi * rng.random(width))
         stack = _row_div(num, denom, diagonal)
         for i, row in enumerate(stack):
@@ -388,6 +402,28 @@ class TestOneRowMatchesTheStack:
         for i, row in enumerate(stack):
             assert np.array_equal(reference_log_derivative(q[i], divisors), row)
             assert np.array_equal(_row_log_derivative(q[i : i + 1], divisors)[0], row)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 513])
+    @pytest.mark.parametrize("rows", [1, ROWS])
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_inputs_are_left_alone(self, weighted, unit, rows, width):
+        # a unit numerator negates the reversed divisor's copy, which at
+        # width 1 a contiguous reversal would return as a view of denom
+        rng = np.random.default_rng((width, rows))
+        num, denom = (np.array([decaying_series(rng, width - 1, constant_term=c).coeffs
+                                for _ in range(rows)]) for c in (0.4 - 0.2j, 0.8 + 0.5j))
+        if unit:
+            num = unit_rows(rows, width)
+        diagonal = rng.uniform(1.0, 2.0, width) * np.exp(2j * np.pi * rng.random(width))
+        q = np.array([decaying_series(rng, width - 1).coeffs for _ in range(rows)])
+        divisors = quotient_divisors(width + 1) if weighted else None
+        inputs = [num, denom, diagonal, q]
+        before = [a.copy() for a in inputs]
+        _row_div(num, denom, diagonal if weighted else None)
+        _row_log_derivative(q, divisors)
+        for got, expected in zip(inputs, before):
+            assert got.tobytes() == expected.tobytes()
 
     def test_one_row_refusals(self):
         unit = unit_rows(1, 8)
