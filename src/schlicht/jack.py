@@ -6,16 +6,15 @@ quantities z*f'/f (spiral/starlike tests) and (1 + z*f''/f')/(z*f'/f)
 relevant real-part minimum or deviation maximum is reported.  By the
 maximum principle the largest test radius is the binding one.
 
-Instances that satisfy the quotient criteria are constructed forward:
-given a source s with s(0) = 0, z*p' = s*p^2 with p(0) = 1 is linear in
-1/p, so p = 1/(1 - S) with S = sum_k s_k z^k/k, and z*f'/f = p then
-determines the member through z*f'*(1 - S) = f, one exact recurrence for
-z*f' (series._row_log_derivative, the division recurrence with the
-diagonal (k-1)/k).  Constructing forward avoids inverting the
-non-univalent target of the criterion, and exercises the implication in
-the direction it is actually used.  The
-spiral source (A+1)*omega/(1+A*omega)^2 is one series._row_div by the
-divisor's band; on omega = e^{i*theta}*z, whose spiral member grows like
+Instances that satisfy the quotient criteria are constructed forward,
+which avoids inverting the criterion's non-univalent target: given a
+source s with s(0) = 0, z*p' = s*p^2 with p(0) = 1 is linear in 1/p, so
+p = 1/(1 - S) with S = sum_k s_k z^k/k.  z*f'/f = p determines the
+member through z*f'*(1 - S) = f, one exact recurrence for z*f'
+(series._row_log_derivative with the diagonal (k-1)/k); spiral_check
+reads the criterion on 1/(1 - S) and builds no member.  The spiral
+source (A+1)*omega/(1+A*omega)^2 is one series._row_div by the divisor's
+band; on omega = e^{i*theta}*z, whose spiral member grows like
 n^cos(2*alpha), the members are within 1.9e-12 of their closed form at
 order 512 and 8.7e-12 at 2048.
 """
@@ -27,11 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as srs
-from .errors import (
-    EvaluationSingularity,
-    ParameterDomainError,
-    PreconditionNotVerified,
-)
+from .errors import EvaluationSingularity, ParameterDomainError, PreconditionNotVerified
 from .output import JsonFields
 from .params import check_angle, check_order, check_samples, reduce_subclass
 from .series import ComplexSeries
@@ -56,7 +51,7 @@ GROWTH_TOLERANCE = 1e-9
 THRESHOLD_POINTS = 33
 THRESHOLD_PASSES = 8
 
-# samples built and checked together by spiral_check
+# samples checked together by spiral_check, as rows of one grid
 SPIRAL_BLOCK = 64
 
 
@@ -107,38 +102,37 @@ def winding_number(values: np.ndarray) -> int:
     return _windings(np.asarray(values)[None, :])[0]
 
 
-def _grid_values(rows: np.ndarray, radius: float, angles: int, second: bool = False):
-    """f, z*f' and, with second, z^2*f'' of each coefficient row on |z| = radius,
-    shaped (2 or 3, rows, angles), from one circle_values call, and the
-    winding of each f.  The criteria divide by f, and with second by f'.
-    The phase steps of two or fewer samples cancel, so angles >= 3."""
+def _grid_values(rows: np.ndarray, radius: float, angles: int, terms: int = 2):
+    """The first `terms` of f, z*f', z^2*f'' of each coefficient row on
+    |z| = radius, shaped (terms, rows, angles), from one circle_values call,
+    and the winding of each f.  The criteria divide by f, and with three
+    terms by f'; the phase steps of two or fewer samples cancel, so angles >= 3."""
     if angles < 3:
         raise ParameterDomainError(f"a winding needs angles >= 3, got {angles}")
     ks = np.arange(rows.shape[1])
-    factors = np.stack([np.ones_like(ks), ks] + ([ks * (ks - 1)] if second else []))
+    factors = np.stack([np.ones_like(ks), ks, ks * (ks - 1)][:terms])
     vals = srs.circle_values(rows * factors[:, None, :], radius, angles)
     floor = float(np.min(np.abs(vals[0])))
-    if second:  # |f'| = |z*f'|/r on the circle
+    if terms == 3:  # |f'| = |z*f'|/r on the circle
         floor = min(floor, float(np.min(np.abs(vals[1]))) / radius)
     if floor < SINGULARITY_FLOOR:
         raise EvaluationSingularity(
-            f"|f| or |f'| < {SINGULARITY_FLOOR} on the radius-{radius} grid"
-        )
+            f"|f|, |f'| or |1 - S| < {SINGULARITY_FLOOR} on the radius-{radius} grid")
     return vals, _windings(vals[0])
 
 
-def _ratio_reports(rows, rotation: complex, shift: float, radius, angles) -> list:
-    """Per row, the grid test of Re(rotation * z*f'/f) > shift.
-
+def _reports(values, windings, radius, angles, shift: float = 0.0) -> list:
+    """Per row, the grid test of Re(rotation * z*f'/f) > shift on its values.
     The circle criterion certifies f only when f has no zero in the
-    punctured disk, so membership also needs winding(f) = 1.
-    """
-    (f_vals, zfp_vals), windings = _grid_values(rows, radius, angles)
-    margins = np.min((rotation * (zfp_vals / f_vals)).real, axis=1) - shift
-    return [
-        SpiralReport(bool(m > 0.0) and w == 1, float(m), radius, angles, w)
-        for m, w in zip(margins, windings)
-    ]
+    punctured disk, so membership also needs winding(f) = 1."""
+    margins = np.min(values.real, axis=1) - shift
+    return [SpiralReport(bool(m > 0.0) and w == 1, float(m), radius, angles, w)
+            for m, w in zip(margins, windings)]
+
+
+def _member_report(f: ComplexSeries, rotation: complex, shift: float, radius, angles):
+    (f_vals, zfp_vals), windings = _grid_values(f._c[None, :], radius, angles)
+    return _reports(rotation * (zfp_vals / f_vals), windings, radius, angles, shift)[0]
 
 
 def spiral_membership(
@@ -147,7 +141,7 @@ def spiral_membership(
 ) -> SpiralReport:
     """Grid test of Re(exp(i*alpha) * z*f'/f) > 0, with winding(f) = 1."""
     check_angle(alpha, "alpha")
-    return _ratio_reports(f._c[None, :], cmath.exp(1j * alpha), 0.0, radius, angles)[0]
+    return _member_report(f, cmath.exp(1j * alpha), 0.0, radius, angles)
 
 
 def _growth_beta(alpha: float) -> float:
@@ -163,7 +157,7 @@ def starlike_membership(
 ) -> SpiralReport:
     """Grid test of Re(z*f'/f) > order_alpha; min_re reports the margin."""
     _growth_beta(order_alpha)  # for its refusal of an order outside [0, 1)
-    return _ratio_reports(f._c[None, :], 1.0, order_alpha, radius, angles)[0]
+    return _member_report(f, 1.0, order_alpha, radius, angles)
 
 
 def _check_deviation(b: float) -> None:
@@ -182,7 +176,7 @@ def gb_membership(
     zero-free f' there, i.e. winding(z*f') = 1.
     """
     _check_deviation(b)
-    vals, (winding,) = _grid_values(f._c[None, :], radius, angles, True)
+    vals, (winding,) = _grid_values(f._c[None, :], radius, angles, 3)
     f_vals, zfp, zzfpp = vals[:, 0]
     max_dev = float(np.max(np.abs((1.0 + zzfpp / zfp) / (zfp / f_vals) - 1.0)))
     member = max_dev <= b and winding == 1 and winding_number(zfp) == 1
@@ -190,14 +184,20 @@ def gb_membership(
 
 
 def gb_spiral_threshold(alpha: float) -> float:
-    """Largest quotient deviation b certified to imply spiral-likeness.
+    """The Jack-lemma constant b0 = |1 + A|/4 = cos(alpha)/2, A = exp(-2i*alpha):
+    the radius of the largest disk about 0 in h(D), h(w) = (1+A)*w/(1+A*w)^2.
+    A quotient deviation b <= b0 implies spiral-likeness, but b0 is not
+    sharp.  The deviation is z*p'/p^2 = b*omega for p = z*f'/f, so
+    1/p = 1 - b*W with W = int_0^z omega(t)/t dt, |W| < 1 by Schwarz's
+    lemma, and Re(exp(-i*alpha)/p) > cos(alpha) - b: b <= cos(alpha)
+    suffices, and omega = exp(i*alpha)*z fails for any larger b on
+    |z| > cos(alpha)/b.  The sharp value is b* = cos(alpha).
 
-    Minimizes m(t) = |(1+A)e^{i*t}/(1+A*e^{i*t})^2| for A = exp(-2i*alpha)
-    on a zooming grid.  m has one minimum per period (|1 + A*e^{i*t}| peaks
-    only at t = 2*alpha), within one grid step of the sampled argmin, so
-    each pass recenters there and shrinks the half-width to that step; m is
-    periodic, so a bracket may cross t = 0.  m is quadratic at its minimum,
-    so the last value is exact to rounding.  It equals |1 + A|/4.
+    Minimizes m(t) = |h(e^{i*t})| on a zooming grid.  m has one minimum per
+    period (|1 + A*e^{i*t}| peaks only at t = 2*alpha), within one grid step
+    of the sampled argmin, so each pass recenters there and shrinks the
+    half-width to that step; m is periodic, so a bracket may cross t = 0.
+    m is quadratic at its minimum, so the last value is exact to rounding.
     """
     check_angle(alpha, "alpha")
     a = cmath.exp(-2j * alpha)
@@ -217,6 +217,14 @@ def gb_threshold_closed_form(alpha: float) -> float:
     return abs(1.0 + cmath.exp(-2j * alpha)) / 4.0
 
 
+def _one_plus_integral(sources: np.ndarray, sign: float) -> np.ndarray:
+    """Rows 1 + sign*S with S = sum_k s_k z^k/k, for source rows s_0..s_{N-1}
+    with s(0) = 0: only the columns s_1.. are read."""
+    out = np.ones_like(sources)
+    out[:, 1:] = sources[:, 1:] / (sign * np.arange(1.0, sources.shape[1]))
+    return out
+
+
 def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
     """Solve z*p' = source * p^2 with p(0) = 1 (source(0) must vanish).
 
@@ -224,10 +232,8 @@ def quotient_source_ratio(source: ComplexSeries, order: int) -> ComplexSeries:
     division.
     """
     s = srs.fit_row(source, order + 1)
-    denom = np.ones_like(s)
-    denom[:, 1:] = s[:, 1:] / -np.arange(1.0, s.shape[1])
     unit = np.eye(1, s.shape[1], dtype=np.complex128)
-    return ComplexSeries(srs._row_div(unit, denom)[0])
+    return ComplexSeries(srs._row_div(unit, _one_plus_integral(s, -1.0))[0])
 
 
 def _quotient_members(sources: np.ndarray) -> np.ndarray:
@@ -236,28 +242,23 @@ def _quotient_members(sources: np.ndarray) -> np.ndarray:
 
     p = 1/(1 - S) with S = sum_k s_k z^k/k, so D = z*f' solves
     z*f'*(1 - S) = f: D_1 = 1 and D_k*(k-1)/k = sum_{j<k} D_j S_{k-j}, the
-    exact log-derivative recurrence on q = 1 + S, and a_k = D_k/k.  Only
-    the columns s_1.. are read; series.fit_row holds the builders' inputs
-    to s(0) = 0.
+    exact log-derivative recurrence on q = 1 + S, and a_k = D_k/k.
     """
     k = np.arange(sources.shape[1] + 1.0)
-    q = np.ones_like(sources)
-    q[:, 1:] = sources[:, 1:] / k[1:-1]
     divisors = ((k - 1.0) / np.maximum(k, 1.0)).astype(np.complex128)
-    members = srs._row_log_derivative(q, divisors)
+    members = srs._row_log_derivative(_one_plus_integral(sources, 1.0), divisors)
     members[:, 1:] /= k[1:]
     return members
 
 
-def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
-    """Members a_0..a_N for rows of Schwarz coefficients c_0..c_{N-1}.
+def _spiral_sources(omegas: np.ndarray, alpha: float) -> np.ndarray:
+    """Sources s_0..s_{N-1} for rows of Schwarz coefficients c_0..c_{N-1}.
 
     Pushes each row through the spiral criterion's target
-    h(w) = (A+1)*w/(1+A*w)^2, A = exp(-2i*alpha), then solves for the
-    member.  With d the last nonzero column of the rows, the divisor
-    (1+A*omega)^2 has the 2*d+1 columns that d+1 slice products form, so
-    the source is one division by a band (series._row_div).  The callers
-    check alpha, once per call.
+    h(w) = (A+1)*w/(1+A*w)^2, A = exp(-2i*alpha).  With d the last
+    nonzero column of the rows, the divisor (1+A*omega)^2 has the 2*d+1
+    columns that d+1 slice products form, so the source is one division by
+    a band (series._row_div).  The callers check alpha, once per call.
     """
     a = cmath.exp(-2j * alpha)
     degree = int(max(np.flatnonzero(np.any(omegas, axis=0)), default=0))
@@ -266,7 +267,12 @@ def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
     square = np.zeros((omegas.shape[0], 2 * degree + 1), dtype=np.complex128)
     for j in range(degree + 1):
         square[:, j : j + degree + 1] += v[:, j : j + 1] * v
-    return _quotient_members(srs._row_div(omegas * (a + 1.0), square))
+    return srs._row_div(omegas * (a + 1.0), square)
+
+
+def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
+    """The spiral members a_0..a_N of Schwarz rows c_0..c_{N-1}."""
+    return _quotient_members(_spiral_sources(omegas, alpha))
 
 
 def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
@@ -288,12 +294,17 @@ def spiral_check(
     alpha: float, seed: int, samples: int, degree: int, order: int, radius: float,
     angles: int,
 ) -> list:
-    """spiral_membership of build_spiral_instance for Schwarz samples 0..samples-1.
+    """The spiral criterion for the members of Schwarz samples 0..samples-1.
 
-    Sample i is sample_schwarz((seed, i), degree).  Blocks of samples are
-    built and checked together as rows, which bounds the memory of the
-    (2*block, angles) grid of values.  samples < 1 and order < 2 are
-    refused here, a negative seed or degree < 1 by the sampler.
+    Sample i is sample_schwarz((seed, i), degree) to c_{order-1}, and its
+    member f is build_spiral_instance's of that order, but is not built:
+    z*f'/f = 1/u with u = 1 - S, so the margin is min Re(exp(i*alpha)/u)
+    from S_1..S_{order-1}, the S that determine a_0..a_order.  The guard
+    winding(f) = 1 keeps z*f'/f analytic inside the circle; 1/u is so when
+    winding(u) = 0, and a report's winding is 1 + winding(u).  Blocks of
+    samples are rows of one (block, angles) grid, which bounds its memory.
+    samples < 1 and order < 2 are refused here, a negative seed or
+    degree < 1 by the sampler.
     """
     check_angle(alpha, "alpha")
     rotation = cmath.exp(1j * alpha)
@@ -303,8 +314,9 @@ def spiral_check(
     for lo in range(0, samples, SPIRAL_BLOCK):
         block = range(lo, min(samples, lo + SPIRAL_BLOCK))
         _, omegas = schwarz_rows(seed, block, degree, order, "polynomial_normalized")
-        members = _spiral_rows(omegas, alpha)
-        reports += _ratio_reports(members, rotation, 0.0, radius, angles)
+        u = _one_plus_integral(_spiral_sources(omegas, alpha), -1.0)
+        (vals,), windings = _grid_values(u, radius, angles, 1)
+        reports += _reports(rotation / vals, [1 + w for w in windings], radius, angles)
     return reports
 
 
@@ -325,20 +337,13 @@ def growth_check(f: ComplexSeries, alpha: float) -> GrowthReport:
     membership = starlike_membership(f, alpha, radius, GROWTH_ANGLES)
     if not membership.member:
         raise PreconditionNotVerified(
-            f"grid margin {membership.min_re} <= 0 at radius {radius}"
-        )
+            f"grid margin {membership.min_re} <= 0 at radius {radius}")
     peaks = [float(np.max(np.abs(f.eval_on_circle(r, GROWTH_ANGLES))))
              for r in GROWTH_RADII]
     worst = min(r / (1.0 - r) ** (1.0 / beta) - peak
                 for r, peak in zip(GROWTH_RADII, peaks))
-    return GrowthReport(
-        ok=worst >= -GROWTH_TOLERANCE,
-        worst_slack=worst,
-        alpha=alpha,
-        beta=beta,
-        radii=GROWTH_RADII,
-        narrow_hypothesis=alpha >= 0.5,
-    )
+    return GrowthReport(worst >= -GROWTH_TOLERANCE, worst, alpha, beta, GROWTH_RADII,
+                        narrow_hypothesis=alpha >= 0.5)
 
 
 def second_coeff_check(f: ComplexSeries, alpha: float) -> SecondCoeffReport:
@@ -375,11 +380,6 @@ def growth_extremal_starlike_order(beta: float) -> float:
 
 def growth_extremal_profile(beta: float, order: int) -> dict:
     """Series, starlikeness order, and the univalence expectation flag."""
-    f = growth_extremal(beta, order)
-    star_order = growth_extremal_starlike_order(beta)
-    return {
-        "beta": beta,
-        "starlike_order": star_order,
-        "not_univalent_expected": star_order < 0.0,
-        "series": f,
-    }
+    f, star_order = growth_extremal(beta, order), growth_extremal_starlike_order(beta)
+    return {"beta": beta, "starlike_order": star_order,
+            "not_univalent_expected": star_order < 0.0, "series": f}

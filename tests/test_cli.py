@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism."""
 
+import cmath
 import contextlib
 import csv
 import io
@@ -25,7 +26,7 @@ from schlicht.output import (
 )
 from schlicht.params import SUBCLASS_NAMES
 
-from conftest import reference_json
+from conftest import reference_div, reference_draw, reference_json
 
 STARLIKE_ARGS = ["--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1"]
 # classes whose index range 2:9 reaches case I, II and III respectively
@@ -559,10 +560,23 @@ class TestJackCommand:
         assert code == 0
         assert json.loads(out)["passed"] == 64
 
+    def test_spiral_degree_one_passes_at_order_64(self, capsys):
+        # the criterion holds exactly for p = 1/(1 - S); a member truncated at
+        # order 64 misses it for sample 3 (margin -224.3), 1/(1 - S) does not
+        code, out, _ = run_cli(
+            ["jack", "--check", "spiral", "--alpha", "0.4", "--samples", "5",
+             "--seed", "1", "--degree", "1", "--order", "64"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] == doc["samples"] == 5
+        assert doc["margins"][3] == pytest.approx(0.0228259667154757, rel=1e-12)
+
     @pytest.mark.parametrize("extra, margins", [
-        (["--order", "2"], [0.672363954808863, 0.164933615434440, 0.609377705438554]),
+        (["--order", "2"], [0.750160438289743, 0.598600058993526, 0.722393046229542]),
         (["--order", "3", "--degree", "9"],
-         [0.817317402530888, 0.744613243537062, 0.818807959822744]),
+         [0.826706487117875, 0.766447368809512, 0.832006581454708]),
     ], ids=["order2", "order3-degree9"])
     def test_spiral_divisor_as_wide_as_the_row(self, extra, margins, capsys):
         # (1 + A*omega)^2 has 2*degree + 1 columns, here more than the row's
@@ -575,6 +589,25 @@ class TestJackCommand:
         doc = json.loads(out)
         assert doc["passed"] == 3
         assert doc["margins"] == pytest.approx(margins, rel=1e-12)
+        # the margins are min Re(e^{i*alpha}/(1 - S)), S = sum_{k<order} s_k z^k/k
+        # for the source s of the order-wide omega, by Horner's rule
+        order = int(extra[1])
+        degree = int(extra[3]) if "--degree" in extra else 4
+        a = cmath.exp(-0.8j)
+        nodes = 0.95 * np.exp(2j * np.pi * np.arange(2048) / 2048)
+        for i, margin in enumerate(margins):
+            omega = np.zeros(order, dtype=np.complex128)
+            drawn = reference_draw((1, i), degree, "polynomial_normalized")[:order]
+            omega[: drawn.size] = drawn
+            v = omega * a
+            v[0] += 1.0
+            s = reference_div(reference_div(omega * (a + 1.0), v), v)
+            coeffs = np.concatenate(([1.0], -s[1:] / np.arange(1, order)))
+            u = np.full(nodes.shape, coeffs[-1])
+            for c in coeffs[-2::-1]:
+                u = u * nodes + c
+            assert margin == pytest.approx(
+                float(np.min((cmath.exp(0.4j) / u).real)), rel=1e-12)
 
     @pytest.mark.parametrize(
         "extra", [["--samples", "0"], ["--order", "0"], ["--order", "1"]]

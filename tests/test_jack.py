@@ -185,6 +185,18 @@ class TestThreshold:
                 gb_threshold_closed_form(float(alpha)), abs=1e-8
             )
 
+    @pytest.mark.parametrize("alpha", [0.4, 1.0, -1.2])
+    def test_sharp_threshold_is_cos_alpha(self, alpha):
+        # the Jack-lemma constant cos(alpha)/2 suffices but is not sharp: a
+        # deviation b*omega has 1/(z*f'/f) = 1 - b*W with |W| < 1, so b up to
+        # cos(alpha) is spiral-like, and omega = e^{i*alpha}*z fails past it on
+        # |z| > cos(alpha)/b, here 0.98 < 0.99
+        assert gb_spiral_threshold(alpha) == pytest.approx(math.cos(alpha) / 2.0)
+        omega = monomial(cmath.exp(1j * alpha), 1, 1)
+        for factor, member in [(0.98, True), (1.02, False)]:
+            f = build_gb_instance(omega, factor * math.cos(alpha), 2048)
+            assert spiral_membership(f, alpha, 0.99, 4096).member is member
+
 
 class TestForwardInstances:
     def test_zero_source_gives_identity(self):

@@ -12,10 +12,14 @@ band, by the divisor (1 + A*omega)^2, and the member from the source by
 one exact recurrence for z*f', with the divisors (k-1)/k.  These sum in
 another order, so members and ratios agree with the reference to 1e-14 in
 max norm, not bit for bit; a batched row is still bit-equal to its one-row
-build, since every dot and block product works row by row.
+build, since every dot and block product works row by row.  The check
+itself builds no member: it reads z*f'/f = 1/(1 - S) from the source, so
+its margins match the member-based reference to 1e-13 relative at order
+512, and the tail of S that --order leaves out has a closed-form bound.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +32,9 @@ from schlicht import (
     winding_number,
 )
 from schlicht import jack
+from schlicht.errors import EvaluationSingularity
 from schlicht.jack import spiral_check
+from schlicht.series import circle_values
 from schlicht.subordination import schwarz_rows
 
 from conftest import (
@@ -146,3 +152,73 @@ def test_builders_match_the_exact_oracle(order):
         member_gb = build_gb_instance(ComplexSeries(omega), b, order)
         expected_gb = reference_quotient_member(omega * b, order)
         assert max_norm_error(member_gb.coeffs, expected_gb) <= MAX_NORM_RTOL
+
+
+ROGOSINSKI_ALPHAS = [0.0, 0.4, -1.0, 1.2, 1.5]
+
+
+@pytest.mark.parametrize("construction", [None, "polynomial_normalized"])
+@pytest.mark.parametrize("degree", [1, 4])
+@pytest.mark.parametrize("alpha", ROGOSINSKI_ALPHAS)
+def test_spiral_sources_obey_rogosinski(alpha, degree, construction):
+    # h(w) = (1+A)*w/(1+A*w)^2, A = e^{-2i*alpha}, is a rotated Koebe function,
+    # univalent and starlike, and s = h(omega) is subordinate to it, so
+    # Rogosinski's theorem gives |s_k| <= k*|1 + A|.  The computed ratio
+    # reaches 1 - 3e-3 on the polynomial rows and 1 + 7e-12 on the rotations
+    # omega = e^{i*theta}*z that the mixed draw holds, where the bound is
+    # attained; the factor 1 + 1e-10 is room for that rounding.
+    _, omegas = schwarz_rows(0, range(64), degree, ORDER, construction)
+    sources = jack._spiral_sources(omegas, alpha)
+    k = np.arange(1, ORDER)
+    bound = k * abs(1.0 + cmath.exp(-2j * alpha)) * (1.0 + 1e-10)
+    assert np.all(np.abs(sources[:, 1:]) <= bound)
+
+
+@pytest.mark.parametrize("alpha", ROGOSINSKI_ALPHAS)
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_truncated_s_tail_is_bounded(n, alpha):
+    # |S_k| = |s_k|/k <= 2|cos(alpha)|, so on |z| = r the S that --order n
+    # leaves out sums to at most 2|cos(alpha)|*r^n/(1 - r); the direct sum
+    # runs to n + 1024, where r^1024 < 1e-22
+    r = 0.95
+    width = n + 1024
+    _, omegas = schwarz_rows(2, range(32), 1, width, None)
+    u = jack._one_plus_integral(jack._spiral_sources(omegas, alpha), -1.0)
+    nodes = r * np.exp(2j * np.pi * np.arange(256) / 256)
+    tail = np.zeros((u.shape[0], nodes.size), dtype=np.complex128)
+    for k in range(width - 1, n - 1, -1):
+        tail = tail * nodes - u[:, k : k + 1]
+    tail *= nodes**n
+    bound = 2.0 * abs(math.cos(alpha)) * r**n / (1.0 - r)
+    assert np.max(np.abs(tail)) <= bound * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("seed,degree,alpha", [(3, 4, 0.4), (0, 1, 0.0)])
+def test_check_reads_the_members_ratio_at_order_2048(seed, degree, alpha):
+    # spiral_check builds no member; build_spiral_instance's z*f'/f on the
+    # circle is the 1/(1 - S) that it reads, on three sampler rows
+    order = 2048
+    _, omegas = schwarz_rows(seed, range(3), degree, order, "polynomial_normalized")
+    u = jack._one_plus_integral(jack._spiral_sources(omegas, alpha), -1.0)
+    direct = 1.0 / circle_values(u, RADIUS, ANGLES)
+    reports = spiral_check(alpha, seed, 3, degree, order, RADIUS, ANGLES)
+    for omega, p, rep in zip(omegas, direct, reports):
+        member = build_spiral_instance(ComplexSeries(omega), alpha, order)
+        c = np.array(member.coeffs)
+        f_vals, zfp = circle_values(np.stack([c, np.arange(c.size) * c]), RADIUS, ANGLES)
+        assert np.max(np.abs(zfp / f_vals - p)) <= 1e-12 * np.max(np.abs(p))
+        one = jack.spiral_membership(member, alpha, RADIUS, ANGLES)
+        assert rep.min_re == pytest.approx(one.min_re, rel=1e-11)
+        assert (rep.member, rep.winding) == (one.member, one.winding) == (True, 1)
+
+
+def test_check_floors_its_divisor(monkeypatch):
+    # the check divides by u = 1 - S, so the singularity floor applies to |u|
+    _, omegas = schwarz_rows(9, range(2), 4, 64, "polynomial_normalized")
+    u = jack._one_plus_integral(jack._spiral_sources(omegas, 0.3), -1.0)
+    least = float(np.min(np.abs(circle_values(u, RADIUS, 256))))
+    monkeypatch.setattr(jack, "SINGULARITY_FLOOR", least * 0.999)
+    spiral_check(0.3, 9, 2, 4, 64, RADIUS, 256)
+    monkeypatch.setattr(jack, "SINGULARITY_FLOOR", least * 1.001)
+    with pytest.raises(EvaluationSingularity, match=r"\|1 - S\|"):
+        spiral_check(0.3, 9, 2, 4, 64, RADIUS, 256)
