@@ -12,11 +12,14 @@ source s with s(0) = 0, z*p' = s*p^2 with p(0) = 1 is linear in 1/p, so
 p = 1/(1 - S) with S = sum_k s_k z^k/k.  z*f'/f = p determines the
 member through z*f'*(1 - S) = f, one exact recurrence for z*f'
 (series._row_log_derivative with the diagonal (k-1)/k); spiral_check
-reads the criterion on 1/(1 - S) and builds no member.  The spiral
-source (A+1)*omega/(1+A*omega)^2 is one series._row_div by the divisor's
-band; on omega = e^{i*theta}*z, whose spiral member grows like
-n^cos(2*alpha), the members are within 1.9e-12 of their closed form at
-order 512 and 8.7e-12 at 2048.
+reads the criterion on 1/(1 - S) and builds no member.  A positive
+margin min Re(e^{i*alpha}/u) puts every grid sample of u = 1 - S in the
+half-plane Re(e^{-i*alpha}*u) > 0, where each principal phase step is
+the continuous one and the steps sum to winding(u) = 0, so only rows of
+margin <= 0 are wound.  The spiral source (A+1)*omega/(1+A*omega)^2 is
+one series._row_div by the divisor's band; on omega = e^{i*theta}*z,
+whose spiral member grows like n^cos(2*alpha), the members are within
+1.9e-12 of their closed form at order 512 and 8.7e-12 at 2048.
 """
 
 import cmath
@@ -90,23 +93,24 @@ class SecondCoeffReport(JsonFields):
     limit: float
 
 
-def _windings(values: np.ndarray) -> list:
+def _windings(values: np.ndarray) -> np.ndarray:
     """Winding around 0 of each row of a (rows, angles) array of samples of
     closed curves: the sum of its phase steps over 2*pi, rounded."""
     steps = np.angle(np.roll(values, -1, axis=1) / values)
-    return np.rint(np.sum(steps, axis=1) / (2.0 * math.pi)).astype(int).tolist()
+    return np.rint(np.sum(steps, axis=1) / (2.0 * math.pi)).astype(int)
 
 
 def winding_number(values: np.ndarray) -> int:
     """Winding of a sampled closed curve around 0 (sum of phase steps)."""
-    return _windings(np.asarray(values)[None, :])[0]
+    return int(_windings(np.asarray(values)[None, :])[0])
 
 
 def _grid_values(rows: np.ndarray, radius: float, angles: int, terms: int = 2):
     """The first `terms` of f, z*f', z^2*f'' of each coefficient row on
-    |z| = radius, shaped (terms, rows, angles), from one circle_values call,
-    and the winding of each f.  The criteria divide by f, and with three
-    terms by f'; the phase steps of two or fewer samples cancel, so angles >= 3."""
+    |z| = radius, shaped (terms, rows, angles), from one circle_values call.
+    The criteria divide by f, and with three terms by f', so either below
+    SINGULARITY_FLOOR on the grid raises; the callers take windings of these
+    samples, whose phase steps cancel at two or fewer, so angles >= 3."""
     if angles < 3:
         raise ParameterDomainError(f"a winding needs angles >= 3, got {angles}")
     ks = np.arange(rows.shape[1])
@@ -118,21 +122,21 @@ def _grid_values(rows: np.ndarray, radius: float, angles: int, terms: int = 2):
     if floor < SINGULARITY_FLOOR:
         raise EvaluationSingularity(
             f"|f|, |f'| or |1 - S| < {SINGULARITY_FLOOR} on the radius-{radius} grid")
-    return vals, _windings(vals[0])
+    return vals
 
 
-def _reports(values, windings, radius, angles, shift: float = 0.0) -> list:
-    """Per row, the grid test of Re(rotation * z*f'/f) > shift on its values.
-    The circle criterion certifies f only when f has no zero in the
+def _reports(margins, windings, radius, angles) -> list:
+    """Per row, the grid test margin > 0 of a margin min Re(rotation * z*f'/f)
+    - shift.  The circle criterion certifies f only when f has no zero in the
     punctured disk, so membership also needs winding(f) = 1."""
-    margins = np.min(values.real, axis=1) - shift
     return [SpiralReport(bool(m > 0.0) and w == 1, float(m), radius, angles, w)
             for m, w in zip(margins, windings)]
 
 
 def _member_report(f: ComplexSeries, rotation: complex, shift: float, radius, angles):
-    (f_vals, zfp_vals), windings = _grid_values(f._c[None, :], radius, angles)
-    return _reports(rotation * (zfp_vals / f_vals), windings, radius, angles, shift)[0]
+    f_vals, zfp_vals = _grid_values(f._c[None, :], radius, angles)
+    margins = np.min((rotation * (zfp_vals / f_vals)).real, axis=1) - shift
+    return _reports(margins, _windings(f_vals).tolist(), radius, angles)[0]
 
 
 def spiral_membership(
@@ -169,15 +173,16 @@ def gb_membership(
     f: ComplexSeries, b: float, radius: float = DEFAULT_RADIUS,
     angles: int = DEFAULT_ANGLES,
 ) -> DeviationReport:
-    """Grid test of |(1 + z*f''/f')/(z*f'/f) - 1| <= b.
+    """Grid test of |(1 + z*f''/f')/(z*f'/f) - 1| <= b for a normalized f.
 
     Membership additionally requires winding(f) = 1 on the circle (no
     stray zeros of f inside, same guard as the spiral test) and a
     zero-free f' there, i.e. winding(z*f') = 1.
     """
     _check_deviation(b)
-    vals, (winding,) = _grid_values(f._c[None, :], radius, angles, 3)
-    f_vals, zfp, zzfpp = vals[:, 0]
+    srs.require_normalized(f)
+    f_vals, zfp, zzfpp = _grid_values(f._c[None, :], radius, angles, 3)[:, 0]
+    (winding,) = _windings(f_vals[None, :]).tolist()
     max_dev = float(np.max(np.abs((1.0 + zzfpp / zfp) / (zfp / f_vals) - 1.0)))
     member = max_dev <= b and winding == 1 and winding_number(zfp) == 1
     return DeviationReport(member, max_dev, radius, angles, winding)
@@ -301,10 +306,10 @@ def spiral_check(
     z*f'/f = 1/u with u = 1 - S, so the margin is min Re(exp(i*alpha)/u)
     from S_1..S_{order-1}, the S that determine a_0..a_order.  The guard
     winding(f) = 1 keeps z*f'/f analytic inside the circle; 1/u is so when
-    winding(u) = 0, and a report's winding is 1 + winding(u).  Blocks of
-    samples are rows of one (block, angles) grid, which bounds its memory.
-    samples < 1 and order < 2 are refused here, a negative seed or
-    degree < 1 by the sampler.
+    winding(u) = 0, which a positive margin implies (module docstring); a
+    report's winding is 1 + winding(u).  Blocks of samples are rows of one
+    (block, angles) grid, which bounds its memory.  samples < 1 and order < 2
+    are refused here, a negative seed or degree < 1 by the sampler.
     """
     check_angle(alpha, "alpha")
     rotation = cmath.exp(1j * alpha)
@@ -315,8 +320,12 @@ def spiral_check(
         block = range(lo, min(samples, lo + SPIRAL_BLOCK))
         _, omegas = schwarz_rows(seed, block, degree, order, "polynomial_normalized")
         u = _one_plus_integral(_spiral_sources(omegas, alpha), -1.0)
-        (vals,), windings = _grid_values(u, radius, angles, 1)
-        reports += _reports(rotation / vals, [1 + w for w in windings], radius, angles)
+        (vals,) = _grid_values(u, radius, angles, 1)
+        margins = np.min((rotation / vals).real, axis=1)
+        windings = np.ones(len(block), dtype=int)  # 1 + winding(u)
+        failing = ~(margins > 0.0)  # winding(u) = 0 at a positive margin
+        windings[failing] += _windings(vals[failing])
+        reports += _reports(margins, windings.tolist(), radius, angles)
     return reports
 
 

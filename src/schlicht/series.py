@@ -241,10 +241,10 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
     coefficients by forward substitution, s_K = H*(r_K - R*s_{K-1}): H is
     the lower-triangular Toeplitz block of the first m terms of 1/denom,
     which the recurrence above gives in m steps, and R the band's reach
-    into the previous block.  That is ceil(width/m) steps instead of
-    width.  The block products are einsums, which round a row alike in a
-    stack of any size.  The band is a quotient's only: a diagonal comes
-    with a full-width divisor, as _row_log_derivative passes."""
+    into the previous block: ceil(width/m) steps, not width, of einsums,
+    which round a row alike in a stack of any size.  A num zero past the
+    first block steps s_K = H*((-R)*s_{K-1}), no subtract.  The band is a
+    quotient's only: a diagonal comes with a full-width divisor."""
     rows, width = num.shape
     w = denom[:, :1] if diagonal is None else diagonal
     if np.any(np.abs(w) <= UNIT_TOLERANCE):
@@ -258,12 +258,18 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
         i = np.arange(band)
         lower = np.tril(h[:, (i[:, None] - i) % band])
         reach = padded[:, band + i[:, None] - i]  # zero below its diagonal
+        zero_tail = not num[:, band:].any()  # r_K = 0 past the first block
+        if zero_tail:  # reach is a copy of denom's band
+            np.negative(reach, out=reach)
         blocks = np.zeros((rows, -(-width // band), band), dtype=np.complex128)
         blocks.reshape(rows, -1)[:, :width] = num
         blocks[:, 0] = np.einsum("rij,rj->ri", lower, blocks[:, 0])
+        rest = np.empty((rows, band), dtype=np.complex128)
         for k in range(1, blocks.shape[1]):
-            rest = blocks[:, k] - np.einsum("rij,rj->ri", reach, blocks[:, k - 1])
-            blocks[:, k] = np.einsum("rij,rj->ri", lower, rest)
+            np.einsum("rij,rj->ri", reach, blocks[:, k - 1], out=rest)
+            if not zero_tail:
+                np.subtract(blocks[:, k], rest, out=rest)
+            np.einsum("rij,rj->ri", lower, rest, out=blocks[:, k])
         return blocks.reshape(rows, -1)[:, :width]
     w = np.broadcast_to(w, (rows, width))
     rev = denom[:, width - 1 :: -1]

@@ -673,6 +673,21 @@ class TestJackCommand:
         assert "Traceback" not in err
         assert reason in err
 
+    @pytest.mark.parametrize("coeffs", [[[0, 0], [2, 0]], [[0.5, 0], [1, 0], [0, 0]]],
+                             ids=["2z", "a0"])
+    def test_gb_input_not_normalized_refused(self, coeffs, tmp_path, capsys):
+        # the quotient deviation of 2z is 0, but gb's class is of normalized
+        # f, so it is refused as growth refuses 5z
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": len(coeffs) - 1, "coeffs": coeffs}))
+        code, out, err = run_cli(
+            ["jack", "--check", "gb", "--b", "0.5", "--input", str(path)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parameter error") and err.count("\n") == 1
+        assert "series is not normalized" in err
+
     def test_growth_from_file(self, tmp_path, capsys):
         from schlicht import ClassParams, identity, member_from_schwarz
 

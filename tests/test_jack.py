@@ -84,7 +84,7 @@ class TestSpiralMembership:
         assert rep.winding == 2
 
     def test_row_windings_match_the_one_curve_formula(self):
-        # _grid_values takes every row's winding in one pass; each integer
+        # _windings takes every row's winding in one pass; each integer
         # must be the one the per-curve phase-step sum gives
         rng = np.random.default_rng(6)
         theta = 2.0 * np.pi * np.arange(512) / 512
@@ -95,7 +95,7 @@ class TestSpiralMembership:
             int(round(float(np.sum(np.angle(np.roll(c, -1) / c))) / (2.0 * math.pi)))
             for c in curves
         ]
-        assert jack._windings(curves) == expected
+        assert jack._windings(curves).tolist() == expected
         assert [winding_number(c) for c in curves] == expected
 
     def test_zero_of_f_on_grid_detected(self):

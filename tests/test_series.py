@@ -422,6 +422,9 @@ class TestOneRowMatchesTheStack:
         before = [a.copy() for a in inputs]
         _row_div(num, denom, diagonal if weighted else None)
         _row_log_derivative(q, divisors)
+        # a band view of denom; a unit numerator is zero past the first
+        # block, so that step negates the reach, which must be a copy
+        _row_div(num, denom[:, :3])
         for got, expected in zip(inputs, before):
             assert got.tobytes() == expected.tobytes()
 
@@ -508,6 +511,24 @@ class TestBandQuotient:
         blocked = _row_div(num, denom)
         for i, row in enumerate(blocked):
             assert np.array_equal(_row_div(num[i : i + 1], denom[i : i + 1])[0], row)
+
+    @pytest.mark.parametrize("support", ["one", "band"])
+    @pytest.mark.parametrize("width", [17, 65, 513])
+    @pytest.mark.parametrize("rows", [1, 10])
+    @pytest.mark.parametrize("band", [1, 2, 8])
+    def test_zero_tail_numerator(self, band, rows, width, support):
+        # a numerator zero past the first block, as every spiral source's
+        # (A+1)*omega is, steps H*((-R)*s_{K-1}) with no subtract: within
+        # BAND_RTOL of the padded division, and each batch row bit-equal to
+        # its one-row call
+        num, denom = self.band_rows(rows, band, width)
+        num[:, 1 if support == "one" else band :] = 0.0
+        padded = np.zeros_like(num)
+        padded[:, : band + 1] = denom
+        blocked = _row_div(num, denom)
+        for i, (got, expected) in enumerate(zip(blocked, _row_div(num, padded))):
+            assert max_norm_error(got, expected) <= self.BAND_RTOL
+            assert np.array_equal(_row_div(num[i : i + 1], denom[i : i + 1])[0], got)
 
     def test_refuses_a_non_unit_divisor(self):
         num, denom = self.band_rows(3, 2, 17)

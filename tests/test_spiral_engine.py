@@ -222,3 +222,35 @@ def test_check_floors_its_divisor(monkeypatch):
     monkeypatch.setattr(jack, "SINGULARITY_FLOOR", least * 1.001)
     with pytest.raises(EvaluationSingularity, match=r"\|1 - S\|"):
         spiral_check(0.3, 9, 2, 4, 64, RADIUS, 256)
+
+
+@pytest.mark.parametrize("order", [64, 512])
+@pytest.mark.parametrize("alpha", [0.0, 0.4, -1.2, 1.5])
+@pytest.mark.parametrize("degree", [1, 4])
+def test_a_positive_margin_implies_winding_zero(degree, alpha, order):
+    # min Re(e^{i*alpha}/u) > 0 puts every grid sample of u = 1 - S in the
+    # half-plane Re(e^{-i*alpha}*u) > 0, so the phase steps sum to 0, which
+    # spiral_check reports without taking them; wound directly here
+    samples = 32
+    _, omegas = schwarz_rows(5, range(samples), degree, order, "polynomial_normalized")
+    u = jack._one_plus_integral(jack._spiral_sources(omegas, alpha), -1.0)
+    vals = circle_values(u, RADIUS, ANGLES)
+    margins = np.min((cmath.exp(1j * alpha) / vals).real, axis=1)
+    windings = jack._windings(vals)
+    assert np.any(margins > 0.0)
+    assert np.all(windings[margins > 0.0] == 0)
+    reports = spiral_check(alpha, 5, samples, degree, order, RADIUS, ANGLES)
+    assert [r.winding for r in reports] == (1 + windings).tolist()
+    assert [r.min_re for r in reports] == margins.tolist()
+
+
+def test_failing_rows_keep_their_computed_winding():
+    # at --order 2 the truncated 1 - S_1*z of the second sample has its zero
+    # inside the circle; the README's margins
+    reports = spiral_check(0.4, 1, 3, 1, 2, RADIUS, ANGLES)
+    assert [r.winding for r in reports] == [1, 2, 1]
+    assert [r.member for r in reports] == [True, False, False]
+    assert [r.min_re for r in reports] == pytest.approx([0.247, -5.69, -0.648], rel=1e-3)
+    _, omegas = schwarz_rows(1, range(3), 1, 2, "polynomial_normalized")
+    u = jack._one_plus_integral(jack._spiral_sources(omegas, 0.4), -1.0)
+    assert (1 + jack._windings(circle_values(u, RADIUS, ANGLES))).tolist() == [1, 2, 1]
