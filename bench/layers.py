@@ -18,7 +18,9 @@ the medians, change over parent.  A kernel that a tree lacks is listed as
 skipped with the reason.  --tiny takes shapes small enough for a smoke
 test; the default shapes are those of the perfbench workloads:
 
-- fuzz: 200 samples at n_max 10 and 20 (rows of width 11 and 21);
+- fuzz: 200 samples at n_max 10 and 20 (rows of width 11 and 21), and
+  the whole verify path: its quadratic slacks over the moduli |a_2|..|a_n_max|
+  (200x9 and 200x19) and cli.main on the verify command line;
 - disk: spiral checks of 10 samples at order 512, degree 4; the CI's
   order-2048 command is 64 samples of degree 1;
 - dossier: extremals and membership at orders 64 and 512, classify
@@ -32,7 +34,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -132,6 +136,25 @@ def kernels(tiny: bool) -> dict:
             omegas = sub.schwarz_rows(7, range(samples), 4, n_max)[1]
             return lambda: sub._member_rows(omegas, p)
         out[f"_member_rows {samples}x{n_max + 1}"] = members
+
+        def slacks(samples=samples, n_max=n_max):
+            omegas = sub.schwarz_rows(7, range(samples), 4, n_max)[1]
+            moduli = sub._moduli(sub._member_rows(omegas, p)[:, 2:])
+            return lambda: sub._quadratic_slacks(moduli, p)
+        out[f"_quadratic_slacks {samples}x{n_max - 1}"] = slacks
+
+        def verify(samples=samples, n_max=n_max):
+            argv = ["verify", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1",
+                    "--samples", str(samples), "--degree", "4", "--seed", "7",
+                    "--n-max", str(n_max)]
+
+            def call():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return cli.main(argv)
+            if call() != 0:
+                raise RuntimeError(f"{' '.join(argv)} failed")
+            return call
+        out[f"cli.main verify {samples}x{n_max}"] = verify
 
     for alpha, seed, samples, degree, order in pick["spiral"]:
         shape = f"{samples}x{order} degree {degree}"

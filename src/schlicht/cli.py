@@ -32,6 +32,7 @@ from .extremals import (
     KIND_CLASS,
     ExtremalSpec,
     build_extremal,
+    case_i_moduli,
     sharpness_columns,
 )
 from .output import JsonTable, fixed_json_dumps, format_column, parse_complex_pair
@@ -321,14 +322,10 @@ def _cmd_report(args) -> int:
     sweep = reduction_columns(Reduction(p), lo, hi)
 
     case_ii = build_extremal(ExtremalSpec("case-ii", p, order))
-    kinds, observed = [], []
-    for n, tag in zip(sweep.n, sweep.case_tag):
-        if tag == "I":
-            kind, f = "case-i", build_extremal(ExtremalSpec("case-i", p, n, n=n))
-        else:
-            kind, f = "case-ii", case_ii
-        kinds.append(kind)
-        observed.append(abs(f.coefficient(n)))
+    case_i = [n for n, tag in zip(sweep.n, sweep.case_tag) if tag == "I"]
+    found = dict(zip(case_i, case_i_moduli(p, case_i)))
+    kinds = ["case-i" if n in found else "case-ii" for n in sweep.n]
+    observed = [found[n] if n in found else abs(case_ii.coefficient(n)) for n in sweep.n]
     membership = is_member(case_ii, p)
 
     fuzz = fuzz_bounds(

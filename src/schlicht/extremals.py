@@ -15,7 +15,7 @@ from .errors import ParameterDomainError
 from .output import JsonFields
 from .params import CauchyEulerParams, ClassParams, Reduction, check_index, reduce_subclass
 from .series import ComplexSeries
-from .subordination import member_from_schwarz
+from .subordination import _member_rows, member_from_schwarz
 
 EXTREMAL_KINDS = ("case-i", "case-ii", "koebe-gamma", "convex-gamma", "starlike-n")
 
@@ -24,6 +24,9 @@ INDEXED_KINDS = ("case-i", "starlike-n")
 
 # the kinds that take only gamma, and the subclass each builds in
 KIND_CLASS = {"koebe-gamma": "Sstar", "convex-gamma": "C", "starlike-n": "Sstar"}
+
+# case_i_moduli's rows per stack: its memory is this many rows of the largest n
+CASE_I_STACK = 64
 
 # Relative tolerance for "the extremal attains the bound"; product chains of
 # length <= 50 in double precision stay far inside this.
@@ -81,6 +84,21 @@ def extremal_case_i(p: ClassParams, n: int, order: int) -> ComplexSeries:
     the member of omega = z^(n-1)."""
     _check_target(n, order)
     return member_from_schwarz(srs.monomial(1.0, n - 1, n - 1), p, order)
+
+
+def case_i_moduli(p: ClassParams, indices) -> list[float]:
+    """abs(extremal_case_i(p, n, n).coefficient(n)) at each index n of
+    indices, bit for bit: the members of omega = z^(n-1) are rows of stacks
+    of CASE_I_STACK, each as wide as its largest n.  The recurrence is causal
+    and a stacked row equals its one-row call, so row n's a_0..a_n are those
+    of the order-n member."""
+    index, moduli = np.asarray(indices, dtype=int), []
+    for part in np.split(index, range(CASE_I_STACK, index.size, CASE_I_STACK)):
+        rows = np.arange(part.size)
+        omegas = np.zeros((part.size, part.max(initial=1)), dtype=np.complex128)
+        omegas[rows, part - 1] = 1.0
+        moduli += map(abs, _member_rows(omegas, p)[rows, part].tolist())
+    return moduli
 
 
 def extremal_case_ii(p: ClassParams, order: int) -> ComplexSeries:

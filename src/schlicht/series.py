@@ -217,7 +217,7 @@ def circle_values(coeffs: np.ndarray, radius: float, angles: int) -> np.ndarray:
     return np.fft.ifft(scaled[..., :angles], angles, axis=-1, norm="forward")
 
 
-def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
+def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None, out=None) -> np.ndarray:
     """The package's one exact coefficient recurrence, stepping over k with
     all rows at once: out_k = (num_k - sum_{j<k} out_j*denom_{k-j}) / w_k.
     By default w_k = denom_0 of each row, the quotient num/denom; a
@@ -235,6 +235,10 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
     (-x)/w_k in place of (0 - x)/w_k, with the negation in the divisor's
     copy, so a step is a dot and a divide; the two differ at most in the
     sign of a zero.
+
+    Step k divides by each row's pivot column or by the diagonal's entry
+    k.  The quotient goes to out when it is given, which may be num
+    itself: step k reads num_k before it writes out_k.
 
     A divisor wider than num is truncated to its width.  A narrower one is
     a band d_0..d_m, and the quotient steps over blocks s_K of m
@@ -271,15 +275,16 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
                 np.subtract(blocks[:, k], rest, out=rest)
             np.einsum("rij,rj->ri", lower, rest, out=blocks[:, k])
         return blocks.reshape(rows, -1)[:, :width]
-    w = np.broadcast_to(w, (rows, width))
+    w = [denom[:, 0]] * width if diagonal is None else diagonal
     rev = denom[:, width - 1 :: -1]
     unit = not num[:, 1:].any()  # (0 - x)/w_k steps as (-x)/w_k: negate the copy
-    out = np.zeros_like(num)
-    out[:, 0] = num[:, 0] / w[:, 0]
+    out = np.empty_like(num) if out is None else out
+    out[:, 0] = num[:, 0] / w[0]
     if rows == 1:
         # Python scalars index fast; np.dot's scalar on the left keeps numpy dividing
         d_rev = np.negative(rev[0]) if unit else np.ascontiguousarray(rev[0])
-        n, w1, o = num[0].tolist(), w[0].tolist(), out[0]
+        n, o = num[0].tolist(), out[0]
+        w1 = [complex(denom[0, 0])] * width if diagonal is None else diagonal.tolist()
         for k in range(1, width):
             x = np.dot(o[:k], d_rev[width - 1 - k : width - 1])
             o[k] = (x if unit else n[k] - x) / w1[k]
@@ -288,11 +293,11 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
     if unit:
         np.negative(d_conj, out=d_conj)
     dot = np.empty(rows, dtype=np.complex128)
-    for k, (o, n, wk) in enumerate(zip(out.T[1:], num.T[1:], w.T[1:]), 1):
+    for k in range(1, width):
         np.vecdot(d_conj[:, width - 1 - k : width - 1], out[:, :k], out=dot)
         if not unit:
-            np.subtract(n, dot, out=dot)
-        np.divide(dot, wk, out=o)
+            np.subtract(num[:, k], dot, out=dot)
+        np.divide(dot, w[k], out=out[:, k])
     return out
 
 
@@ -301,14 +306,15 @@ def _row_log_derivative(q: np.ndarray, divisors=None) -> np.ndarray:
     each row q with q(0) = 1; a width-w row gives width w+1.  The divisors
     d_0..d_w (complex, only d_2.. read) default to d_k = k-1, which is
     z*F' = F*q; the jack builders pass d_k = (k-1)/k.  F/z is one _row_div
-    of the unit row by -q with the diagonal (1, d_2, ..., d_w)."""
+    of the unit row by -q with the diagonal (1, d_2, ..., d_w), written
+    in place over F's columns 1..w."""
     if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
         raise NormalizationError("source constant term must be 1")
     rows, width = q.shape
     d = np.arange(-1.0, width, dtype=np.complex128) if divisors is None else divisors
     out = np.zeros((rows, width + 1), dtype=np.complex128)
     out[:, 1] = 1.0
-    out[:, 1:] = _row_div(out[:, 1:], -q, np.concatenate(([1.0], d[2 : width + 1])))
+    _row_div(out[:, 1:], -q, np.concatenate(([1.0], d[2 : width + 1])), out[:, 1:])
     return out
 
 

@@ -24,19 +24,22 @@ zero-pads entropy to its 4-word pool, so below seed 2^64 the stream
 sample.  The draws are bit for bit those of the per-sample Generators.
 The samples of one run are then built together: the recurrences step
 over the coefficient index k with every sample in one row of a 2-D array.
+The per-index statistics stay columns too, and a report's per_n is their
+one JsonTable, written without a record per index.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from . import series as srs
-from .bounds import bound_sweep
+from .bounds import reduction_columns
 from .errors import ParameterDomainError
-from .output import JsonFields
-from .params import ClassParams, check_index, check_order, check_samples
+from .output import JsonFields, JsonTable, format_column
+from .params import ClassParams, Reduction, check_index, check_order, check_samples
 from .series import ComplexSeries
 
 CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
@@ -45,6 +48,10 @@ CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
 # slack is a running sum over n, so a larger limit would cost little, but it
 # would change the verify and report bytes.
 QUADRATIC_CHECK_LIMIT = 10
+
+# the keys of a FuzzReport's per_n rows, one per index n = 2..n_max; argmax_seed
+# is [seed, argmax_index], both null when every sample's |a_n| is 0
+PER_N_KEYS = ("n", "bound", "case", "max_observed", "argmax_index", "argmax_seed", "violations")
 
 # A fuzzed |a_n| violates its bound when it exceeds bound*(1+VIOLATION_RTOL);
 # a quadratic slack below -VIOLATION_RTOL is a violation too.
@@ -261,8 +268,8 @@ def schwarz_rows(
         picks = _stream_entropy(seed, indices, 1)
         if picks.shape[1] <= _POOL_SIZE:
             # zero-padded to the pool, (seed, i) hashes as (seed, i, 0)
-            stacked = _first_draws(np.vstack([picks, _stream_entropy(seed, indices, 0)]))
-            (u, _), draws = zip(*(np.split(part, 2) for part in stacked))
+            u, limbs = _first_draws(np.vstack([picks, _stream_entropy(seed, indices, 0)]))
+            u, draws = u[: len(indices)], (u[len(indices) :], limbs[len(indices) :])
         else:
             u, draws = _first_draws(picks)[0], _first_draws(_stream_entropy(seed, indices))
         kinds = np.searchsorted(PICK_EDGES, u, side="right")
@@ -372,6 +379,8 @@ def quadratic_sum_slack(f: ComplexSeries, p: ClassParams, n: int) -> float:
     Returns (rhs - lhs) / max(1, lhs, rhs); both sides grow like n^2 * n^2
     at the extremal members, so the slack is scaled before comparing it
     against a fixed tolerance.  Nonnegative up to rounding for members.
+    It is one entry of _quadratic_slacks, which squares the weights and
+    moduli as products x*x.
     """
     check_index(n)
     if n > f.order:
@@ -388,35 +397,23 @@ def _quadratic_slacks(moduli: np.ndarray, p: ClassParams) -> np.ndarray:
     """quadratic_sum_slack at n = 2..m+1 for rows of moduli |a_2|..|a_{m+1}|.
 
     The right-hand side is a running sum over n.  The per-index factors
-    are doubles and squares go through pow (np.float_power), so each
-    entry rounds as the scalar formula in quadratic_sum_slack's docstring
-    does when evaluated left to right.
+    are doubles, and the squares of the weights and moduli are products
+    x*x, correctly rounded, so each entry rounds as the scalar formula in
+    quadratic_sum_slack's docstring does when evaluated left to right
+    with those squares as products.
     """
     rows, m = moduli.shape
     base = p.product_base()
-    ks = range(2, m + 2)
     weights = _weights(m + 2, p.lam)[2:]
-    lhs_scale = np.arange(1, m + 1) * weights
-    weight_scale = np.float_power(weights, 2.0)
-    margins = np.array([abs(base - p.b * (k - 1)) ** 2 - (k - 1) ** 2 for k in ks])
-    lhs = np.float_power(lhs_scale * moduli, 2.0)
-    terms = margins * (weight_scale * np.float_power(moduli, 2.0))
+    lhs = np.arange(1, m + 1) * weights * moduli
+    lhs *= lhs
+    margins = np.array([abs(base - p.b * (k - 1)) ** 2 - (k - 1) ** 2 for k in range(2, m + 2)])
+    terms = margins * (weights * weights * (moduli * moduli))
     rhs = np.empty((rows, m))
     rhs[:, 0] = abs(base) ** 2
     rhs[:, 1:] = terms[:, :-1]
     np.cumsum(rhs, axis=1, out=rhs)
     return (rhs - lhs) / np.maximum(np.maximum(1.0, lhs), np.abs(rhs))
-
-
-@dataclass(frozen=True)
-class FuzzIndexStats(JsonFields):
-    n: int
-    bound: float
-    case: str
-    max_observed: float
-    argmax_index: int | None
-    argmax_seed: tuple | None
-    violations: int
 
 
 @dataclass(frozen=True)
@@ -434,7 +431,7 @@ class FuzzReport(JsonFields):
     degree: int
     n_max: int
     constructions: dict
-    per_n: tuple
+    per_n: JsonTable
     quadratic_inequality: QuadraticCheck
     total_violations: int
 
@@ -449,6 +446,8 @@ def fuzz_bounds(
     and checks the quadratic coefficient inequality for n up to 10.
     Sample i draws from the streams (seed, i) and (seed, i, 1) only, and
     all samples are then built and checked together as rows of one array.
+    The per-index statistics are columns, and per_n is their one JsonTable
+    of PER_N_KEYS rows.
     """
     check_index(n_max, "n_max")
     check_samples(samples)
@@ -456,45 +455,25 @@ def fuzz_bounds(
     # the sampler refuses a negative seed and degree < 1
     constructions, omegas = schwarz_rows(seed, range(samples), degree, n_max)
 
-    indices = range(2, n_max + 1)
-    bounds = bound_sweep(p, 2, n_max)
+    sweep = reduction_columns(Reduction(p), 2, n_max)
     check_to = min(n_max, QUADRATIC_CHECK_LIMIT)
 
     moduli = _moduli(_member_rows(omegas, p)[:, 2:])
-    limits = np.array([b.value for b in bounds]) * (1.0 + VIOLATION_RTOL)
-    violations = np.count_nonzero(moduli > limits, axis=0)
+    violations = np.count_nonzero(moduli > sweep.value * (1.0 + VIOLATION_RTOL), axis=0)
     max_observed = moduli.max(axis=0)
     # the first sample to reach the column maximum; none when every |a_n| is 0
-    argmax = [
-        int(i) if top > 0.0 else None
-        for i, top in zip(moduli.argmax(axis=0), max_observed)
-    ]
+    argmax = np.where(max_observed > 0.0, moduli.argmax(axis=0), -1).tolist()
     min_slacks = _quadratic_slacks(moduli[:, : check_to - 1], p).min(axis=1)
-
-    per_n = tuple(
-        FuzzIndexStats(
-            n,
-            bound.value,
-            bound.case_tag,
-            float(max_observed[j]),
-            argmax[j],
-            None if argmax[j] is None else (seed, argmax[j]),
-            int(violations[j]),
-        )
-        for j, (n, bound) in enumerate(zip(indices, bounds))
-    )
-    return FuzzReport(
-        params=p,
-        seed=seed,
-        samples=samples,
-        degree=degree,
-        n_max=n_max,
-        constructions={name: constructions.count(name) for name in CONSTRUCTIONS},
-        per_n=per_n,
-        quadratic_inequality=QuadraticCheck(
-            check_to,
-            int(np.count_nonzero(min_slacks < -VIOLATION_RTOL)),
-            float(min_slacks.min()),
-        ),
-        total_violations=sum(row.violations for row in per_n),
-    )
+    # interleaved, so the first non-finite float refused is the first in row order
+    floats = format_column(np.stack([sweep.value, max_observed], axis=1).ravel())
+    per_n = JsonTable(PER_N_KEYS, (
+        list(map(str, sweep.n)), floats[0::2], list(map(encode_basestring, sweep.case_tag)),
+        floats[1::2], ["null" if i < 0 else str(i) for i in argmax],
+        ["null" if i < 0 else f"[{seed},{i}]" for i in argmax],
+        list(map(str, violations.tolist())),
+    ))
+    quadratic = QuadraticCheck(check_to, int(np.count_nonzero(min_slacks < -VIOLATION_RTOL)),
+                               float(min_slacks.min()))
+    return FuzzReport(p, seed, samples, degree, n_max,
+                      {name: constructions.count(name) for name in CONSTRUCTIONS}, per_n,
+                      quadratic, total_violations=int(violations.sum()))

@@ -23,12 +23,14 @@ reference_json is the JSON writer as one plain recursion, without the
 CLI's row tables, and bound_document is the record document of one bound
 row; reference_rows is the CSV and table writer one cell at a time,
 without the CLI's column formatting and row templates.
+per_n_rows reads a FuzzReport's per_n table as the JSON objects it writes.
 reference_draw and reference_pick draw a Schwarz sample and the fuzzer's
 construction pick through one np.random.default_rng per stream, the way
 the package drew them before it seeded all streams in one pass.
 """
 
 import cmath
+import json
 import math
 from json.encoder import encode_basestring
 
@@ -258,6 +260,11 @@ def reference_json(obj) -> str:
     if hasattr(obj, "to_json_dict"):
         return reference_json(obj.to_json_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def per_n_rows(report) -> list[dict]:
+    """The rows of a FuzzReport's per_n table, parsed from the JSON it writes."""
+    return json.loads(report.per_n.to_json())
 
 
 def bound_document(result) -> dict:

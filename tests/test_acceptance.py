@@ -47,6 +47,7 @@ from conftest import (
     draw_case_ii_params,
     draw_identity_params,
     draw_spiral_case_ii,
+    per_n_rows,
 )
 
 STARLIKE = ClassParams(1, 0, 1, -1)
@@ -147,7 +148,7 @@ def test_criterion_05_fuzz_soundness():
         report = fuzz_bounds(p, n_max=10, samples=1000, seed=1000 + i)
         ok &= report.total_violations == 0
         ok &= report.quadratic_inequality.violations == 0
-        tags.update(row.case for row in report.per_n)
+        tags.update(row["case"] for row in per_n_rows(report))
     elapsed = time.perf_counter() - start
     ok &= tags == {"I", "II", "III"}
     ok &= elapsed < 60.0

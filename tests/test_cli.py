@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schlicht import ComplexSeries, cli, extremals
+from schlicht import ClassParams, ComplexSeries, cli, extremal_case_i, extremals
 from schlicht.cli import main, parse_index_range
 from schlicht.errors import NonFiniteOutput, ParameterDomainError
 from schlicht.extremals import EXTREMAL_KINDS, SharpnessRecord
@@ -1020,18 +1020,32 @@ class TestReportCommand:
             assert '"radius":9.90000000000000e-01,"angles":2048}' in out
 
     def test_case_ii_extremal_is_built_once(self, extremal_builds, capsys):
-        # gamma = -1/2 puts n = 3..5 in case I, each with its own extremal
+        # gamma = -1/2 puts n = 3..5 in case I, each with its own extremal;
+        # those are rows of a stack, which build_extremal does not build
         args = ["report", "--gamma=-0.5,0", "--lambda", "0", "--A", "1", "--B", "-1",
                 "--n", "2:5", "--samples", "20", "--seed", "3", "--order", "16"]
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         cases = [row["case"] for row in json.loads(out)["bounds"]]
-        assert extremal_builds.count("case-ii") == 1
-        assert extremal_builds.count("case-i") == cases.count("I")
+        assert cases.count("I") == 3
+        assert extremal_builds == ["case-ii"]
         extremal_builds.clear()
         assert run_cli(["report", *STARLIKE_ARGS, "--n", "2:8", "--samples", "20",
                         "--seed", "3", "--order", "16"], capsys)[0] == 0
         assert extremal_builds == ["case-ii"]
+
+    def test_case_i_observed_is_the_order_n_extremal(self, capsys):
+        # every case-I row reads |a_n| of extremal_case_i(p, n, n), to the token
+        code, out, _ = run_cli(["report", "--gamma=-0.5,0", "--lambda", "0.3", "--A", "1",
+                                "--B", "-1", "--n", "2:12", "--samples", "5", "--seed", "1",
+                                "--order", "16"], capsys)
+        assert code == 0
+        p = ClassParams(-0.5, 0.3, 1, -1)
+        rows = [row for row in json.loads(out)["sharpness"] if row["extremal_kind"] == "case-i"]
+        assert [row["n"] for row in rows] == list(range(3, 13))
+        for row in rows:
+            f = extremal_case_i(p, row["n"], row["n"])
+            assert row["observed"] == json.loads(format_float(abs(f.coefficient(row["n"]))))
 
     def test_case_iii_dossier_reports_unknown(self, capsys):
         code, out, _ = run_cli(

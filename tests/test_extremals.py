@@ -22,7 +22,7 @@ from schlicht import (
 )
 from schlicht.bounds import reduction_sweep
 from schlicht.errors import NormalizationError, ParameterDomainError
-from schlicht.extremals import KIND_CLASS, sharpness_record
+from schlicht.extremals import KIND_CLASS, case_i_moduli, sharpness_record
 from schlicht.params import Reduction, reduce_subclass
 from schlicht.subordination import MEMBERSHIP_RADIUS
 
@@ -66,6 +66,18 @@ class TestCaseIExtremal:
     def test_order_must_reach_n(self):
         with pytest.raises(ParameterDomainError):
             extremal_case_i(STARLIKE, 5, 4)
+
+    @pytest.mark.parametrize("indices",
+                             [[2], [7], [3, 4, 5], [9, 2, 30, 5], list(range(2, 140))])
+    def test_stacked_moduli_are_the_order_n_builds(self, rng, indices):
+        # stacks of CASE_I_STACK rows, as wide as their largest n; exact, row for row
+        for _ in range(5):
+            p = draw_case_i_params(rng)
+            expected = [abs(extremal_case_i(p, n, n).coefficient(n)) for n in indices]
+            assert case_i_moduli(p, indices) == expected, p
+
+    def test_no_indices(self):
+        assert case_i_moduli(STARLIKE, []) == []
 
 
 class TestCaseIIExtremal:

@@ -8,6 +8,8 @@ worked before it seeded all streams in one pass and built all samples as
 rows of one array.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,21 @@ from schlicht import (
     quadratic_sum_slack,
     sample_schwarz,
 )
-from schlicht.subordination import CONSTRUCTIONS, QUADRATIC_CHECK_LIMIT
+from schlicht.output import format_float
+from schlicht.subordination import (
+    CONSTRUCTIONS,
+    QUADRATIC_CHECK_LIMIT,
+    _member_rows,
+    _moduli,
+    schwarz_rows,
+)
 
 from conftest import (
     draw_valid_params,
+    per_n_rows,
     reference_div,
     reference_draw,
+    reference_json,
     reference_log_derivative,
     reference_pick,
 )
@@ -62,12 +73,13 @@ def reference_fuzz(p, n_max, samples, seed, degree=4, rtol=1e-9) -> dict:
     counts = {name: 0 for name in CONSTRUCTIONS}
     best = {n: (0.0, None) for n in indices}
     violations = {n: 0 for n in indices}
-    min_slacks = []
+    min_slacks, moduli = [], []
     for index in range(samples):
         construction = reference_pick(seed, index)
         counts[construction] += 1
         sample = ComplexSeries(reference_draw((seed, index), degree, construction))
         coeffs = [complex(c) for c in reference_member(sample, p, n_max)]
+        moduli.append([abs(coeffs[n]) for n in indices])
         for n in indices:
             value = abs(coeffs[n])
             if value > best[n][0]:
@@ -92,6 +104,7 @@ def reference_fuzz(p, n_max, samples, seed, degree=4, rtol=1e-9) -> dict:
     return {
         "constructions": counts,
         "per_n": per_n,
+        "moduli": np.array(moduli),
         "checked_to": check_to,
         "violations": sum(1 for s in min_slacks if s < -rtol),
         "min_slack": min(min_slacks),
@@ -104,13 +117,40 @@ def test_batched_report_matches_per_sample_loop(p, n_max):
     report = fuzz_bounds(p, n_max=n_max, samples=200, seed=0)
     expected = reference_fuzz(p, n_max, 200, seed=0)
     # exact: case-II rotation samples tie at the bound to the last bit, so
-    # argmax_index is decided by rounding
-    assert [row.to_json_dict() for row in report.per_n] == expected["per_n"]
+    # argmax_index is decided by rounding.  The table holds written tokens,
+    # so every |a_n| it takes its maximum from is compared bit for bit too
+    assert report.per_n.to_json() == reference_json(expected["per_n"])
+    _, omegas = schwarz_rows(0, range(200), 4, n_max)
+    assert np.array_equal(_moduli(_member_rows(omegas, p)[:, 2:]), expected["moduli"])
     assert report.constructions == expected["constructions"]
     quadratic = report.quadratic_inequality
     assert quadratic.checked_to == expected["checked_to"]
     assert quadratic.violations == expected["violations"]
     assert quadratic.min_slack == pytest.approx(expected["min_slack"], abs=1e-12)
+
+
+def test_argmax_is_the_first_sample_at_the_rounded_maximum():
+    # case II at (1, 0, 1, -1): every rotation sample attains the bound n, so
+    # at seed 0 the 22 rotation samples tie within 3e-16 relative and
+    # argmax_index is whichever rounds highest.  A change of member rounding
+    # may move it; the reported row must attain the column maximum exactly
+    p = FUZZ_PARAMS[0]
+    report = fuzz_bounds(p, n_max=10, samples=200, seed=0)
+    kinds, omegas = schwarz_rows(0, range(200), 4, 10)
+    moduli = _moduli(_member_rows(omegas, p)[:, 2:])
+    rotations = np.flatnonzero(np.array(kinds) == "rotation")
+    assert rotations.size == 22
+    assert np.all(np.abs(moduli[rotations] / np.arange(2, 11) - 1.0) <= 1e-15)
+    for j, row in enumerate(per_n_rows(report)):
+        column = moduli[:, j]
+        i = row["argmax_index"]
+        assert i == np.flatnonzero(column == column.max())[0]
+        assert row["argmax_seed"] == [0, i]
+        assert row["max_observed"] == json.loads(format_float(column[i]))
+        tied = np.flatnonzero(column >= column.max() * (1.0 - 3e-16))
+        assert set(tied) <= set(rotations)
+        if row["n"] in (2, 3):
+            assert tied.size == 22
 
 
 def test_member_matches_one_row_recurrences(rng):

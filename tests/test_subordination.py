@@ -19,7 +19,7 @@ from schlicht import (
 from schlicht.errors import ParameterDomainError
 from schlicht.output import fixed_json_dumps
 
-from conftest import draw_valid_params, grid_sup, reference_schwarz
+from conftest import draw_valid_params, grid_sup, per_n_rows, reference_schwarz
 
 STARLIKE = ClassParams(1, 0, 1, -1)
 CONVEX = ClassParams(1, 1, 1, -1)
@@ -187,25 +187,25 @@ class TestFuzzer:
         report = fuzz_bounds(STARLIKE, n_max=10, samples=1000, seed=7)
         assert report.total_violations == 0
         assert report.quadratic_inequality.violations == 0
-        first = report.per_n[0]
-        assert first.n == 2
-        assert first.max_observed >= 1.9  # rotation samples reach the bound
-        assert first.max_observed <= first.bound * (1 + 1e-9)
+        first = per_n_rows(report)[0]
+        assert first["n"] == 2
+        assert first["max_observed"] >= 1.9  # rotation samples reach the bound
+        assert first["max_observed"] <= first["bound"] * (1 + 1e-9)
 
     def test_case_i_fuzz(self):
         p = ClassParams(-0.5, 0, 1, -1)
         report = fuzz_bounds(p, n_max=8, samples=500, seed=11)
         assert report.total_violations == 0
-        for row in report.per_n:
-            assert row.bound == pytest.approx(1.0 / (row.n - 1), rel=1e-12)
+        for row in per_n_rows(report):
+            assert row["bound"] == pytest.approx(1.0 / (row["n"] - 1), rel=1e-12)
 
     def test_case_iii_fuzz_gap_positive(self):
         p = ClassParams(1j, 0, 1, 0)
         report = fuzz_bounds(p, n_max=8, samples=500, seed=13)
         assert report.total_violations == 0
-        for row in report.per_n:
-            if row.case == "III":
-                assert row.max_observed < row.bound
+        for row in per_n_rows(report):
+            if row["case"] == "III":
+                assert row["max_observed"] < row["bound"]
 
     def test_determinism_bytes(self):
         a = fuzz_bounds(STARLIKE, n_max=6, samples=200, seed=21)
