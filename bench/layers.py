@@ -23,8 +23,10 @@ test; the default shapes are those of the perfbench workloads:
   (200x9 and 200x19) and cli.main on the verify command line;
 - disk: spiral checks of 10 samples at order 512, degree 4; the CI's
   order-2048 command is 64 samples of degree 1;
-- dossier: extremals and membership at orders 64 and 512, classify
-  --n 2:150.
+- dossier: membership at orders 64 and 512, and cli.main on the ops that
+  write row tables: bound --n 2:150 as json, csv and table, classify
+  --n 2:150 as json and table, and extremal --order 512 --n 2:50 as json
+  and csv.
 """
 
 import os
@@ -57,7 +59,8 @@ SHAPES = {
     "fuzz": (((200, 10), (200, 20)), ((4, 5),)),
     "spiral": (((0.4, 3, 10, 4, 512), (0.0, 0, 64, 1, 2048)), ((0.4, 3, 3, 4, 16),)),
     "member_order": ((64, 512), (8,)),
-    "classify_n": ("2:150", "2:6"),
+    "sweep_n": ("2:150", "2:6"),
+    "extremal": ((512, "2:50"), (16, "2:6")),
 }
 ANGLES, TINY_ANGLES = 2048, 16
 
@@ -97,6 +100,17 @@ def kernels(tiny: bool) -> dict:
     rng = np.random.default_rng(0)
     p = params.ClassParams(1.0, 0.0, 1.0, -1.0)
     out = {}
+
+    def command(argv):
+        """A builder of cli.main on argv, with stdout sent to a StringIO."""
+        def build():
+            def call():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return cli.main(argv)
+            if call() != 0:
+                raise RuntimeError(f"{' '.join(argv)} failed")
+            return call
+        return build
 
     def rows_of(rows, width):
         num, den = _decaying(rng, rows, width), _decaying(rng, rows, width, unit=True)
@@ -143,18 +157,9 @@ def kernels(tiny: bool) -> dict:
             return lambda: sub._quadratic_slacks(moduli, p)
         out[f"_quadratic_slacks {samples}x{n_max - 1}"] = slacks
 
-        def verify(samples=samples, n_max=n_max):
-            argv = ["verify", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1",
-                    "--samples", str(samples), "--degree", "4", "--seed", "7",
-                    "--n-max", str(n_max)]
-
-            def call():
-                with contextlib.redirect_stdout(io.StringIO()):
-                    return cli.main(argv)
-            if call() != 0:
-                raise RuntimeError(f"{' '.join(argv)} failed")
-            return call
-        out[f"cli.main verify {samples}x{n_max}"] = verify
+        out[f"cli.main verify {samples}x{n_max}"] = command(
+            ["verify", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1",
+             "--samples", str(samples), "--degree", "4", "--seed", "7", "--n-max", str(n_max)])
 
     for alpha, seed, samples, degree, order in pick["spiral"]:
         shape = f"{samples}x{order} degree {degree}"
@@ -187,17 +192,17 @@ def kernels(tiny: bool) -> dict:
             return lambda: sub.is_member(f, p)
         out[f"is_member order {order}"] = member
 
-    def classify_doc():
-        docs = []
-        emit_rows = cli._emit_rows
-        cli._emit_rows = lambda args, header, widths, columns, doc: docs.append(doc())
-        try:
-            cli.main(["classify", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1",
-                      "--n", pick["classify_n"], "--format", "json"])
-        finally:
-            cli._emit_rows = emit_rows
-        return lambda: output.fixed_json_dumps(docs[0])
-    out[f"fixed_json_dumps classify --n {pick['classify_n']}"] = classify_doc
+    # case III from n = 5 on, so the crossover column holds ints and None
+    case_iii = ["--gamma", "0,2", "--lambda", "0", "--A", "1", "--B", "0", "--n", pick["sweep_n"]]
+    for name, formats in (("bound", ("json", "csv", "table")), ("classify", ("json", "table"))):
+        for fmt in formats:
+            out[f"cli.main {name} {fmt} --n {pick['sweep_n']}"] = command(
+                [name, *case_iii, "--format", fmt])
+    order, n_range = pick["extremal"]
+    for fmt in ("json", "csv"):
+        out[f"cli.main extremal {fmt} --order {order} --n {n_range}"] = command(
+            ["extremal", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1",
+             "--kind", "case-ii", "--order", str(order), "--n", n_range, "--format", fmt])
     samples, n_max = pick["fuzz"][0]
 
     def verify_doc():

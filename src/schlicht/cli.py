@@ -19,7 +19,6 @@ import functools
 import json
 import sys
 from itertools import accumulate
-from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -35,14 +34,16 @@ from .extremals import (
     case_i_moduli,
     sharpness_columns,
 )
-from .output import JsonTable, fixed_json_dumps, format_column, parse_complex_pair
+from .output import JSON, Column, Table, fixed_json_dumps, format_column, parse_complex_pair
 from .params import (
     SUBCLASS_NAMES,
     ClassParams,
     Reduction,
-    case_sweep,
+    case_columns,
     check_index,
     check_order,
+    column_case_sweep,
+    modulus_column,
     reduce_subclass,
 )
 from .series import ComplexSeries
@@ -111,106 +112,66 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, header, widths, columns, doc) -> None:
-    """Write doc() as JSON, or the columns() as CSV or a right-aligned table.
-
-    columns() returns one sequence of cells per header name, floats
-    already formatted.  Every row is one % template applied to the cells
-    of all columns at that row: a cell None is written as "" in CSV and
-    "-" in a table, any other cell as its str().  Table columns are titled
-    by the last word of the CSV name (crossover_k is k).  doc() holds its
-    rows as a JsonTable over the same columns as JSON tokens, written with
-    one template too.  doc is called only for JSON and columns only for
-    the other formats, so neither builds what the other writes.
-    """
-    if args.format == "json":
-        _emit(args, fixed_json_dumps(doc()) + "\n")
-        return
-    if args.format == "csv":
-        blank, titles = "", header
-        template = ",".join(["%s"] * len(header)) + "\n"
-    else:
-        blank, titles = "-", [name.rpartition("_")[2] for name in header]
-        template = " ".join([f"%{width}s" for width in widths]) + "\n"
-    cells = [[blank if cell is None else cell for cell in column] if None in column
-             else column for column in columns()]
-    _emit(args, template % tuple(titles) + "".join(map(template.__mod__, zip(*cells))))
+def _emit_rows(args, table: Table, doc: dict) -> None:
+    """Write doc, the JSON document that holds table, as JSON, or table as
+    CSV or text.  table's floats are formatted first, so a non-finite one
+    is refused before fixed_json_dumps, which perfbench traces, is called."""
+    table.floats
+    _emit(args, fixed_json_dumps(doc) + "\n" if args.format == "json"
+          else table.to_text(csv=args.format == "csv"))
 
 
-def _int_tokens(column) -> list[str]:
-    """The JSON token of every int or None of column."""
-    return ["null" if value is None else str(value) for value in column]
+def _bound_table(sweep: BoundColumns) -> Table:
+    """The rows n, case, k, bound, sharp of sweep; CSV names k crossover_k."""
+    return Table((Column("n", int, sweep.n, "n", 4),
+                  Column("case", str, sweep.case_tag, "case", 4),
+                  Column("k", int, sweep.crossover_k, "crossover_k", 4),
+                  Column("bound", float, sweep.value, "bound", 22),
+                  Column("sharp", str, sweep.sharp, "sharp", 8)))
 
 
-def _bound_table(sweep: BoundColumns) -> JsonTable:
-    """The rows of sweep as JSON objects n, case, k, bound, sharp."""
-    return JsonTable(("n", "case", "k", "bound", "sharp"), (
-        _int_tokens(sweep.n), list(map(encode_basestring, sweep.case_tag)),
-        _int_tokens(sweep.crossover_k), format_column(sweep.value),
-        list(map(encode_basestring, sweep.sharp)),
-    ))
-
-
-def _sharpness_table(sweep: BoundColumns, observed, kinds=None) -> JsonTable:
-    """The rows n, bound, observed, gap, attained of sweep, whose extremals'
-    |a_n| are observed, after extremal_kind when kinds are given.  The
-    floats are formatted interleaved, so the first non-finite one refused
-    is the first in row order."""
+def _sharpness_table(sweep: BoundColumns, observed, kinds=None) -> Table:
+    """The JSON rows n, bound, observed, gap, attained of sweep, whose
+    extremals' |a_n| are observed, after extremal_kind when kinds are given."""
     observed, gap, attained = sharpness_columns(sweep.value, observed)
-    parts = format_column(np.stack([sweep.value, observed, gap], axis=1).ravel())
-    keys = ("n", "bound", "observed", "gap", "attained")
-    columns = [_int_tokens(sweep.n), parts[0::3], parts[1::3], parts[2::3],
-               ["true" if a else "false" for a in attained.tolist()]]
+    columns = [Column("n", int, sweep.n), Column("bound", float, sweep.value),
+               Column("observed", float, observed), Column("gap", float, gap),
+               Column("attained", bool, attained.tolist())]
     if kinds is not None:
-        keys, columns = ("extremal_kind", *keys), [list(map(encode_basestring, kinds)), *columns]
-    return JsonTable(keys, columns)
-
-
-def _coeff_parts(f: ComplexSeries) -> tuple[list[str], list[str]]:
-    """The formatted real and imaginary parts of f's coefficients.  They are
-    formatted interleaved, so the first non-finite part refused is the first
-    in row order."""
-    parts = format_column(f._c.view(np.float64))
-    return parts[0::2], parts[1::2]
+        columns.insert(0, Column("extremal_kind", str, kinds))
+    return Table(columns)
 
 
 def _cmd_bound(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
-    sweep = reduction_columns(red, lo, hi)
-    header = ("n", "case", "crossover_k", "bound", "sharp")
-    _emit_rows(args, header, (4, 4, 4, 22, 8), lambda: (
-        sweep.n, sweep.case_tag, sweep.crossover_k, format_column(sweep.value), sweep.sharp,
-    ), lambda: {
-        "params": red.params,
-        "cauchy_euler": red.cauchy_euler,
-        "results": _bound_table(sweep),
-    })
+    table = _bound_table(reduction_columns(red, lo, hi))
+    _emit_rows(args, table,
+               {"params": red.params, "cauchy_euler": red.cauchy_euler, "results": table})
     return 0
 
 
 def _cmd_classify(args) -> int:
     red = _reduction_from_args(args)
     lo, hi = parse_index_range(args.n)
-    margins, cases = case_sweep(red.params, lo, hi)
-    tags, crossover_k = zip(*cases)
+    p = red.params
+    margins, codes, last = column_case_sweep(modulus_column(p.product_base(), p.b, hi - 1),
+                                             lo, hi)
+    tags, crossover_k = case_columns(codes, last)
 
-    def classification() -> JsonTable:
-        # only the JSON rows carry their margins A_2..A_{n-1}: row n's are
-        # the first n - 2 of one joined list, cut where its last token ends
-        tokens = format_column(np.array(margins))
-        joined = ",".join(tokens)
-        ends = list(accumulate(map(len, tokens), lambda end, size: end + 1 + size,
-                               initial=-1))
-        ends[0] = 0  # no margins, no comma
-        return JsonTable(("n", "case", "crossover_k", "margins"), (
-            _int_tokens(range(lo, hi + 1)), list(map(encode_basestring, tags)),
-            _int_tokens(crossover_k), [f"[{joined[:end]}]" for end in ends[lo - 2 : hi - 1]],
-        ))
+    def margin_prefixes() -> list[str]:
+        # row n's margins A_2..A_{n-1} are the first n - 2 of one list,
+        # cut from ",A_2,A_3,..." where its last token ends
+        tokens = format_column(margins)
+        joined = "," + ",".join(tokens)
+        ends = list(accumulate((len(token) + 1 for token in tokens), initial=0))
+        return [f"[{joined[1:end]}]" for end in ends[lo - 2 : hi - 1]]
 
-    _emit_rows(args, ("n", "case", "k"), (4, 4, 4),
-               lambda: (range(lo, hi + 1), tags, crossover_k),
-               lambda: {"params": red.params, "classification": classification()})
+    table = Table((Column("n", int, range(lo, hi + 1), "n", 4),
+                   Column("case", str, tags, "case", 4),
+                   Column("crossover_k", int, crossover_k, "crossover_k", 4),
+                   Column("margins", JSON, margin_prefixes)))
+    _emit_rows(args, table, {"params": p, "classification": table})
     return 0
 
 
@@ -225,27 +186,24 @@ def _cmd_extremal(args) -> int:
     check_index(lo)
     check_order(args.order)
     order = max(args.order, hi)
-    spec = ExtremalSpec(
-        kind=args.kind,
-        params=red.params,
-        order=order,
-        n=hi if args.kind in INDEXED_KINDS else None,
-        cauchy_euler=red.cauchy_euler,
-    )
+    spec = ExtremalSpec(args.kind, red.params, order, cauchy_euler=red.cauchy_euler,
+                        n=hi if args.kind in INDEXED_KINDS else None)
     f = build_extremal(spec)
     # case-i and starlike-n extremals certify only their own index hi
     first = hi if spec.n is not None else lo
-    sweep = reduction_columns(Reduction(spec.params, spec.cauchy_euler), first, hi)
+    sweep = reduction_columns(red, first, hi)
     observed = list(map(abs, f._c[first : hi + 1].tolist()))
-    _emit_rows(args, ("k", "re", "im"), None, lambda: (range(order + 1), *_coeff_parts(f)),
-               lambda: {
-                   "kind": args.kind,
-                   "params": spec.params,
-                   "cauchy_euler": red.cauchy_euler,
-                   "order": order,
-                   "series": {"order": f.order, "coeffs": JsonTable(None, _coeff_parts(f))},
-                   "certification": _sharpness_table(sweep, observed),
-               })
+    # a JSON coefficient is the array [re, im]; CSV rows lead with k
+    coeffs = Table((Column(None, int, range(order + 1), "k"), Column("re", float, f._c.real, "re"),
+                    Column("im", float, f._c.imag, "im")), arrays=True)
+    _emit_rows(args, coeffs, {
+        "kind": args.kind,
+        "params": red.params,
+        "cauchy_euler": red.cauchy_euler,
+        "order": order,
+        "series": {"order": f.order, "coeffs": coeffs},
+        "certification": _sharpness_table(sweep, observed),
+    })
     return 0
 
 

@@ -5,17 +5,18 @@ format instead of shortest-round-trip repr, so identical computations
 produce byte-identical JSON/CSV across runs; perfbench's reference
 compare and the README's byte-determinism contract rely on that.
 Negative zero is normalized away, and inf/nan are refused, since JSON
-has no token for them.  format_column formats a float column with one
-finiteness check and one -0.0 normalization for all of it.  CSV and
-table rows are written from such columns, and so are the row lists of
-JSON documents: a JsonTable holds columns of JSON tokens and is written
-with one row template, while the rest of a document goes through the
-recursive writer.
+has no token for them.  Every row list, of a JSON document, CSV or a
+text table, is a Table of typed columns, written with one % template per
+row; the floats of all its columns go through one format_column call,
+interleaved, so the first non-finite float refused is the first in row
+order.  The rest of a JSON document goes through the recursive writer.
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,33 +60,80 @@ def parse_complex_pair(text: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
-class JsonTable(NamedTuple):
-    """A JSON list of rows given as columns of JSON tokens, one per key.
+JSON = "json"  # the kind of a column whose cells are JSON text already
 
-    With keys every row is an object of those keys in order, without keys
-    an array.  Each token is already JSON text: a float through
-    format_column, an int through str, a string through encode_basestring,
-    or null, true or false.
-    """
 
-    keys: Sequence[str] | None
-    columns: Sequence[Sequence[str]]
+class Column(NamedTuple):
+    """A Table column: its JSON key, the kind of its cells (int or None,
+    str, float, bool or JSON), its cells (for JSON, maybe a function that
+    returns them), and its CSV name, which a text table cuts to its last
+    word (crossover_k is k) and right-aligns to width.  Without a key the
+    column is not written in JSON, without a name not in CSV or text."""
+
+    key: str | None
+    kind: type | str
+    values: Sequence | Callable[[], Sequence]
+    name: str | None = None
+    width: int = 0
+
+
+@dataclass
+class Table:
+    """Rows of typed columns, written as JSON objects (arrays when arrays
+    is true), CSV or text, one % template per row: an int as its str()
+    and None as null, "" or -, a str as it is (a JSON string in JSON), a
+    bool as true or false, JSON text as it is and a float through floats."""
+
+    columns: Sequence[Column]
+    arrays: bool = False
+
+    @cached_property
+    def floats(self) -> dict[int, list[str]]:
+        """The cells of each float column, by column index, formatted once
+        for every format by one format_column call, interleaved, so the
+        first non-finite float refused is the first in row order."""
+        index = [i for i, c in enumerate(self.columns) if c.kind is float]
+        parts = format_column(np.array([self.columns[i].values for i in index]).T.ravel())
+        return {i: parts[offset :: len(index)] for offset, i in enumerate(index)}
 
     def to_json(self) -> str:
-        """The rows, each one % template applied to its tokens."""
-        if self.keys is None:
-            template = "[" + ",".join(["%s"] * len(self.columns)) + "]"
-        else:
-            fields = [encode_basestring(key).replace("%", "%%") + ":%s" for key in self.keys]
-            template = "{" + ",".join(fields) + "}"
-        return "[" + ",".join(map(template.__mod__, zip(*self.columns))) + "]"
+        fields = ["%s" if self.arrays else encode_basestring(c.key).replace("%", "%%") + ":%s"
+                  for c in self.columns if c.key is not None]
+        template = ("[%s]" if self.arrays else "{%s}") % ",".join(fields)
+        return "[" + ",".join(self._rows(template, "key", "null", encode_basestring)) + "]"
+
+    def to_text(self, csv: bool = False) -> str:
+        """CSV, or a text table of right-aligned columns."""
+        columns = [c for c in self.columns if c.name is not None]
+        titles = tuple(c.name if csv else c.name.rpartition("_")[2] for c in columns)
+        template = ("," if csv else " ").join(["%s" if csv else f"%{c.width}s" for c in columns])
+        template += "\n"
+        return template % titles + "".join(self._rows(template, "name", "" if csv else "-", None))
+
+    def _rows(self, template: str, field: str, null: str, quote) -> map:
+        """template applied to each row of the columns whose field is set,
+        None written as null and a str through quote when there is one."""
+        floats, cells = self.floats, []
+        for i, column in enumerate(self.columns):
+            if getattr(column, field) is None:
+                continue
+            values = floats[i] if column.kind is float else column.values
+            values = values() if callable(values) else values
+            if column.kind is int and None in values:
+                values = [null if value is None else value for value in values]
+            elif column.kind is str and quote:
+                values = map(quote, values)
+            elif column.kind is bool:
+                values = ["true" if value else "false" for value in values]
+            cells.append(values)
+        return map(template.__mod__, zip(*cells))
 
 
 def fixed_json_dumps(obj) -> str:
     """JSON text with fixed float formatting and insertion field order.
 
     An object with a to_json_dict method is written as that document, and
-    a JsonTable as its rows.
+    a Table as its rows.
     """
     return _json(obj)
 
@@ -108,11 +156,10 @@ def _json(obj) -> str:
     if isinstance(obj, dict):
         items = (f"{encode_basestring(str(key))}:{_json(value)}" for key, value in obj.items())
         return "{" + ",".join(items) + "}"
-    # exact types: a NamedTuple such as JsonTable is a tuple but is not
-    # written as one
+    # exact types: a NamedTuple is a tuple but is not written as one
     if type(obj) is list or type(obj) is tuple:
         return "[" + ",".join([_json(value) for value in obj]) + "]"
-    if type(obj) is JsonTable:
+    if type(obj) is Table:
         return obj.to_json()
     if hasattr(obj, "to_json_dict"):
         return _json(obj.to_json_dict())

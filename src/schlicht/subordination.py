@@ -24,21 +24,20 @@ zero-pads entropy to its 4-word pool, so below seed 2^64 the stream
 sample.  The draws are bit for bit those of the per-sample Generators.
 The samples of one run are then built together: the recurrences step
 over the coefficient index k with every sample in one row of a 2-D array.
-The per-index statistics stay columns too, and a report's per_n is their
-one JsonTable, written without a record per index.
+The per-index statistics stay columns too, and a report's per_n is one
+output.Table of them, written without a record per index.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 
 import numpy as np
 
 from . import series as srs
 from .bounds import reduction_columns
 from .errors import ParameterDomainError
-from .output import JsonFields, JsonTable, format_column
+from .output import JSON, Column, JsonFields, Table
 from .params import ClassParams, Reduction, check_index, check_order, check_samples
 from .series import ComplexSeries
 
@@ -48,10 +47,6 @@ CONSTRUCTIONS = ("polynomial_normalized", "rotation", "monomial")
 # slack is a running sum over n, so a larger limit would cost little, but it
 # would change the verify and report bytes.
 QUADRATIC_CHECK_LIMIT = 10
-
-# the keys of a FuzzReport's per_n rows, one per index n = 2..n_max; argmax_seed
-# is [seed, argmax_index], both null when every sample's |a_n| is 0
-PER_N_KEYS = ("n", "bound", "case", "max_observed", "argmax_index", "argmax_seed", "violations")
 
 # A fuzzed |a_n| violates its bound when it exceeds bound*(1+VIOLATION_RTOL);
 # a quadratic slack below -VIOLATION_RTOL is a violation too.
@@ -431,7 +426,7 @@ class FuzzReport(JsonFields):
     degree: int
     n_max: int
     constructions: dict
-    per_n: JsonTable
+    per_n: Table
     quadratic_inequality: QuadraticCheck
     total_violations: int
 
@@ -446,8 +441,8 @@ def fuzz_bounds(
     and checks the quadratic coefficient inequality for n up to 10.
     Sample i draws from the streams (seed, i) and (seed, i, 1) only, and
     all samples are then built and checked together as rows of one array.
-    The per-index statistics are columns, and per_n is their one JsonTable
-    of PER_N_KEYS rows.
+    The per-index statistics are columns, and per_n is their one Table,
+    a row per index n = 2..n_max.
     """
     check_index(n_max, "n_max")
     check_samples(samples)
@@ -461,16 +456,15 @@ def fuzz_bounds(
     moduli = _moduli(_member_rows(omegas, p)[:, 2:])
     violations = np.count_nonzero(moduli > sweep.value * (1.0 + VIOLATION_RTOL), axis=0)
     max_observed = moduli.max(axis=0)
-    # the first sample to reach the column maximum; none when every |a_n| is 0
+    # the first sample at the column maximum and [seed, it]; null when every |a_n| is 0
     argmax = np.where(max_observed > 0.0, moduli.argmax(axis=0), -1).tolist()
     min_slacks = _quadratic_slacks(moduli[:, : check_to - 1], p).min(axis=1)
-    # interleaved, so the first non-finite float refused is the first in row order
-    floats = format_column(np.stack([sweep.value, max_observed], axis=1).ravel())
-    per_n = JsonTable(PER_N_KEYS, (
-        list(map(str, sweep.n)), floats[0::2], list(map(encode_basestring, sweep.case_tag)),
-        floats[1::2], ["null" if i < 0 else str(i) for i in argmax],
-        ["null" if i < 0 else f"[{seed},{i}]" for i in argmax],
-        list(map(str, violations.tolist())),
+    per_n = Table((
+        Column("n", int, sweep.n), Column("bound", float, sweep.value),
+        Column("case", str, sweep.case_tag), Column("max_observed", float, max_observed),
+        Column("argmax_index", int, [None if i < 0 else i for i in argmax]),
+        Column("argmax_seed", JSON, ["null" if i < 0 else f"[{seed},{i}]" for i in argmax]),
+        Column("violations", int, violations.tolist()),
     ))
     quadratic = QuadraticCheck(check_to, int(np.count_nonzero(min_slacks < -VIOLATION_RTOL)),
                                float(min_slacks.min()))

@@ -1,9 +1,11 @@
-"""Golden outputs of the bound and classify sweeps, compared byte for byte.
+"""Golden outputs of the sweeps and writers, compared byte for byte.
 
 Each command in tests/golden/ is two files: NAME.json holds its argv, exit
 status and stderr, and NAME.out its exact stdout.  The README states that
-`bound` and `classify` print the same bytes on every BLAS and SIMD kernel,
-so the test compares exact bytes and runs unchanged under a second kernel.
+`bound`, `classify` and `jack --check threshold` print the same bytes on
+every BLAS and SIMD kernel, and the `extremal` commands here build the
+Koebe member, whose coefficients are small integers, so the test compares
+exact bytes and runs unchanged under a second kernel.
 
 A change that means to move these outputs rewrites the files with
 
@@ -61,6 +63,16 @@ COMMANDS = {
                                 "--A", "1", "--B", "-1", "--m", "600", "--mu", "0",
                                 "--n", "2:900", "--format", fmt]
        for fmt in ("json", "csv", "table")},
+    # the order-2 transfer of class B
+    **{f"bound-B-{fmt}": ["bound", "--class", "B", "--gamma", "1,0", "--lambda", "0.5",
+                          "--beta", "0.3", "--mu", "1", "--n", "2:20", "--format", fmt]
+       for fmt in ("csv", "table")},
+    # the Koebe member, whose coefficients a_k = k are exact
+    **{f"extremal-ii-{fmt}": ["extremal", "--gamma", "1,0", "--lambda", "0", "--A", "1",
+                              "--B", "-1", "--kind", "case-ii", "--n", "2:10", "--order", "10",
+                              "--format", fmt]
+       for fmt in ("json", "csv")},
+    "jack-threshold": ["jack", "--check", "threshold", "--alpha", "0.5"],
 }
 
 

@@ -2,7 +2,7 @@
 
 The CLI writes the row lists of `bound`, `classify`, `extremal` (its
 coefficients and certification) and `report` (its bounds and sharpness)
-as JsonTables, columns of JSON tokens joined by one row template.
+as output.Tables, typed columns joined by one row template.
 Here the same documents are built in their record shape, one dict per
 row from reduction_sweep, case_sweep and ComplexSeries.to_json_dict, and
 written by conftest.reference_json; stdout, stderr and the exit status
@@ -22,7 +22,6 @@ from schlicht.bounds import reduction_sweep
 from schlicht.cli import main
 from schlicht.errors import NonFiniteOutput
 from schlicht.extremals import sharpness_record
-from schlicht.output import JsonTable, fixed_json_dumps
 from schlicht.params import Reduction, case_sweep
 
 from conftest import bound_document, draw_valid_params, reference_json
@@ -145,10 +144,3 @@ def test_report_bounds_equal_the_record_rows(seed):
     assert (f',"bounds":{reference_json(rows)},"sharpness":{reference_json(sharpness)},'
             '"membership":') in out
 
-
-def test_table_rows_are_objects_or_arrays():
-    columns = (["1", "2"], ['"a"', "null"])
-    assert fixed_json_dumps(JsonTable(("n", 'x"%s'), columns)) == (
-        '[{"n":1,"x\\"%s":"a"},{"n":2,"x\\"%s":null}]')
-    assert fixed_json_dumps({"rows": JsonTable(None, columns)}) == '{"rows":[[1,"a"],[2,null]]}'
-    assert fixed_json_dumps(JsonTable(("n",), ([],))) == "[]"
