@@ -26,7 +26,9 @@ test; the default shapes are those of the perfbench workloads:
 - dossier: membership at orders 64 and 512, and cli.main on the ops that
   write row tables: bound --n 2:150 as json, csv and table, classify
   --n 2:150 as json and table, and extremal --order 512 --n 2:50 as json
-  and csv.
+  and csv;
+- import: every schlicht module dropped from sys.modules and schlicht.cli
+  imported again, so every module body runs (after numpy, which stays).
 """
 
 import os
@@ -209,6 +211,15 @@ def kernels(tiny: bool) -> dict:
         report = sub.fuzz_bounds(p, n_max=n_max, samples=samples, seed=7)
         return lambda: output.fixed_json_dumps(report)
     out[f"fixed_json_dumps verify {samples}x{n_max}"] = verify_doc
+
+    def package_import():
+        # last, since it replaces the modules the kernels above were built from
+        def call():
+            for name in [name for name in sys.modules if name.partition(".")[0] == "schlicht"]:
+                del sys.modules[name]
+            return importlib.import_module("schlicht.cli")
+        return call
+    out["import schlicht.cli"] = package_import
     return out
 
 

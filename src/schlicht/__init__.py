@@ -47,7 +47,6 @@ from .params import (
     CauchyEulerParams,
     ClassParams,
     Reduction,
-    case_margin_sequence,
     classify_case,
     reduce_subclass,
     spiral_gamma,
@@ -76,7 +75,6 @@ __all__ = [
     "case_i_value",
     "case_ii_value",
     "case_iii_value",
-    "case_margin_sequence",
     "cauchy_euler_factor",
     "certify_sharpness",
     "classify_case",

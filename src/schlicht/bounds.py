@@ -7,8 +7,8 @@ is computed as columns, with array operations only: one column of moduli
 |gamma*(A-B) - j*B| gives the case-code and crossover columns through its
 margins, and two running products over it give the case-II and case-III
 values, so the value column is bit-identical to evaluating each n on its
-own.  The BoundResult records of reduction_sweep are a view of those
-columns, and the CLI writes CSV and tables straight from them.  A product
+own.  coefficient_bound's BoundResult is one row of those columns, and
+the CLI writes every format straight from them.  A product
 that leaves the double range (gamma = 1000, B = -1 does before n = 300)
 becomes inf without a numpy overflow; the CLI refuses to write it and
 exits 2.
@@ -88,15 +88,9 @@ def case_iii_value(p: ClassParams, n: int, k: int) -> float:
     return float(iii[k]) / ((n - 1) * (1.0 + p.lam * (n - 1)))
 
 
-def bound_sweep(p: ClassParams, lo: int, hi: int) -> list[BoundResult]:
-    """coefficient_bound at every n in lo..hi, in O(hi): one modulus
-    column up to index hi, its case sweep and its two running products."""
-    return reduction_sweep(Reduction(p), lo, hi)
-
-
 def coefficient_bound(p: ClassParams, n: int) -> BoundResult:
     """Sharp (cases I/II) or best-known (case III) bound on |a_n|."""
-    return bound_sweep(p, n, n)[0]
+    return reduction_columns(Reduction(p), n, n).first()
 
 
 def cauchy_euler_factor(
@@ -117,7 +111,7 @@ def coefficient_bound_cauchy_euler(
     p: ClassParams, ce: CauchyEulerParams, n: int
 ) -> BoundResult:
     """Bound for solutions of the Cauchy-Euler equation sourced by the class."""
-    return reduction_sweep(Reduction(p, ce), n, n)[0]
+    return reduction_columns(Reduction(p, ce), n, n).first()
 
 
 def telescoping_identity_residual(p: ClassParams, m: int) -> float:
@@ -181,9 +175,9 @@ class BoundColumns(NamedTuple):
     crossover_k: list[int | None]
     sharp: list[str]
 
-    def records(self) -> list[BoundResult]:
-        """The BoundResult of every row."""
-        return list(map(BoundResult, self.n, self.value.tolist(), *self[2:]))
+    def first(self) -> BoundResult:
+        """The BoundResult of the first row."""
+        return BoundResult(self.n[0], self.value.item(0), *(column[0] for column in self[2:]))
 
 
 def reduction_columns(red: Reduction, lo: int, hi: int) -> BoundColumns:
@@ -212,8 +206,3 @@ def reduction_columns(red: Reduction, lo: int, hi: int) -> BoundColumns:
             values = values * cauchy_euler_factor(red.cauchy_euler, np.arange(lo, hi + 1))
     return BoundColumns(range(lo, hi + 1), values, tags, crossover_k,
                         SHARPNESS[codes].tolist())
-
-
-def reduction_sweep(red: Reduction, lo: int, hi: int) -> list[BoundResult]:
-    """reduction_columns as BoundResult records, one per n."""
-    return reduction_columns(red, lo, hi).records()

@@ -258,7 +258,7 @@ def _cmd_jack(args) -> int:
     elif args.check == "gb":
         f = _load_series(opts.input)
         rep = jackmod.gb_membership(f, opts.b, opts.radius, opts.angles)
-        doc = {"check": "gb", "b": opts.b, **rep.to_json_dict()}
+        doc = {"check": "gb", "b": opts.b, **rep._asdict()}
     elif args.check == "growth":
         f = _load_series(opts.input)
         doc = {"check": "growth", "growth": jackmod.growth_check(f, opts.alpha),
@@ -293,7 +293,7 @@ def _cmd_report(args) -> int:
         "params": p,
         "bounds": _bound_table(sweep),
         "sharpness": _sharpness_table(sweep, observed, kinds),
-        "membership": [{"extremal_kind": "case-ii", **membership.to_json_dict()}],
+        "membership": [{"extremal_kind": "case-ii", **membership._asdict()}],
         "fuzz": fuzz,
     }
     _emit(args, fixed_json_dumps(doc) + "\n")

@@ -8,11 +8,11 @@ subordination.member_from_schwarz.
 
 import numpy as np
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import series as srs
-from .bounds import BoundResult, cauchy_euler_factor, reduction_sweep
+from .bounds import cauchy_euler_factor, reduction_columns
 from .errors import ParameterDomainError
-from .output import JsonFields
 from .params import CauchyEulerParams, ClassParams, Reduction, check_index, reduce_subclass
 from .series import ComplexSeries
 from .subordination import _member_rows, member_from_schwarz
@@ -68,8 +68,7 @@ def _check_target(n: int, order: int) -> None:
         raise ParameterDomainError(f"extremal order {order} does not reach index {n}")
 
 
-@dataclass(frozen=True)
-class SharpnessRecord(JsonFields):
+class SharpnessRecord(NamedTuple):
     """Gap between a bound and the |a_n| its candidate extremal achieves."""
 
     n: int
@@ -140,8 +139,9 @@ def certify_sharpness(
     record reports it without claiming anything about true sharpness.
     """
     _check_target(n, spec.order)
-    (bound,) = reduction_sweep(Reduction(spec.params, spec.cauchy_euler), n, n)
-    return sharpness_record(bound, series)
+    bound = reduction_columns(Reduction(spec.params, spec.cauchy_euler), n, n).value
+    observed, gap, attained = sharpness_columns(bound, [abs(series.coefficient(n))])
+    return SharpnessRecord(n, bound.item(), observed.item(), gap.item(), attained.item())
 
 
 def sharpness_columns(value: np.ndarray, observed) -> tuple:
@@ -151,11 +151,3 @@ def sharpness_columns(value: np.ndarray, observed) -> tuple:
     observed = np.array(observed, dtype=np.float64)
     gap = value - observed
     return observed, gap, np.abs(gap) <= ATTAINMENT_RTOL * np.fmax(1.0, value)
-
-
-def sharpness_record(bound: BoundResult, series: ComplexSeries) -> SharpnessRecord:
-    """Compare |a_n| of series against one bound row at its index n: one
-    row of sharpness_columns."""
-    observed, gap, attained = sharpness_columns(np.array([bound.value]),
-                                                [abs(series.coefficient(bound.n))])
-    return SharpnessRecord(bound.n, bound.value, observed.item(), gap.item(), attained.item())

@@ -24,13 +24,12 @@ whose spiral member grows like n^cos(2*alpha), the members are within
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import series as srs
 from .errors import EvaluationSingularity, ParameterDomainError, PreconditionNotVerified
-from .output import JsonFields
 from .params import check_angle, check_order, check_samples, reduce_subclass
 from .series import ComplexSeries
 from .subordination import member_from_schwarz, schwarz_rows
@@ -58,8 +57,7 @@ THRESHOLD_PASSES = 8
 SPIRAL_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class SpiralReport(JsonFields):
+class SpiralReport(NamedTuple):
     member: bool
     min_re: float
     radius: float
@@ -67,8 +65,7 @@ class SpiralReport(JsonFields):
     winding: int
 
 
-@dataclass(frozen=True)
-class DeviationReport(JsonFields):
+class DeviationReport(NamedTuple):
     member: bool
     max_dev: float
     radius: float
@@ -76,8 +73,7 @@ class DeviationReport(JsonFields):
     winding: int
 
 
-@dataclass(frozen=True)
-class GrowthReport(JsonFields):
+class GrowthReport(NamedTuple):
     ok: bool
     worst_slack: float
     alpha: float
@@ -86,8 +82,7 @@ class GrowthReport(JsonFields):
     narrow_hypothesis: bool
 
 
-@dataclass(frozen=True)
-class SecondCoeffReport(JsonFields):
+class SecondCoeffReport(NamedTuple):
     ok: bool
     value: float
     limit: float

@@ -9,7 +9,8 @@ has no token for them.  Every row list, of a JSON document, CSV or a
 text table, is a Table of typed columns, written with one % template per
 row; the floats of all its columns go through one format_column call,
 interleaved, so the first non-finite float refused is the first in row
-order.  The rest of a JSON document goes through the recursive writer.
+order.  The rest of a JSON document goes through the recursive writer,
+which writes a record, a NamedTuple, as the object of its fields.
 """
 
 import math
@@ -21,18 +22,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NonFiniteOutput
-
-
-class JsonFields:
-    """Mixin for a dataclass whose JSON document is its fields, in order.
-
-    A field that holds a report is written as that report's document.
-    """
-
-    def to_json_dict(self) -> dict:
-        # the class's field table, not dataclasses.fields(self), which
-        # builds a tuple of fields on every call
-        return {name: getattr(self, name) for name in type(self).__dataclass_fields__}
 
 
 def format_float(x: float) -> str:
@@ -132,8 +121,9 @@ class Table:
 def fixed_json_dumps(obj) -> str:
     """JSON text with fixed float formatting and insertion field order.
 
-    An object with a to_json_dict method is written as that document, and
-    a Table as its rows.
+    A Table is written as its rows, a record (a NamedTuple) as the object
+    of its fields in order, and an object with a to_json_dict method as
+    that document.
     """
     return _json(obj)
 
@@ -161,6 +151,8 @@ def _json(obj) -> str:
         return "[" + ",".join([_json(value) for value in obj]) + "]"
     if type(obj) is Table:
         return obj.to_json()
+    if hasattr(obj, "_asdict"):
+        return _json(obj._asdict())
     if hasattr(obj, "to_json_dict"):
         return _json(obj.to_json_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__}")

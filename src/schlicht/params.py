@@ -14,16 +14,17 @@ formula applies (cases I/II/III).  column_case_sweep classifies a whole
 index range with array operations over the margins, which it reads off
 one column of moduli |gamma*(A-B) - j*B|, the column the bound products
 multiply; it returns a case-code column and a crossover column, and
-case_sweep's (case, crossover_k) pairs are a view of them.
+classify_case reads one row of them.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterDomainError
-from .output import JsonFields
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class ClassParams:
 
 
 @dataclass(frozen=True)
-class CauchyEulerParams(JsonFields):
+class CauchyEulerParams:
     """Order m >= 2 and shift mu > -1 of the Cauchy-Euler transfer."""
 
     m: int
@@ -90,9 +91,11 @@ class CauchyEulerParams(JsonFields):
         if not math.isfinite(self.mu) or self.mu <= -1.0:
             raise ParameterDomainError(f"mu must be > -1, got {self.mu}")
 
+    def to_json_dict(self) -> dict:
+        return {"m": self.m, "mu": self.mu}
 
-@dataclass(frozen=True)
-class CaseClassification(JsonFields):
+
+class CaseClassification(NamedTuple):
     """Which bound regime applies at index n.
 
     margins holds A_2..A_{n-1}; crossover_k is set only for case III and
@@ -127,31 +130,17 @@ def modulus_column(base: complex, b: float, count: int) -> np.ndarray:
 
     np.hypot rounds as Python's abs(complex) does (np.abs does not), so
     each entry has the bits of abs(base - j * b).  A modulus past the
-    double range raises FloatingPointError naming |gamma*(A-B)|.
+    double range, or a base gamma*(A-B) that is already inf, raises
+    FloatingPointError naming |gamma*(A-B)|.
     """
-    try:
-        with np.errstate(over="raise"):
-            return np.hypot(base.real - np.arange(count) * b, base.imag)
-    except FloatingPointError:
-        raise FloatingPointError("overflow: bound moduli leave the double range, "
-                                 f"|gamma*(A-B)| = {math.hypot(base.real, base.imag):g}"
-                                 ) from None
-
-
-def case_margin_sequence(p: ClassParams, n: int) -> list[float]:
-    """Margins A_k = |gamma*(A-B) - B*(k-1)| - (k-1) for k = 2..n-1."""
-    check_index(n)
-    column = modulus_column(p.product_base(), p.b, n - 1)
-    return (column[1:] - np.arange(1, column.size)).tolist()
-
-
-def case_sweep(
-    p: ClassParams, lo: int, hi: int
-) -> tuple[list[float], list[tuple[str, int | None]]]:
-    """Margins A_2..A_{hi-1} and the (case, crossover_k) of every n in lo..hi."""
-    margins, codes, last = column_case_sweep(
-        modulus_column(p.product_base(), p.b, hi - 1), lo, hi)
-    return margins.tolist(), list(zip(*case_columns(codes, last)))
+    if cmath.isfinite(base):
+        try:
+            with np.errstate(over="raise"):
+                return np.hypot(base.real - np.arange(count) * b, base.imag)
+        except FloatingPointError:
+            pass
+    raise FloatingPointError("overflow: bound moduli leave the double range, "
+                             f"|gamma*(A-B)| = {math.hypot(base.real, base.imag):g}")
 
 
 # the case tags, indexed by the case codes of column_case_sweep
@@ -195,12 +184,12 @@ def classify_case(p: ClassParams, n: int) -> CaseClassification:
     (the formulas agree there).  n=2 is always case II; both formulas
     coincide at that index.
     """
-    margins, [(tag, k)] = case_sweep(p, n, n)
-    return CaseClassification(tag, k, tuple(margins))
+    margins, codes, last = column_case_sweep(modulus_column(p.product_base(), p.b, n - 1), n, n)
+    (tag,), (k,) = case_columns(codes, last)
+    return CaseClassification(tag, k, tuple(margins.tolist()))
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """Result of mapping a named subclass onto the core parameter tuple."""
 
     params: ClassParams

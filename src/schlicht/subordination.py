@@ -30,14 +30,14 @@ output.Table of them, written without a record per index.
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import series as srs
 from .bounds import reduction_columns
 from .errors import ParameterDomainError
-from .output import JSON, Column, JsonFields, Table
+from .output import JSON, Column, Table
 from .params import ClassParams, Reduction, check_index, check_order, check_samples
 from .series import ComplexSeries
 
@@ -75,8 +75,7 @@ _PCG_MULT_LO_HI, _PCG_MULT_LO_LO = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
 _U1, _U11, _U32, _U58, _U63, _U64, _LOW32 = map(np.uint64, (1, 11, 32, 58, 63, 64, _MASK32))
 
 
-@dataclass(frozen=True)
-class MembershipReport(JsonFields):
+class MembershipReport(NamedTuple):
     member: bool
     margin: float
     radius: float = MEMBERSHIP_RADIUS
@@ -411,15 +410,13 @@ def _quadratic_slacks(moduli: np.ndarray, p: ClassParams) -> np.ndarray:
     return (rhs - lhs) / np.maximum(np.maximum(1.0, lhs), np.abs(rhs))
 
 
-@dataclass(frozen=True)
-class QuadraticCheck(JsonFields):
+class QuadraticCheck(NamedTuple):
     checked_to: int
     violations: int
     min_slack: float
 
 
-@dataclass(frozen=True)
-class FuzzReport(JsonFields):
+class FuzzReport(NamedTuple):
     params: ClassParams
     seed: int
     samples: int

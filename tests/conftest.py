@@ -20,9 +20,10 @@ product loop over j for the value; reference_cauchy_euler multiplies
 that value by the transfer factor as a scalar loop over j < m.
 spiral_gamma_closed_form is the second evaluation of the spiral reduction.
 reference_json is the JSON writer as one plain recursion, without the
-CLI's row tables, and bound_document is the record document of one bound
-row; reference_rows is the CSV and table writer one cell at a time,
-without the CLI's column formatting and row templates.
+CLI's row tables, writing a record (a NamedTuple) as the object of its
+fields, and bound_document is the JSON object of one BoundResult row;
+reference_rows is the CSV and table writer one cell at a time, without
+the CLI's column formatting and row templates.
 per_n_rows reads a FuzzReport's per_n table as the JSON objects it writes.
 reference_draw and reference_pick draw a Schwarz sample and the fuzzer's
 construction pick through one np.random.default_rng per stream, the way
@@ -255,6 +256,9 @@ def reference_json(obj) -> str:
         items = (f"{encode_basestring(str(key))}:{reference_json(value)}"
                  for key, value in obj.items())
         return "{" + ",".join(items) + "}"
+    # before the tuples: a record is a NamedTuple, written as an object
+    if hasattr(obj, "_asdict"):
+        return reference_json(obj._asdict())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(reference_json, obj)) + "]"
     if hasattr(obj, "to_json_dict"):

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "bench" / "layers.py"
 KERNELS = ("_row_div", "_row_log_derivative", "circle_values", "schwarz_rows",
            "_member_rows", "spiral_check", "_spiral_sources", "_grid_values", "_windings",
-           "is_member", "fixed_json_dumps", "_quadratic_slacks", "cli.main")
+           "is_member", "fixed_json_dumps", "_quadratic_slacks", "cli.main", "import")
 
 
 def run_layers(*args) -> str:

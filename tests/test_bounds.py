@@ -22,7 +22,6 @@ from schlicht import (
     spiral_product_bound,
     telescoping_identity_residual,
 )
-from schlicht.bounds import reduction_sweep
 from schlicht.errors import HypothesisViolated, ParameterDomainError
 
 from conftest import (
@@ -162,18 +161,18 @@ class TestSpiralProductBound:
 
 class TestSubclassBounds:
     def test_starlike_gamma_case_i(self):
-        (result,) = reduction_sweep(reduce_subclass("Sstar", gamma=-0.5), 4, 4)
+        result = coefficient_bound(reduce_subclass("Sstar", gamma=-0.5).params, 4)
         assert result.case_tag == "I"
         assert result.value == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_convex_gamma_value_one(self):
-        (result,) = reduction_sweep(reduce_subclass("C", gamma=1.0), 6, 6)
+        result = coefficient_bound(reduce_subclass("C", gamma=1.0).params, 6)
         assert result.value == pytest.approx(1.0, abs=1e-12)
 
     def test_m_class_boundary_tie_value(self):
         # beta=2 puts the first margin exactly at zero; the tie classifies II
         # and both formulas give 2|gamma|/(n-1) = 1
-        (result,) = reduction_sweep(reduce_subclass("M", beta=2.0), 3, 3)
+        result = coefficient_bound(reduce_subclass("M", beta=2.0).params, 3)
         assert result.case_tag == "II"
         assert result.value == pytest.approx(1.0, abs=1e-14)
         p = ClassParams(-1, 0, 1, -1)
@@ -181,13 +180,13 @@ class TestSubclassBounds:
 
     def test_b_class_uses_order_two_transfer(self):
         red = reduce_subclass("B", gamma=1.0, lam=0.0, beta=0.0, mu=0.0)
-        (result,) = reduction_sweep(red, 2, 2)
+        result = coefficient_bound_cauchy_euler(*red, 2)
         assert result.value == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_sc_matches_direct_reduction(self):
         direct = coefficient_bound(ClassParams(0.5j, 0.25, 0.5, -1), 5)
         red = reduce_subclass("Sc", gamma=0.5j, lam=0.25, beta=0.25)
-        (via_name,) = reduction_sweep(red, 5, 5)
+        via_name = coefficient_bound(red.params, 5)
         assert via_name.value == pytest.approx(direct.value, rel=1e-15)
 
 

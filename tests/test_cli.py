@@ -7,7 +7,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +19,8 @@ from schlicht.cli import main, parse_index_range
 from schlicht.errors import NonFiniteOutput, ParameterDomainError
 from schlicht.extremals import EXTREMAL_KINDS, SharpnessRecord
 from schlicht.output import (
-    JsonFields,
+    Column,
+    Table,
     fixed_json_dumps,
     format_float,
     parse_complex_pair,
@@ -485,7 +486,7 @@ class TestVerifyCommand:
         assert doc["seed"] == 7
 
     def test_document_key_order(self, capsys):
-        # the field order of FuzzReport, QuadraticCheck and FuzzIndexStats
+        # the field order of FuzzReport, and per_n's column order
         code, out, _ = run_cli(["verify", *STARLIKE_ARGS, "--samples", "20", "--seed", "7",
                                 "--n-max", "4"], capsys)
         assert code == 0
@@ -1059,9 +1060,8 @@ class TestReportCommand:
         assert tags["III"] == "unknown"
 
 
-@dataclass
-class Wrapped(JsonFields):
-    """A report whose one field may hold any document, reports included."""
+class Wrapped(NamedTuple):
+    """A record whose one field may hold any document, records included."""
 
     value: object
 
@@ -1099,6 +1099,29 @@ class TestOutputHelpers:
         # the writer and the plain reference recursion agree on every
         # document shape, -0.0 and repeated floats included
         assert fixed_json_dumps(doc) == reference_json(doc)
+
+    def test_record_is_an_object_in_field_order(self):
+        # a NamedTuple record is written as the object of its fields, in
+        # field order, nested records and Table fields inside it; a plain
+        # tuple, even one equal to a record, stays an array.  The reference
+        # writer has no Table, so it is given a Table's rows as the list of
+        # their objects
+        record = SharpnessRecord(3, 2.0, 1.5, 0.5, False)
+        rows = Table((Column("n", int, [2, 3]), Column("bound", float, [1.0, 0.25])))
+        row_objects = [{"n": 2, "bound": 1.0}, {"n": 3, "bound": 0.25}]
+        cases = [
+            (record, record, '{"n":3,"bound":2.00000000000000e+00,"observed":'
+                             '1.50000000000000e+00,"gap":5.00000000000000e-01,"attained":false}'),
+            (tuple(record), tuple(record), '[3,2.00000000000000e+00,1.50000000000000e+00,'
+                                           '5.00000000000000e-01,false]'),
+            (Wrapped(Wrapped((1, None))), Wrapped(Wrapped((1, None))),
+             '{"value":{"value":[1,null]}}'),
+            (Wrapped(rows), Wrapped(row_objects),
+             '{"value":[{"n":2,"bound":1.00000000000000e+00},'
+             '{"n":3,"bound":2.50000000000000e-01}]}'),
+        ]
+        for doc, plain, text in cases:
+            assert fixed_json_dumps(doc) == reference_json(plain) == text
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
     def test_repeated_non_finite_float_refused(self, value):

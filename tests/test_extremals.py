@@ -20,9 +20,9 @@ from schlicht import (
     monomial,
     transfer_cauchy_euler,
 )
-from schlicht.bounds import reduction_sweep
+from schlicht.bounds import reduction_columns
 from schlicht.errors import NormalizationError, ParameterDomainError
-from schlicht.extremals import KIND_CLASS, case_i_moduli, sharpness_record
+from schlicht.extremals import KIND_CLASS, case_i_moduli, sharpness_columns
 from schlicht.params import Reduction, reduce_subclass
 from schlicht.subordination import MEMBERSHIP_RADIUS
 
@@ -220,8 +220,10 @@ class TestSharpnessInvariants:
             hi = int(rng.integers(2, 41))
             spec = ExtremalSpec("case-ii", p, hi, cauchy_euler=ce)
             f = build_extremal(spec)
-            rows = reduction_sweep(Reduction(p, ce), 2, hi)
-            swept = [sharpness_record(bound, f) for bound in rows]
+            sweep = reduction_columns(Reduction(p, ce), 2, hi)
+            observed = [abs(f.coefficient(n)) for n in sweep.n]
+            columns = sharpness_columns(sweep.value, observed)
+            swept = list(zip(sweep.n, sweep.value.tolist(), *(c.tolist() for c in columns)))
             assert swept == [certify_sharpness(spec, f, n) for n in range(2, hi + 1)]
 
     def test_extremals_pass_membership(self, rng):

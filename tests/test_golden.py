@@ -34,6 +34,9 @@ CASE_III = ["--gamma", "0,2", "--lambda", "0", "--A", "1", "--B", "0"]
 CASE_III_LATE = ["--gamma", "0,6", "--lambda", "0.5", "--A", "0.8", "--B", "-0.2"]
 K = ["--class", "K", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1",
      "--m", "3", "--mu", "0.5"]
+KOEBE = ["--class", "S", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1"]
+# gamma*(A-B) = 2e308 is already inf: refused, exit 2, naming the modulus
+OVERFLOW = ["--gamma=1e308,0", "--A", "1", "--B", "-1", "--n", "2:4"]
 
 COMMANDS = {
     **{f"bound-{case}-{fmt}": ["bound", *args, "--n", "2:40", "--format", fmt]
@@ -43,11 +46,19 @@ COMMANDS = {
        for fmt in ("csv", "table")},
     **{f"bound-K-{fmt}": ["bound", *K, "--n", "2:40", "--format", fmt]
        for fmt in ("json", "csv", "table")},
+    # a 149-row sweep times one Cauchy-Euler factor column
+    "bound-K150-csv": ["bound", *K, "--n", "2:150", "--format", "csv"],
+    **{f"bound-koebe-{fmt}": ["bound", *KOEBE, "--n", "2:10", "--format", fmt]
+       for fmt in ("csv", "table")},
     **{f"bound-n7-{fmt}": ["bound", *CASE_III, "--n", "7", "--format", fmt]
        for fmt in ("json", "csv", "table")},
     **{f"classify-{case}-{fmt}": ["classify", *args, "--n", "2:20", "--format", fmt]
        for case, args in (("i", CASE_I), ("iii", CASE_III), ("iii-late", CASE_III_LATE))
        for fmt in ("json", "table")},
+    **{f"classify-iii-12-{fmt}": ["classify", *CASE_III, "--n", "2:12", "--format", fmt]
+       for fmt in ("json", "table")},
+    **{f"{command}-overflow-{fmt}": [command, *OVERFLOW, "--format", fmt]
+       for command in ("bound", "classify") for fmt in ("json", "table")},
     # the case-II product leaves the double range at n = 220: refused, exit 2
     **{f"bound-inf-{fmt}": ["bound", "--gamma", "1000,0", "--A", "1", "--B", "-1",
                             "--n", "2:300", "--format", fmt]
@@ -66,7 +77,7 @@ COMMANDS = {
     # the order-2 transfer of class B
     **{f"bound-B-{fmt}": ["bound", "--class", "B", "--gamma", "1,0", "--lambda", "0.5",
                           "--beta", "0.3", "--mu", "1", "--n", "2:20", "--format", fmt]
-       for fmt in ("csv", "table")},
+       for fmt in ("json", "csv", "table")},
     # the Koebe member, whose coefficients a_k = k are exact
     **{f"extremal-ii-{fmt}": ["extremal", "--gamma", "1,0", "--lambda", "0", "--A", "1",
                               "--B", "-1", "--kind", "case-ii", "--n", "2:10", "--order", "10",

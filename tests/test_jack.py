@@ -10,6 +10,7 @@ from schlicht import (
     ClassParams,
     ComplexSeries,
     build_gb_instance,
+    coefficient_bound,
     build_spiral_instance,
     gb_membership,
     gb_spiral_threshold,
@@ -31,13 +32,12 @@ from schlicht import (
     winding_number,
 )
 from schlicht import jack
-from schlicht.bounds import bound_sweep
 from schlicht.errors import (
     EvaluationSingularity,
     ParameterDomainError,
     PreconditionNotVerified,
 )
-from schlicht.extremals import sharpness_record
+from schlicht.extremals import sharpness_columns
 
 from conftest import (
     binomial_series,
@@ -449,10 +449,12 @@ class TestGrowthExtremal:
         # a rotation of its omega = z extremal, so it attains every case-II
         # bound of that class
         f = growth_extremal(beta, 64)
-        bounds = bound_sweep(reduce_subclass("Sstar", gamma=0.5 / beta).params, 2, 64)
+        p = reduce_subclass("Sstar", gamma=0.5 / beta).params
+        bounds = [coefficient_bound(p, n) for n in range(2, 65)]
         assert {b.case_tag for b in bounds} == {"II"}
-        for bound in bounds:
-            assert sharpness_record(bound, f).attained, (beta, bound.n)
+        _, _, attained = sharpness_columns(np.array([b.value for b in bounds]),
+                                           [abs(f.coefficient(b.n)) for b in bounds])
+        assert attained.all(), (beta, np.flatnonzero(~attained) + 2)
 
     def test_fast_growth_flagged_not_univalent(self):
         profile = growth_extremal_profile(0.25, 8)

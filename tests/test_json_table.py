@@ -3,10 +3,12 @@
 The CLI writes the row lists of `bound`, `classify`, `extremal` (its
 coefficients and certification) and `report` (its bounds and sharpness)
 as output.Tables, typed columns joined by one row template.
-Here the same documents are built in their record shape, one dict per
-row from reduction_sweep, case_sweep and ComplexSeries.to_json_dict, and
-written by conftest.reference_json; stdout, stderr and the exit status
-must be the same, refusals of a non-finite bound included.
+Here the same documents are built in their record shape, one record per
+row from the one-index forms coefficient_bound,
+coefficient_bound_cauchy_euler, classify_case and certify_sharpness, one
+call per n, and the series from ComplexSeries.to_json_dict, and written
+by conftest.reference_json; stdout, stderr and the exit status must be
+the same, refusals of a non-finite bound included.
 """
 
 import contextlib
@@ -17,12 +19,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schlicht import ClassParams, ExtremalSpec, build_extremal, reduce_subclass
-from schlicht.bounds import reduction_sweep
+from schlicht import (
+    ClassParams,
+    ExtremalSpec,
+    build_extremal,
+    certify_sharpness,
+    classify_case,
+    coefficient_bound,
+    coefficient_bound_cauchy_euler,
+    reduce_subclass,
+)
 from schlicht.cli import main
 from schlicht.errors import NonFiniteOutput
-from schlicht.extremals import sharpness_record
-from schlicht.params import Reduction, case_sweep
 
 from conftest import bound_document, draw_valid_params, reference_json
 
@@ -47,9 +55,16 @@ def _class_argv(p) -> list[str]:
             f"--A={p.a!r}", f"--B={p.b!r}"]
 
 
+def _bound(red, n: int):
+    """The BoundResult of the reduced class red at the index n alone."""
+    if red.cauchy_euler is None:
+        return coefficient_bound(red.params, n)
+    return coefficient_bound_cauchy_euler(red.params, red.cauchy_euler, n)
+
+
 def _bound_doc(red, lo: int, hi: int) -> dict:
     return {"params": red.params, "cauchy_euler": red.cauchy_euler,
-            "results": [bound_document(r) for r in reduction_sweep(red, lo, hi)]}
+            "results": [bound_document(_bound(red, n)) for n in range(lo, hi + 1)]}
 
 
 # ranges start past n = 2; a drawn class that reaches case III does so by
@@ -93,10 +108,8 @@ def test_bound_json_refuses_the_first_non_finite_row(klass, gamma, transfer, hi)
 def test_classify_json_equals_the_record_document(seed, lo, width):
     p = draw_valid_params(np.random.default_rng(seed))
     hi = lo + width
-    margins, cases = case_sweep(p, lo, hi)
     doc = {"params": p, "classification": [
-        {"n": n, "case": tag, "crossover_k": k, "margins": margins[: n - 2]}
-        for n, (tag, k) in zip(range(lo, hi + 1), cases)
+        {"n": n, **classify_case(p, n)._asdict()} for n in range(lo, hi + 1)
     ]}
     argv = ["classify", *_class_argv(p), "--n", f"{lo}:{hi}"]
     assert _run(argv) == _expected(doc)
@@ -117,8 +130,7 @@ def test_extremal_json_equals_the_record_document(seed, kind, order, lo, width):
         "cauchy_euler": None,
         "order": spec.order,
         "series": f.to_json_dict(),
-        "certification": [sharpness_record(b, f)
-                          for b in reduction_sweep(Reduction(p), first, hi)],
+        "certification": [certify_sharpness(spec, f, n) for n in range(first, hi + 1)],
     }
     argv = ["extremal", *_class_argv(p), "--kind", kind, "--n", f"{lo}:{hi}",
             "--order", str(order)]
@@ -130,16 +142,17 @@ def test_report_bounds_equal_the_record_rows(seed):
     p = draw_valid_params(np.random.default_rng(seed))
     status, out, err = _run(["report", *_class_argv(p), "--n", "2:12", "--samples", "5",
                              "--seed", "1"])
-    bounds = reduction_sweep(Reduction(p), 2, 12)
+    bounds = [coefficient_bound(p, n) for n in range(2, 13)]
     rows = [bound_document(r) for r in bounds]
-    case_ii = build_extremal(ExtremalSpec("case-ii", p, 64))
+    case_ii = ExtremalSpec("case-ii", p, 64)
     sharpness = []
     for r in bounds:
         if r.case_tag == "I":
-            kind, f = "case-i", build_extremal(ExtremalSpec("case-i", p, r.n, n=r.n))
+            kind, spec = "case-i", ExtremalSpec("case-i", p, r.n, n=r.n)
         else:
-            kind, f = "case-ii", case_ii
-        sharpness.append({"extremal_kind": kind, **sharpness_record(r, f).to_json_dict()})
+            kind, spec = "case-ii", case_ii
+        record = certify_sharpness(spec, build_extremal(spec), r.n)
+        sharpness.append({"extremal_kind": kind, **record._asdict()})
     assert (status, err) == (0, "")
     assert (f',"bounds":{reference_json(rows)},"sharpness":{reference_json(sharpness)},'
             '"membership":') in out

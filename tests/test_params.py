@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from schlicht import (
     CauchyEulerParams,
     ClassParams,
-    case_margin_sequence,
     classify_case,
     fuzz_bounds,
     reduce_subclass,
@@ -69,19 +68,19 @@ class TestValidation:
 class TestMarginSequence:
     def test_starlike_margins_constant_two(self):
         p = ClassParams(1, 0, 1, -1)
-        assert case_margin_sequence(p, 6) == pytest.approx([2, 2, 2, 2])
+        assert classify_case(p, 6).margins == pytest.approx([2, 2, 2, 2])
 
     def test_case_i_margins(self):
         p = ClassParams(-0.5, 0, 1, -1)
-        assert case_margin_sequence(p, 5) == pytest.approx([-1, -1, -1])
+        assert classify_case(p, 5).margins == pytest.approx([-1, -1, -1])
 
     def test_imaginary_gamma_margins(self):
         # gamma*(A-B) = 2i gives margins |2i| - (k-1) = 2 - (k-1)
         p = ClassParams(2j, 0, 1, 0)
-        assert case_margin_sequence(p, 6) == pytest.approx([1, 0, -1, -2])
+        assert classify_case(p, 6).margins == pytest.approx([1, 0, -1, -2])
 
     def test_empty_for_n_two(self):
-        assert case_margin_sequence(ClassParams(1, 0, 1, -1), 2) == []
+        assert classify_case(ClassParams(1, 0, 1, -1), 2).margins == ()
 
 
 class TestClassification:
@@ -112,7 +111,7 @@ class TestClassification:
         rng = np.random.default_rng(13)
         for _ in range(1000):
             p = draw_valid_params(rng)
-            margins = case_margin_sequence(p, 20)
+            margins = classify_case(p, 20).margins
             seen_negative = False
             for value in margins:
                 if seen_negative:
@@ -138,7 +137,7 @@ class TestClassification:
         p = ClassParams(gamma, lam, a, b)
         n = 12
         cls = classify_case(p, n)
-        margins = case_margin_sequence(p, n)
+        margins = cls.margins
         if cls.case == "II":
             assert margins[-1] >= 0.0
         elif cls.case == "I":

@@ -210,7 +210,7 @@ class TestFuzzer:
     def test_determinism_bytes(self):
         a = fuzz_bounds(STARLIKE, n_max=6, samples=200, seed=21)
         b = fuzz_bounds(STARLIKE, n_max=6, samples=200, seed=21)
-        assert fixed_json_dumps(a.to_json_dict()) == fixed_json_dumps(b.to_json_dict())
+        assert fixed_json_dumps(a) == fixed_json_dumps(b)
 
     def test_seed_validation(self):
         with pytest.raises(ParameterDomainError):

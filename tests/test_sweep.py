@@ -1,9 +1,11 @@
 """Index sweeps against the per-index formulas they replace.
 
-case_sweep and bound_sweep classify and bound a whole range lo..hi in one
-pass; the references in conftest evaluate each n on its own, as the
-package did before the sweeps.  Values must agree to the last bit, and
-against exact rational products to the rounding of a product of doubles.
+column_case_sweep and reduction_columns classify and bound a whole range
+lo..hi in one pass; the references in conftest evaluate each n on its
+own, as the package did before the sweeps, and so do the one-index forms
+classify_case, coefficient_bound and coefficient_bound_cauchy_euler, one
+call per n.  Values must agree to the last bit, and against exact
+rational products to the rounding of a product of doubles.
 """
 
 import math
@@ -23,9 +25,9 @@ from schlicht import (
     coefficient_bound_cauchy_euler,
     reduce_subclass,
 )
-from schlicht.bounds import bound_sweep, reduction_sweep
+from schlicht.bounds import reduction_columns
 from schlicht.errors import ParameterDomainError
-from schlicht.params import case_sweep
+from schlicht.params import column_case_sweep, modulus_column
 
 from conftest import reference_bound, reference_case, reference_cauchy_euler
 
@@ -35,6 +37,12 @@ def _params(g_re, g_im, lam, b, gap, scale):
     if abs(gamma) < 1e-6:
         gamma = 1.0
     return ClassParams(gamma, lam, min(b + gap, 1.0), b)
+
+
+def _rows(red, lo: int, hi: int) -> list[tuple]:
+    """The rows of reduction_columns(red, lo, hi), in BoundResult's field order."""
+    sweep = reduction_columns(red, lo, hi)
+    return list(zip(sweep.n, sweep.value.tolist(), *sweep[2:]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -64,19 +72,16 @@ def test_sweep_is_bit_equal_to_per_index_formulas(
 ):
     p = _params(g_re, g_im, lam, b, gap, scale)
     hi = min(lo + width, 200)
-    margins, cases = case_sweep(p, lo, hi)
-    results = bound_sweep(p, lo, hi)
-    assert len(cases) == len(results) == hi - lo + 1
-    for n, (case, k), result in zip(range(lo, hi + 1), cases, results):
+    margins = column_case_sweep(modulus_column(p.product_base(), p.b, hi - 1), lo, hi)[0]
+    rows = _rows(Reduction(p), lo, hi)
+    # one one-index call per n, each on its own column
+    assert rows == [coefficient_bound(p, n) for n in range(lo, hi + 1)]
+    for n, (_, value, case, k, _) in zip(range(lo, hi + 1), rows):
         ref_case, ref_k, ref_margins = reference_case(p, n)
         assert (case, k) == (ref_case, ref_k)
-        assert margins[: n - 2] == ref_margins
-        assert (result.n, result.case_tag, result.crossover_k) == (n, case, k)
-        assert result.value == reference_bound(p, n)[2]
-    # the one-row calls are the same scan
-    for n in (lo, hi):
-        assert classify_case(p, n).margins == tuple(margins[: n - 2])
-        assert coefficient_bound(p, n) == results[n - lo]
+        assert margins[: n - 2].tolist() == ref_margins
+        assert classify_case(p, n) == (case, k, tuple(ref_margins))
+        assert value == reference_bound(p, n)[2]
 
 
 def test_cauchy_euler_sweep_applies_the_transfer_per_row(rng):
@@ -90,12 +95,12 @@ def test_cauchy_euler_sweep_applies_the_transfer_per_row(rng):
             red = Reduction(ClassParams(gamma, rng.uniform(), 1.0, -1.0),
                             CauchyEulerParams(int(rng.integers(2, 5)), rng.uniform(-0.5, 2)))
         p, ce = red.params, red.cauchy_euler
-        results = reduction_sweep(red, 2, 60)
-        for n, result in zip(range(2, 61), results):
+        rows = _rows(red, 2, 60)
+        assert rows == [coefficient_bound_cauchy_euler(p, ce, n) for n in range(2, 61)]
+        for n, (_, value, tag, crossover_k, _) in zip(range(2, 61), rows):
             case, k, _ = reference_bound(p, n)
-            assert (result.n, result.case_tag, result.crossover_k) == (n, case, k)
-            assert result.value == reference_cauchy_euler(p, ce, n)
-        assert coefficient_bound_cauchy_euler(p, ce, 60) == results[-1]
+            assert (tag, crossover_k) == (case, k)
+            assert value == reference_cauchy_euler(p, ce, n)
 
 
 def test_overflowing_products_stay_inf_under_raised_errors():
@@ -103,10 +108,10 @@ def test_overflowing_products_stay_inf_under_raised_errors():
     # without raising, and those rows reach the writer, which refuses them
     p = ClassParams(1000, 0, 1, -1)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        results = bound_sweep(p, 2, 300)
-    assert math.isinf(results[-1].value)
-    for n, result in zip(range(2, 301), results):
-        assert (result.case_tag, result.crossover_k, result.value) == reference_bound(p, n)
+        rows = _rows(Reduction(p), 2, 300)
+    assert math.isinf(rows[-1][1])
+    for n, (_, value, case, k, _) in zip(range(2, 301), rows):
+        assert (case, k, value) == reference_bound(p, n)
 
 
 def _exact_bound(base: Fraction, p: ClassParams, case: str, k, n: int, ii, iii):
@@ -136,12 +141,12 @@ def test_rational_gamma_against_exact_products():
         for j in range(150):
             ii.append(ii[-1] * abs(base - j * b) / (j + 1))
             iii.append(iii[-1] * abs(base - j * b) / max(j, 1))
-        for r in bound_sweep(p, 2, 150):
-            exact = _exact_bound(base, p, r.case_tag, r.crossover_k, r.n, ii, iii)
+        for n, value, case, k, _ in _rows(Reduction(p), 2, 150):
+            exact = _exact_bound(base, p, case, k, n, ii, iii)
             if exact == 0:
-                assert r.value == 0.0
+                assert value == 0.0
                 continue
-            worst = max(worst, float(abs(Fraction(r.value) - exact) / exact))
+            worst = max(worst, float(abs(Fraction(value) - exact) / exact))
     assert worst <= 1e-14
 
 
@@ -149,6 +154,6 @@ def test_rational_gamma_against_exact_products():
 def test_sweep_refuses_indices_below_two(lo, hi):
     p = ClassParams(1, 0, 1, -1)
     with pytest.raises(ParameterDomainError, match="index n must be >= 2"):
-        case_sweep(p, lo, hi)
+        column_case_sweep(modulus_column(p.product_base(), p.b, hi - 1), lo, hi)
     with pytest.raises(ParameterDomainError, match="index n must be >= 2"):
-        bound_sweep(p, lo, hi)
+        reduction_columns(Reduction(p), lo, hi)
