@@ -26,7 +26,9 @@ test; the default shapes are those of the perfbench workloads:
 - dossier: membership at orders 64 and 512, and cli.main on the ops that
   write row tables: bound --n 2:150 as json, csv and table, classify
   --n 2:150 as json and table, and extremal --order 512 --n 2:50 as json
-  and csv;
+  and csv, and cli.main on jack --check threshold --alpha 0.5, the
+  shortest op: a five-token parse, one scalar threshold search and a
+  one-line document;
 - import: every schlicht module dropped from sys.modules and schlicht.cli
   imported again, so every module body runs (after numpy, which stays).
 """
@@ -205,6 +207,8 @@ def kernels(tiny: bool) -> dict:
         out[f"cli.main extremal {fmt} --order {order} --n {n_range}"] = command(
             ["extremal", "--gamma", "1,0", "--lambda", "0", "--A", "1", "--B", "-1",
              "--kind", "case-ii", "--order", str(order), "--n", n_range, "--format", fmt])
+    threshold = ["jack", "--check", "threshold", "--alpha", "0.5"]
+    out[f"cli.main {' '.join(threshold)}"] = command(threshold)
     samples, n_max = pick["fuzz"][0]
 
     def verify_doc():

@@ -52,7 +52,8 @@ class BoundResult(NamedTuple):
 
 def case_i_value(p: ClassParams, n: int | np.ndarray) -> float | np.ndarray:
     """|gamma|*(A-B) / ((n-1)*(1+lambda*(n-1))); n is an index or a float
-    array of them."""
+    array of them, each at least 2."""
+    check_index(np.min(n))
     return abs(p.gamma) * (p.a - p.b) / ((n - 1) * (1.0 + p.lam * (n - 1)))
 
 
@@ -76,12 +77,14 @@ def _running_products(column: np.ndarray) -> np.ndarray:
 
 def case_ii_value(p: ClassParams, n: int) -> float:
     """prod_{j=0}^{n-2} |gamma*(A-B) - j*B| / ((n-1)! * (1+lambda*(n-1)))."""
+    check_index(n)
     ii, _ = _running_products(modulus_column(p.product_base(), p.b, n - 1))
     return float(ii[n - 1]) / (1.0 + p.lam * (n - 1))
 
 
 def case_iii_value(p: ClassParams, n: int, k: int) -> float:
     """prod_{j=0}^{k-1} |gamma*(A-B) - j*B| / ((k-1)!*(n-1)*(1+lambda*(n-1)))."""
+    check_index(n)
     if not 1 <= k <= n - 1:
         raise ParameterDomainError(f"crossover k={k} outside 1..{n - 1}")
     _, iii = _running_products(modulus_column(p.product_base(), p.b, k))

@@ -12,6 +12,11 @@ numerical/internal error in an otherwise well-formed invocation,
 including a result that is not finite or does not fit in memory.  numpy
 overflow, invalid values and division by zero raise in main, so each
 exits 2 with one stderr line instead of warnings.
+
+main parses a command line that starts with a command name with that
+command's own parser, in one argparse pass; any other command line goes
+through the top-level parser.  Usage errors are argparse's own, unchanged:
+the same usage line, message and exit status either way.
 """
 
 import argparse
@@ -326,7 +331,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and reused by main."""
+    """The command-line parser, built once per process and reused by main.
+    Its commands attribute maps each command name to that command's parser."""
     parser = _Parser(
         prog="schlicht",
         description="Coefficient bounds, extremal series, and randomized "
@@ -393,12 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--degree", type=int, default=4)
     report.add_argument("--seed", type=int, required=True)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # what parser.parse_args does for a command, without its second
+        # pass over every token; leftovers get its message and status
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         # underflow stays quiet: a subnormal tail is a valid input
         with np.errstate(over="raise", invalid="raise", divide="raise"):

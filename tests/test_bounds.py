@@ -242,3 +242,18 @@ def test_refusals(call, message):
     with pytest.raises(ParameterDomainError) as info:
         call()
     assert type(info.value) is ParameterDomainError and message in str(info.value)
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_paper_formulas_refuse_an_index_below_two(n):
+    # unchecked, case_ii_value(CONVEX, 1) would return 1.0, n = 0 would divide
+    # by zero and n = -1 index past the running products
+    for call in (lambda: case_i_value(CONVEX, n),
+                 lambda: case_i_value(CONVEX, np.array([5.0, n, 3.0])),
+                 lambda: case_ii_value(CONVEX, n),
+                 lambda: case_iii_value(CONVEX, n, 1)):
+        with pytest.raises(ParameterDomainError) as info:
+            call()
+        assert type(info.value) is ParameterDomainError
+        assert str(info.value) in (f"index n must be >= 2, got {n}",
+                                   f"index n must be >= 2, got {float(n)}")

@@ -6,7 +6,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -332,18 +336,23 @@ OVERFLOWING_SERIES = '{"order": 2, "coeffs": [[0, 0], [1, 0], [1e308, 1e308]]}'
                                      ["jack", "--check", "gb", "--b", "0.5", "--input"],
                                      ["jack", "--check", "growth", "--alpha", "0", "--input"],
                                      ["verify", "--gamma=1e80,0", "--A", "1", "--B", "-1",
-                                      "--seed", "0", "--samples", "5", "--n-max", "3"]])
+                                      "--seed", "0", "--samples", "5", "--n-max", "3"],
+                                     ["jack", "--check", "growth-extremal", "--beta", "3e-309",
+                                      "--order", "4"]])
 def test_overflowing_member_exits_two(command, tmp_path, capsys):
     # gamma = 1e200 overflows the member recurrences, beta = 1e-300 the
     # growth extremal, and the subnormal gamma = 1e-320 the reciprocal that
     # report's Moebius inversion divides by: one error line naming the
-    # parameter that drives the coefficients out of the double range.  An
+    # parameter that drives the coefficients out of the double range.  At
+    # beta = 3e-309, 0.5/beta is finite, so the beta check passes it, and
+    # |gamma*(A-B)| = 1/beta is the overflow named.  An
     # overflow past the builders, in the circle values of OVERFLOWING_SERIES
     # or in the quadratic slacks of gamma = 1e80, is one error line in
     # numpy's words.  Never a numpy warning
     cause = None
     if command[0] == "jack" and command[2] == "growth-extremal":
-        cause = "member coefficients leave the double range, |gamma*(A-B)| = 1e+300"
+        cause = ("member coefficients leave the double range, "
+                 f"|gamma*(A-B)| = {1.0 / float(command[4]):g}")
     elif "--gamma=1e-320,0" in command:
         cause = f"the Moebius inversion leaves the double range, |gamma| = {1e-320:g}, A-B = 2"
     elif command[-1] == "--input":
@@ -471,6 +480,28 @@ def test_parser_is_built_once_and_reused(extremal_builds, capsys):
     assert run_all(fresh_parser=True) == reused
     # build_extremal is still looked up per call, so the fixture sees both runs
     assert extremal_builds == ["case-ii", "case-ii"]
+
+
+TOP_USAGE = "usage: schlicht [-h] {bound,classify,extremal,verify,jack,report} ..."
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: "),
+    (["bound", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+])
+def test_console_entry_usage_errors(argv, message):
+    """python -m schlicht.cli reads its argv from sys.argv (main(None)).
+    The invalid-choice message is checked up to the choices, whose quoting
+    differs between Python versions; tests/golden/ pins it whole."""
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-m", "schlicht.cli", *argv], capture_output=True,
+                         text=True, env=env)
+    assert (run.returncode, run.stdout) == (1, "")
+    usage, error = run.stderr.splitlines()
+    assert usage == TOP_USAGE
+    assert error.startswith(f"schlicht: error: {message}")
 
 
 class TestVerifyCommand:

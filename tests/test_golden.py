@@ -7,6 +7,11 @@ every BLAS and SIMD kernel, and the `extremal` commands here build the
 Koebe member, whose coefficients are small integers, so the test compares
 exact bytes and runs unchanged under a second kernel.
 
+A usage error exits through SystemExit, whose code is its status.  COLUMNS
+is 80, since argparse wraps its usage lines to the terminal width.  The
+stderr is argparse's text on Python 3.11, which CI runs; later versions
+word some messages otherwise.
+
 A change that means to move these outputs rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,6 +22,7 @@ and the diff shows every moved byte.
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -84,17 +90,35 @@ COMMANDS = {
                               "--format", fmt]
        for fmt in ("json", "csv")},
     "jack-threshold": ["jack", "--check", "threshold", "--alpha", "0.5"],
+    # usage errors: argparse's usage line and message on stderr, exit 1
+    "usage-empty": [],
+    "usage-bogus": ["bogus"],
+    "usage-bound-unknown-option": ["bound", "--no-such-option"],
+    "usage-bound-extra": ["bound", *KOEBE, "--n", "2:3", "extra"],
+    "usage-bound-n-no-value": ["bound", "--n"],
+    "usage-verify-no-seed": ["verify", "--samples", "10"],
+    "usage-jack-check-nope": ["jack", "--check", "nope"],
+    "usage-bound-dashdash": ["bound", "--", "--n", "2:3"],
 }
 
 
+def _status(argv) -> int:
+    """main's return value, or the code of the SystemExit of a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
 def _run(argv, capsys) -> tuple[int, str, str]:
-    status = main(argv)
+    status = _status(argv)
     captured = capsys.readouterr()
     return status, captured.out, captured.err
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.json")))
-def test_output_is_byte_identical_to_golden(name, capsys):
+def test_output_is_byte_identical_to_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     status, out, err = _run(expected["argv"], capsys)
     assert (status, err) == (expected["status"], expected["stderr"])
@@ -107,13 +131,14 @@ def test_every_command_has_a_golden_file():
 
 def _write_golden() -> None:
     """Run every command of COMMANDS and rewrite tests/golden/ from its output."""
+    os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(exist_ok=True)
     for path in [*GOLDEN.glob("*.json"), *GOLDEN.glob("*.out")]:
         path.unlink()
     for name, argv in COMMANDS.items():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = main(argv)
+            status = _status(argv)
         record = {"argv": argv, "status": status, "stderr": err.getvalue()}
         (GOLDEN / f"{name}.json").write_text(json.dumps(record) + "\n",
                                              encoding="utf-8")

@@ -98,6 +98,11 @@ class TestSpiralMembership:
         assert jack._windings(curves).tolist() == expected
         assert [winding_number(c) for c in curves] == expected
 
+    def test_zero_margin_is_not_a_member(self):
+        # the grid test is margin > 0: a margin of exactly zero fails it
+        reports = jack._reports(np.array([0.0, -0.0, 5e-324, -1.0]), [1, 1, 1, 1], 0.9, 64)
+        assert [rep.member for rep in reports] == [False, False, True, False]
+
     def test_zero_of_f_on_grid_detected(self):
         # f = z - 2z^2 vanishes at z = 0.5, which the theta=0 grid node hits
         f = ComplexSeries([0, 1, -2.0] + [0] * 10)

@@ -18,6 +18,7 @@ from schlicht.errors import (
     RadiusOutOfRange,
 )
 from schlicht.series import (
+    UNIT_TOLERANCE,
     _row_div,
     _row_log_derivative,
     circle_values,
@@ -436,6 +437,11 @@ class TestOneRowMatchesTheStack:
             _row_div(unit, unit, np.where(np.arange(8) == 5, 1e-15, 1.0 + 1j))
         with pytest.raises(NormalizationError):
             _row_log_derivative(unit * 0.5)
+        # a divisor constant of modulus exactly UNIT_TOLERANCE is refused,
+        # twice it is divided by
+        with pytest.raises(DivisionByNonUnit):
+            _row_div(unit, unit * UNIT_TOLERANCE)
+        assert np.array_equal(_row_div(unit, unit * 2e-14), unit * (1.0 / 2e-14))
 
     def test_ratio_rows_reach_subnormals(self):
         # the "ratio" cases above really exercise subnormal tails
