@@ -229,9 +229,8 @@ def _omega_rows(draws: tuple, kinds: np.ndarray, degree: int, width: int):
     u, limbs = draws
     rho = 1.0 - u
     omegas = np.zeros((len(kinds), width), dtype=np.complex128)
-    if width > 1:
-        for row in np.flatnonzero(kinds == 1):
-            omegas[row, 1] = cmath.exp(1j * float(0.0 + 2.0 * np.pi * u[row]))
+    for row in np.flatnonzero(kinds == 1):
+        omegas[row, 1] = cmath.exp(1j * float(0.0 + 2.0 * np.pi * u[row]))
     if degree < width:
         monomials = kinds == 2
         omegas[monomials, degree] = rho[monomials]
@@ -249,10 +248,10 @@ def schwarz_rows(
     `indices` of seed.
 
     Row i is sample_schwarz((seed, i), degree, name) zero-padded or
-    truncated to width.  With construction None, name is picked by the
-    first double of the stream (seed, i, 1) against PICK_EDGES, a stream
-    of its own so that the pick does not bias the draws; else it is
-    construction for every row.
+    truncated to width, which must be >= 2.  With construction None, name
+    is picked by the first double of the stream (seed, i, 1) against
+    PICK_EDGES, a stream of its own so that the pick does not bias the
+    draws; else it is construction for every row.
     """
     _check_draw(degree, construction)
     if construction is not None:

@@ -194,9 +194,13 @@ class TestClassifyCommand:
         row = doc["classification"][0]
         assert row["case"] == "III" and row["crossover_k"] == 3
 
-    @pytest.mark.parametrize("case", sorted(CASE_ARGS))
-    def test_table_rows_match_json_rows(self, case, capsys):
-        argv = ["classify", *CASE_ARGS[case], "--n", "2:9", "--format"]
+    @pytest.mark.parametrize("case, n", [
+        *(pytest.param(case, "2:9", id=case) for case in sorted(CASE_ARGS)),
+        # a 149-row sweep, whose JSON margins grow as the square of the range
+        pytest.param("III", "2:150", id="III-2:150"),
+    ])
+    def test_table_rows_match_json_rows(self, case, n, capsys):
+        argv = ["classify", *CASE_ARGS[case], "--n", n, "--format"]
         code, out, _ = run_cli([*argv, "json"], capsys)
         assert code == 0
         rows = json.loads(out)["classification"]
@@ -210,7 +214,8 @@ class TestClassifyCommand:
             for row in rows
         ]
         assert lines[1:] == expected
-        assert len(expected) == 8
+        lo, hi = map(int, n.split(":"))
+        assert len(expected) == hi - lo + 1
 
 
 class TestExtremalCommand:
@@ -338,7 +343,9 @@ OVERFLOWING_SERIES = '{"order": 2, "coeffs": [[0, 0], [1, 0], [1e308, 1e308]]}'
                                      ["verify", "--gamma=1e80,0", "--A", "1", "--B", "-1",
                                       "--seed", "0", "--samples", "5", "--n-max", "3"],
                                      ["jack", "--check", "growth-extremal", "--beta", "3e-309",
-                                      "--order", "4"]])
+                                      "--order", "4"],
+                                     ["jack", "--check", "growth-extremal", "--beta", "1e-300",
+                                      "--order", "24"]])
 def test_overflowing_member_exits_two(command, tmp_path, capsys):
     # gamma = 1e200 overflows the member recurrences, beta = 1e-300 the
     # growth extremal, and the subnormal gamma = 1e-320 the reciprocal that
@@ -442,6 +449,19 @@ ANGLE_1_6 = "parameter error: angle alpha must be in (-pi/2, pi/2), got 1.6"
                  "parameter error: order must be >= 2, got -3", id="extremal-negative-order"),
     pytest.param(["report", *STARLIKE_ARGS, "--n", "2:5", "--seed", "1", "--order", "1"], 1,
                  "parameter error: order must be >= 2, got 1", id="report-order"),
+    pytest.param(["report", *STARLIKE_ARGS, "--n", "1:9", "--samples", "500", "--seed", "1"],
+                 1, "parameter error: index n must be >= 2, got 1", id="report-index-1"),
+    pytest.param(["extremal", "--class", "M", "--beta", "2", "--gamma", "1,0", "--kind",
+                  "koebe-gamma"], 1,
+                 "parameter error: --kind koebe-gamma builds in class Sstar, got --class M",
+                 id="koebe-gamma-class-M"),
+    pytest.param(["jack", "--check", "threshold", "--alpha", "0.5", "--samples", "7"], 1,
+                 "parameter error: --check threshold does not read --samples",
+                 id="threshold-samples"),
+    # 1/(2*beta) = 5e319 is past the double range, at the default order
+    pytest.param(["jack", "--check", "growth-extremal", "--beta", "1e-320"], 1,
+                 "parameter error: beta must be finite and positive, got 1e-320; "
+                 "so must 1/(2*beta)", id="growth-extremal-beta-1e-320"),
 ])
 def test_refusals(argv, code, message, series_file, capsys):
     argv = [series_file if arg is None else arg for arg in argv]
@@ -482,6 +502,13 @@ def test_parser_is_built_once_and_reused(extremal_builds, capsys):
     assert extremal_builds == ["case-ii", "case-ii"]
 
 
+def _run_module(argv) -> subprocess.CompletedProcess:
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    return subprocess.run([sys.executable, "-m", "schlicht.cli", *argv], capture_output=True,
+                          text=True, env=env)
+
+
 TOP_USAGE = "usage: schlicht [-h] {bound,classify,extremal,verify,jack,report} ..."
 
 
@@ -494,14 +521,25 @@ def test_console_entry_usage_errors(argv, message):
     """python -m schlicht.cli reads its argv from sys.argv (main(None)).
     The invalid-choice message is checked up to the choices, whose quoting
     differs between Python versions; tests/golden/ pins it whole."""
-    env = {**os.environ, "COLUMNS": "80",
-           "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
-    run = subprocess.run([sys.executable, "-m", "schlicht.cli", *argv], capture_output=True,
-                         text=True, env=env)
+    run = _run_module(argv)
     assert (run.returncode, run.stdout) == (1, "")
     usage, error = run.stderr.splitlines()
     assert usage == TOP_USAGE
     assert error.startswith(f"schlicht: error: {message}")
+
+
+@pytest.mark.parametrize("argv, status, prefix", [
+    pytest.param(["bound", "--class", "Sstar", "--gamma", "1,0", "--A", "0.3", "--n", "2:3"],
+                 1, "parameter error: ", id="parameter-error"),
+    pytest.param(["extremal", "--gamma=1e200,0", "--A", "1", "--B", "-1", "--n", "2:3"],
+                 2, "error: ", id="numerical-error"),
+])
+def test_console_entry_exit_status(argv, status, prefix):
+    """sys.exit(main()) exits with main's status: 1 for a parameter error,
+    2 for a numerical one, with nothing on stdout."""
+    run = _run_module(argv)
+    assert (run.returncode, run.stdout) == (status, "")
+    assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -658,6 +696,7 @@ class TestJackCommand:
         pytest.param('{"order": 2, "coeffs": [[0, 0], [1, 0], [NaN, 0]]}', "finite",
                      id="nan"),
         pytest.param("[[0, 0], [1, 0]]", "series document", id="array"),
+        pytest.param("[1, 2]", "series document", id="flat-array"),
         pytest.param('{"coeffs": [[0, 0], [1, 0]]}', "series document", id="no-order"),
         pytest.param('{"order": 1.5, "coeffs": [[0, 0], [1, 0]]}', "series document",
                      id="float-order"),

@@ -204,8 +204,11 @@ class TestReductions:
     def test_domain_errors(self):
         with pytest.raises(ParameterDomainError):
             reduce_subclass("Sc", gamma=1.0, lam=0.0, beta=1.0)
-        with pytest.raises(ParameterDomainError):
-            reduce_subclass("M", beta=1.0)
+        # at beta = 1 the class's gamma = 1 - beta = 0 is refused too, by
+        # ClassParams; M and N name their own rule first
+        for name in ("M", "N"):
+            with pytest.raises(ParameterDomainError, match=f"{name} needs beta > 1, got 1.0"):
+                reduce_subclass(name, beta=1.0)
         with pytest.raises(ParameterDomainError):
             reduce_subclass("Sbeta", beta=math.pi / 2, a=1.0, b=-1.0)
         with pytest.raises(ParameterDomainError):
