@@ -24,7 +24,9 @@ for a smoke test; the default shapes are those of the perfbench workloads:
   the whole verify path: its quadratic slacks over the moduli |a_2|..|a_n_max|
   (200x9 and 200x19) and cli.main on the verify command line;
 - disk: spiral checks of 10 samples at order 512, degree 4; the CI's
-  order-2048 command is 64 samples of degree 1;
+  order-2048 command is 64 samples of degree 1; and the gb op at order
+  512: its --input document read by ComplexSeries.from_json_dict and
+  gb_membership of a build_gb_instance member;
 - dossier: membership at orders 64 and 512, and cli.main on the ops that
   write row tables: bound --n 2:150 as json, csv and table, classify
   --n 2:150 as json and table, and extremal --order 512 --n 2:50 as json
@@ -66,6 +68,7 @@ SHAPES = {
     "fuzz": (((200, 10), (200, 20)), ((4, 5),)),
     "spiral": (((0.4, 3, 10, 4, 512), (0.0, 0, 64, 1, 2048)), ((0.4, 3, 3, 4, 16),)),
     "member_order": ((64, 512), (8,)),
+    "gb": (512, 16),
     "sweep_n": ("2:150", "2:6"),
     "extremal": ((512, "2:50"), (16, "2:6")),
 }
@@ -192,6 +195,21 @@ def kernels(tiny: bool) -> dict:
             vals = srs.circle_values(u, 0.95, angles)
             return lambda: jack._windings(vals)
         out[f"_windings {shape}"] = windings
+
+    order = pick["gb"]
+
+    def gb_member(order):
+        return jack.build_gb_instance(sub.sample_schwarz((3, 0), 4), 0.5, order)
+
+    def gb(order=order):
+        f = gb_member(order)
+        return lambda: jack.gb_membership(f, 0.5, 0.95, angles)
+    out[f"gb_membership order {order}"] = gb
+
+    def gb_input(order=order):
+        doc = json.loads(json.dumps(gb_member(order).to_json_dict()))
+        return lambda: srs.ComplexSeries.from_json_dict(doc)
+    out[f"from_json_dict order {order}"] = gb_input
 
     for order in pick["member_order"]:
         def member(order=order):

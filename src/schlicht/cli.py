@@ -119,9 +119,7 @@ def _emit(args, text: str) -> None:
 
 def _emit_rows(args, table: Table, doc: dict) -> None:
     """Write doc, the JSON document that holds table, as JSON, or table as
-    CSV or text.  table's floats are formatted first, so a non-finite one
-    is refused before fixed_json_dumps, which perfbench traces, is called."""
-    table.floats
+    CSV or text; a non-finite float is refused before anything is written."""
     _emit(args, fixed_json_dumps(doc) + "\n" if args.format == "json"
           else table.to_text(csv=args.format == "csv"))
 

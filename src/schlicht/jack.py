@@ -280,17 +280,12 @@ def _spiral_sources(omegas: np.ndarray, alpha: float) -> np.ndarray:
     return srs._row_div(omegas * (a + 1.0), square)
 
 
-def _spiral_rows(omegas: np.ndarray, alpha: float) -> np.ndarray:
-    """The spiral members a_0..a_N of Schwarz rows c_0..c_{N-1}."""
-    return _quotient_members(_spiral_sources(omegas, alpha))
-
-
 def build_spiral_instance(omega, alpha: float, order: int) -> ComplexSeries:
     """Member built to satisfy the spiral quotient criterion exactly; it is
     spiral-like with angle alpha by the criterion."""
     check_angle(alpha, "alpha")
     check_order(order)
-    return ComplexSeries(_spiral_rows(srs.fit_row(omega, order), alpha)[0])
+    return ComplexSeries(_quotient_members(_spiral_sources(srs.fit_row(omega, order), alpha))[0])
 
 
 def build_gb_instance(omega, b: float, order: int) -> ComplexSeries:

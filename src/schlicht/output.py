@@ -15,7 +15,6 @@ which writes a record, a NamedTuple, as the object of its fields.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from json.encoder import encode_basestring
 from typing import Callable, NamedTuple, Sequence
 
@@ -71,19 +70,11 @@ class Table:
     """Rows of typed columns, written as JSON objects (arrays when arrays
     is true), CSV or text, one % template per row: an int as its str()
     and None as null, "" or -, a str as it is (a JSON string in JSON), a
-    bool as true or false, JSON text as it is and a float through floats."""
+    bool as true or false, JSON text as it is and a float through
+    format_column, once per write, so a refused write returns no text."""
 
     columns: Sequence[Column]
     arrays: bool = False
-
-    @cached_property
-    def floats(self) -> dict[int, list[str]]:
-        """The cells of each float column, by column index, formatted once
-        for every format by one format_column call, interleaved, so the
-        first non-finite float refused is the first in row order."""
-        index = [i for i, c in enumerate(self.columns) if c.kind is float]
-        parts = format_column(np.array([self.columns[i].values for i in index]).T.ravel())
-        return {i: parts[offset :: len(index)] for offset, i in enumerate(index)}
 
     def to_json(self) -> str:
         fields = ["%s" if self.arrays else encode_basestring(c.key).replace("%", "%%") + ":%s"
@@ -101,12 +92,17 @@ class Table:
 
     def _rows(self, template: str, field: str, null: str, quote) -> map:
         """template applied to each row of the columns whose field is set,
-        None written as null and a str through quote when there is one."""
-        floats, cells = self.floats, []
+        None written as null and a str through quote when there is one.
+        The floats of every column, written or not, go through one
+        format_column call, interleaved, so each format refuses the first
+        non-finite float in row order."""
+        index = [i for i, c in enumerate(self.columns) if c.kind is float]
+        parts = format_column(np.array([self.columns[i].values for i in index]).T.ravel())
+        cells = []
         for i, column in enumerate(self.columns):
             if getattr(column, field) is None:
                 continue
-            values = floats[i] if column.kind is float else column.values
+            values = parts[index.index(i) :: len(index)] if column.kind is float else column.values
             values = values() if callable(values) else values
             if column.kind is int and None in values:
                 values = [null if value is None else value for value in values]

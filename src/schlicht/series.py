@@ -233,15 +233,15 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None, out=None) -> np.
 
     A stack steps with np.vecdot(conj(d), o), BLAS zdotc over one
     contiguous copy of the conjugated reversed divisor.  One row steps on
-    1-D views with scalar updates and np.dot, zdotu, about 2.4x faster at
-    width 513 than a stack of one (1.7x for a unit numerator).  The row is
-    bit for bit the stacked row: zdotc of conj(d) and zdotu of d run one
-    kernel whose partial sums differ only by exact negations, and numpy's
-    complex scalars subtract and divide as its arrays do.  A unit
-    numerator (num_k = 0 for k > 0, every _row_log_derivative) steps as
-    (-x)/w_k in place of (0 - x)/w_k, with the negation in the divisor's
-    copy, so a step is a dot and a divide; the two differ at most in the
-    sign of a zero.
+    1-D views with scalar updates and ndarray.dot, zdotu without np.dot's
+    dispatch, about 2.4x faster at width 513 than a stack of one (1.7x for
+    a unit numerator).  The row is bit for bit the stacked row: zdotc of
+    conj(d) and zdotu of d run one kernel whose partial sums differ only
+    by exact negations, and numpy's complex scalars subtract and divide as
+    its arrays do.  A unit numerator (num_k = 0 for k > 0, every
+    _row_log_derivative) steps as (-x)/w_k in place of (0 - x)/w_k, with
+    the negation in the divisor's copy, so a step is a dot and a divide;
+    the two differ at most in the sign of a zero.
 
     Step k divides by each row's pivot column or by the diagonal's entry
     k.  The quotient goes to out when it is given, which may be num
@@ -288,12 +288,12 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None, out=None) -> np.
     out = np.empty_like(num) if out is None else out
     out[:, 0] = num[:, 0] / w[0]
     if rows == 1:
-        # Python scalars index fast; np.dot's scalar on the left keeps numpy dividing
+        # Python scalars index fast; dot's scalar on the left keeps numpy dividing
         d_rev = np.negative(rev[0]) if unit else np.ascontiguousarray(rev[0])
         n, o = num[0].tolist(), out[0]
         w1 = [complex(denom[0, 0])] * width if diagonal is None else diagonal.tolist()
         for k in range(1, width):
-            x = np.dot(o[:k], d_rev[width - 1 - k : width - 1])
+            x = o[:k].dot(d_rev[width - 1 - k : width - 1])
             o[k] = (x if unit else n[k] - x) / w1[k]
         return out
     d_conj = np.conjugate(rev)  # a new array, never a view of denom

@@ -109,18 +109,22 @@ class TestBoundCommand:
         assert "parameter error" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-    def test_non_finite_bound_is_refused(self, fmt, capsys):
+    def test_non_finite_bound_is_refused(self, fmt, tmp_path, capsys):
         # the case-II product overflows a double long before n = 300; 2:300
-        # is the benchmark's bound-inf op, whose earlier rows are finite
+        # is the benchmark's bound-inf op, whose earlier rows are finite.
+        # A refused --output write creates no file.
+        target = tmp_path / f"bound.{fmt}"
         for n in ("300", "2:300"):
-            code, out, err = run_cli(
-                ["bound", "--gamma", "1000,0", "--A", "1", "--B", "-1", "--n", n,
-                 "--format", fmt],
-                capsys,
-            )
-            assert code == 2
-            assert out == ""
-            assert "non-finite" in err
+            for output in ([], ["--output", str(target)]):
+                code, out, err = run_cli(
+                    ["bound", "--gamma", "1000,0", "--A", "1", "--B", "-1", "--n", n,
+                     "--format", fmt, *output],
+                    capsys,
+                )
+                assert code == 2
+                assert out == ""
+                assert "non-finite value inf" in err
+                assert not target.exists()
 
     def test_long_case_i_sweep(self, capsys):
         # the sweep is linear in hi; per-index evaluation was quadratic

@@ -346,7 +346,8 @@ class TestSpiralBuilderEdges:
 
     def test_zero_omega_gives_identity(self):
         assert build_spiral_instance(monomial(0, 0, 6), self.ALPHA, 64) == identity(64)
-        members = jack._spiral_rows(np.zeros((3, 64), dtype=np.complex128), self.ALPHA)
+        members = jack._quotient_members(
+            jack._spiral_sources(np.zeros((3, 64), dtype=np.complex128), self.ALPHA))
         assert np.array_equal(members, np.tile(identity(64).coeffs, (3, 1)))
 
     def test_order_two_is_the_source_slope(self):

@@ -100,7 +100,7 @@ def test_batched_spiral_check_matches_per_sample_loop(seed, alpha):
         assert rep.winding == winding == 1
         assert rep.member
         assert (rep.radius, rep.angles) == (RADIUS, ANGLES)
-    members = jack._spiral_rows(omegas, alpha)
+    members = jack._quotient_members(jack._spiral_sources(omegas, alpha))
     for i in range(samples):
         sample = ComplexSeries(reference_draw((seed, i), 4, "polynomial_normalized"))
         expected = reference_spiral_member(sample, alpha, ORDER)
