@@ -16,17 +16,22 @@ those calls in microseconds, and the minor page faults per timed call:
 getrusage(RUSAGE_SELF).ru_minflt, which counts this process only, read
 before and after the timed calls.  --compare pools the calls and faults of
 each side over its rounds, runs the parent first on even rounds, and adds
-the ratio of the medians, change over parent.  A kernel that a tree lacks
-is listed as skipped with the reason.  --tiny takes shapes small enough
-for a smoke test; the default shapes are those of the perfbench workloads:
+the ratio of the medians, change over parent, and each round's ratio of
+its two medians, sorted: where they straddle 1, the pair cannot tell the
+change from host noise.  A kernel that a tree lacks is listed as skipped
+with the reason.  --tiny takes shapes small enough for a smoke test; the
+default shapes are those of the perfbench workloads:
 
 - fuzz: 200 samples at n_max 10 and 20 (rows of width 11 and 21), and
   the whole verify path: its quadratic slacks over the moduli |a_2|..|a_n_max|
   (200x9 and 200x19) and cli.main on the verify command line;
 - disk: spiral checks of 10 samples at order 512, degree 4; the CI's
   order-2048 command is 64 samples of degree 1; and the gb op at order
-  512: its --input document read by ComplexSeries.from_json_dict and
-  gb_membership of a build_gb_instance member;
+  512 on a build_gb_instance member in each of the workload's two regimes,
+  a tail that decays through the subnormals and one that stays normal
+  (checked at order 512; at --tiny's order 16 no tail reaches them): the
+  --input read by cli._load_series (file, json.loads, from_json_dict),
+  ComplexSeries.from_json_dict alone, and gb_membership;
 - dossier: membership at orders 64 and 512, and cli.main on the ops that
   write row tables: bound --n 2:150 as json, csv and table, classify
   --n 2:150 as json and table, and extremal --order 512 --n 2:50 as json
@@ -52,6 +57,7 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -197,19 +203,39 @@ def kernels(tiny: bool) -> dict:
         out[f"_windings {shape}"] = windings
 
     order = pick["gb"]
+    b = jack.gb_threshold_closed_form(0.5)
+    # the disk workload's two gb regimes: b*rho in 0.015-0.03 gives a tail that
+    # decays through the subnormals (4 of its 6 gb ops, among which its
+    # op_p50_ms falls), rho in 0.6-1 one that stays normal
+    for tail, rho in (("subnormal", 0.02 / b), ("normal", 0.8)):
+        shape = f"order {order} {tail} tail"
 
-    def gb_member(order):
-        return jack.build_gb_instance(sub.sample_schwarz((3, 0), 4), 0.5, order)
+        def gb_member(rho=rho, shape=shape, want=tail == "subnormal"):
+            omega = sub.sample_schwarz((3, 0), 4)._c
+            f = jack.build_gb_instance(srs.ComplexSeries(omega * (rho / np.abs(omega).sum())),
+                                       b, order)
+            parts = np.abs(f._c.view(np.float64))
+            subnormal = bool(np.any((parts > 0) & (parts < np.finfo(np.float64).tiny)))
+            if not tiny and subnormal != want:
+                raise RuntimeError(f"the gb member of {shape} has the other tail")
+            return f
 
-    def gb(order=order):
-        f = gb_member(order)
-        return lambda: jack.gb_membership(f, 0.5, 0.95, angles)
-    out[f"gb_membership order {order}"] = gb
+        def gb(gb_member=gb_member):
+            f = gb_member()
+            return lambda: jack.gb_membership(f, b, 0.95, angles)
+        out[f"gb_membership {shape}"] = gb
 
-    def gb_input(order=order):
-        doc = json.loads(json.dumps(gb_member(order).to_json_dict()))
-        return lambda: srs.ComplexSeries.from_json_dict(doc)
-    out[f"from_json_dict order {order}"] = gb_input
+        def gb_input(gb_member=gb_member):
+            handle = tempfile.NamedTemporaryFile("w", suffix=".json", encoding="utf-8")
+            handle.write(json.dumps(gb_member().to_json_dict()))
+            handle.flush()
+            return lambda: cli._load_series(handle.name)
+        out[f"_load_series {shape}"] = gb_input
+
+        def gb_doc(gb_member=gb_member):
+            doc = json.loads(json.dumps(gb_member().to_json_dict()))
+            return lambda: srs.ComplexSeries.from_json_dict(doc)
+        out[f"from_json_dict {shape}"] = gb_doc
 
     for order in pick["member_order"]:
         def member(order=order):
@@ -304,16 +330,22 @@ def compare(parent: Path, change: Path, rounds: int, repeat: int, tiny: bool) ->
                 if isinstance(timed, str):
                     pooled[side][name] = timed
                 elif not isinstance(pooled[side].get(name), str):
-                    entry = pooled[side].setdefault(name, {"us": [], "minflt": 0})
+                    entry = pooled[side].setdefault(name, {"us": [], "minflt": 0,
+                                                           "round_medians": []})
                     entry["us"] += timed["us"]
                     entry["minflt"] += timed["minflt"]
+                    entry["round_medians"].append(float(np.median(timed["us"])))
     result = {}
     for name in dict.fromkeys([*pooled["parent"], *pooled["change"]]):
-        entry = {side: summary(pooled[side].get(name, "skipped: absent"))
+        timed = {side: pooled[side].get(name, "skipped: absent")
                  for side in ("parent", "change")}
+        entry = {side: summary(timed[side]) for side in timed}
         if "median_us" in entry["parent"] and "median_us" in entry["change"]:
             entry["change_over_parent"] = round(
                 entry["change"]["median_us"] / entry["parent"]["median_us"], 3)
+            ratios = np.divide(timed["change"]["round_medians"],
+                               timed["parent"]["round_medians"])
+            entry["round_ratios"] = np.sort(ratios).round(3).tolist()
         result[name] = entry
     return result
 

@@ -10,8 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "bench" / "layers.py"
 KERNELS = ("_row_div", "_row_log_derivative", "circle_values", "schwarz_rows",
            "_member_rows", "spiral_check", "_spiral_sources", "_grid_values", "_windings",
-           "is_member", "gb_membership", "from_json_dict", "fixed_json_dumps",
-           "_quadratic_slacks", "cli.main", "import")
+           "is_member", "gb_membership", "_load_series", "from_json_dict",
+           "fixed_json_dumps", "_quadratic_slacks", "cli.main", "import")
 
 
 def run_layers(*args) -> str:
@@ -43,3 +43,5 @@ def test_compare_pools_both_trees():
         assert entry["parent"]["minflt_per_call"] >= 0.0, name
         assert entry["change"]["minflt_per_call"] >= 0.0, name
         assert entry["change_over_parent"] > 0.0
+        assert len(entry["round_ratios"]) == 2, name
+        assert 0.0 < entry["round_ratios"][0] <= entry["round_ratios"][1], name
