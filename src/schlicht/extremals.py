@@ -92,9 +92,10 @@ def case_i_moduli(p: ClassParams, indices) -> list[float]:
     and a stacked row equals its one-row call, so row n's a_0..a_n are those
     of the order-n member."""
     index, moduli = np.asarray(indices, dtype=int), []
-    for part in np.split(index, range(CASE_I_STACK, index.size, CASE_I_STACK)):
+    for lo in range(0, index.size, CASE_I_STACK):
+        part = index[lo : lo + CASE_I_STACK]
         rows = np.arange(part.size)
-        omegas = np.zeros((part.size, part.max(initial=1)), dtype=np.complex128)
+        omegas = np.zeros((part.size, part.max()), dtype=np.complex128)
         omegas[rows, part - 1] = 1.0
         moduli += map(abs, _member_rows(omegas, p)[rows, part].tolist())
     return moduli

@@ -5,8 +5,8 @@ c_0 + c_1 z + ... + c_N z^N with complex double coefficients.  The one
 exact coefficient recurrence, _row_div, is the series quotient, and with
 a diagonal the solve _row_log_derivative (the normalized F with d_k*F_k =
 [z^k](F*q), which is z*F' = F*q for the default d_k = k-1); it steps over
-k with every row of a 2-D array at once, one np.vecdot per step into a
-preallocated buffer, and a divide.  Every member comes from
+k with every row of a 2-D array at once, each step one np.vecdot into a
+preallocated buffer, a subtract and a divide.  Every member comes from
 _row_log_derivative: subordination's class members with the default
 divisors, jack's growth extremal (omega = -z in Sstar(1/(2*beta))) among
 them, and jack's spiral and quotient-class members with d_k = (k-1)/k.
@@ -224,28 +224,20 @@ def circle_values(coeffs: np.ndarray, radius: float, angles: int) -> np.ndarray:
     return np.fft.ifft(grid, axis=-1, norm="forward", out=grid)
 
 
-def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None, out=None) -> np.ndarray:
+def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None) -> np.ndarray:
     """The package's one exact coefficient recurrence, stepping over k with
-    all rows at once: out_k = (num_k - sum_{j<k} out_j*denom_{k-j}) / w_k.
-    By default w_k = denom_0 of each row, the quotient num/denom; a
-    diagonal w_0..w_{width-1} shared by all rows makes it the weighted
-    solve of _row_log_derivative.
+    all rows at once: out_k = (num_k - sum_{j<k} out_j*denom_{k-j}) / w_k,
+    each step a dot, a subtract and a divide, into a new array.  w_k is
+    each row's denom_0 (the quotient num/denom) or entry k of a diagonal
+    shared by all rows (the weighted solve of _row_log_derivative).
 
     A stack steps with np.vecdot(conj(d), o), BLAS zdotc over one
     contiguous copy of the conjugated reversed divisor.  One row steps on
     1-D views with scalar updates and ndarray.dot, zdotu without np.dot's
-    dispatch, about 2.4x faster at width 513 than a stack of one (1.7x for
-    a unit numerator).  The row is bit for bit the stacked row: zdotc of
-    conj(d) and zdotu of d run one kernel whose partial sums differ only
-    by exact negations, and numpy's complex scalars subtract and divide as
-    its arrays do.  A unit numerator (num_k = 0 for k > 0, every
-    _row_log_derivative) steps as (-x)/w_k in place of (0 - x)/w_k, with
-    the negation in the divisor's copy, so a step is a dot and a divide;
-    the two differ at most in the sign of a zero.
-
-    Step k divides by each row's pivot column or by the diagonal's entry
-    k.  The quotient goes to out when it is given, which may be num
-    itself: step k reads num_k before it writes out_k.
+    dispatch, about 3.3x faster at width 513 than a stack of one.  The row
+    is bit for bit the stacked row: zdotc of conj(d) and zdotu of d run
+    one kernel whose partial sums differ only by exact negations, and
+    numpy's complex scalars subtract and divide as its arrays do.
 
     A divisor wider than num is truncated to its width.  A narrower one is
     a band d_0..d_m, and the quotient steps over blocks s_K of m
@@ -254,8 +246,10 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None, out=None) -> np.
     which the recurrence above gives in m steps, and R the band's reach
     into the previous block: ceil(width/m) steps, not width, of einsums,
     which round a row alike in a stack of any size.  A num zero past the
-    first block steps s_K = H*((-R)*s_{K-1}), no subtract.  The band is a
-    quotient's only: a diagonal comes with a full-width divisor."""
+    first block (a spiral source) steps s_K = H*((-R)*s_{K-1}) on a negated
+    copy of the reach, no subtract: the one negation left, as H*(0 - R*s)
+    read 1.024x on the disk workload's rounds, faster in 4 of 12 pairs.
+    The band is a quotient's only; a diagonal needs a full-width divisor."""
     rows, width = num.shape
     w = denom[:, :1] if diagonal is None else diagonal
     if np.any(np.abs(w) <= UNIT_TOLERANCE):
@@ -284,26 +278,21 @@ def _row_div(num: np.ndarray, denom: np.ndarray, diagonal=None, out=None) -> np.
         return blocks.reshape(rows, -1)[:, :width]
     w = [denom[:, 0]] * width if diagonal is None else diagonal
     rev = denom[:, width - 1 :: -1]
-    unit = not num[:, 1:].any()  # (0 - x)/w_k steps as (-x)/w_k: negate the copy
-    out = np.empty_like(num) if out is None else out
+    out = np.empty_like(num)
     out[:, 0] = num[:, 0] / w[0]
     if rows == 1:
-        # Python scalars index fast; dot's scalar on the left keeps numpy dividing
-        d_rev = np.negative(rev[0]) if unit else np.ascontiguousarray(rev[0])
+        # Python scalars index fast; the dot's numpy scalar makes numpy subtract and divide
+        d_rev = np.ascontiguousarray(rev[0])
         n, o = num[0].tolist(), out[0]
         w1 = [complex(denom[0, 0])] * width if diagonal is None else diagonal.tolist()
         for k in range(1, width):
-            x = o[:k].dot(d_rev[width - 1 - k : width - 1])
-            o[k] = (x if unit else n[k] - x) / w1[k]
+            o[k] = (n[k] - o[:k].dot(d_rev[width - 1 - k : width - 1])) / w1[k]
         return out
-    d_conj = np.conjugate(rev)  # a new array, never a view of denom
-    if unit:
-        np.negative(d_conj, out=d_conj)
+    d_conj = np.conjugate(rev)
     dot = np.empty(rows, dtype=np.complex128)
     for k in range(1, width):
         np.vecdot(d_conj[:, width - 1 - k : width - 1], out[:, :k], out=dot)
-        if not unit:
-            np.subtract(num[:, k], dot, out=dot)
+        np.subtract(num[:, k], dot, out=dot)
         np.divide(dot, w[k], out=out[:, k])
     return out
 
@@ -313,15 +302,15 @@ def _row_log_derivative(q: np.ndarray, divisors=None) -> np.ndarray:
     each row q with q(0) = 1; a width-w row gives width w+1.  The divisors
     d_0..d_w (complex, only d_2.. read) default to d_k = k-1, which is
     z*F' = F*q; the jack builders pass d_k = (k-1)/k.  F/z is one _row_div
-    of the unit row by -q with the diagonal (1, d_2, ..., d_w), written
-    in place over F's columns 1..w."""
+    of the unit row by q with the diagonal (1, -d_2, ..., -d_w), a step
+    (0 - x)/(-d_k) that is x/d_k up to the sign of a zero part."""
     if np.any(np.abs(q[:, 0] - 1.0) > UNIT_TOLERANCE):
         raise NormalizationError("source constant term must be 1")
     rows, width = q.shape
     d = np.arange(-1.0, width, dtype=np.complex128) if divisors is None else divisors
     out = np.zeros((rows, width + 1), dtype=np.complex128)
     out[:, 1] = 1.0
-    _row_div(out[:, 1:], -q, np.concatenate(([1.0], d[2 : width + 1])), out[:, 1:])
+    out[:, 1:] = _row_div(out[:, 1:], q, np.concatenate(([1.0], -d[2 : width + 1])))
     return out
 
 

@@ -79,6 +79,13 @@ class TestCaseIExtremal:
     def test_no_indices(self):
         assert case_i_moduli(STARLIKE, []) == []
 
+    def test_no_indices_build_no_stack(self, monkeypatch):
+        def refuse(omegas, p):
+            raise AssertionError(f"built a member stack of shape {omegas.shape}")
+
+        monkeypatch.setattr("schlicht.extremals._member_rows", refuse)
+        assert case_i_moduli(STARLIKE, []) == []
+
 
 class TestCaseIIExtremal:
     def test_koebe(self):

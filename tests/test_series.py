@@ -396,7 +396,7 @@ class TestOneRowMatchesTheStack:
                           for _ in range(rows)])
                 for c in (0.4 - 0.2j, 0.8 + 0.5j)
             )
-        if kind == "unit":  # the log-derivative solve's numerator, steps without a subtract
+        if kind == "unit":  # the log-derivative solve's numerator, zero past its first term
             num = unit_rows(rows, width)
         if kind in ("diagonal", "unit"):  # non-constant complex w_k in place of denom_0
             diagonal = rng.uniform(1.0, 2.0, width) * np.exp(2j * np.pi * rng.random(width))
@@ -434,8 +434,8 @@ class TestOneRowMatchesTheStack:
     @pytest.mark.parametrize("unit", [True, False])
     @pytest.mark.parametrize("weighted", [True, False])
     def test_inputs_are_left_alone(self, weighted, unit, rows, width):
-        # a unit numerator negates the reversed divisor's copy, which at
-        # width 1 a contiguous reversal would return as a view of denom
+        # each step writes only the quotient's new array, never an input:
+        # at width 1 the divisor's contiguous reversal is a view of denom
         rng = np.random.default_rng((width, rows))
         num, denom = (np.array([decaying_series(rng, width - 1, constant_term=c).coeffs
                                 for _ in range(rows)]) for c in (0.4 - 0.2j, 0.8 + 0.5j))
